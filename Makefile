@@ -4,7 +4,7 @@
 GO ?= go
 MOBILINT := bin/mobilint
 
-.PHONY: all build test race lint lint-baseline fuzz-smoke chaos-smoke obs-smoke overload-smoke delivery-smoke churn-smoke spans-smoke agg-smoke bench par-bench cover mobilint clean
+.PHONY: all build test race lint lint-baseline fuzz-smoke chaos-smoke obs-smoke overload-smoke delivery-smoke churn-smoke spans-smoke agg-smoke bench bench-smoke par-bench cover mobilint clean
 
 all: build lint test
 
@@ -113,6 +113,13 @@ agg-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# Benchmark smoke: mobibench's own tests, then one short agg-fanout pass.
+# bench.sh exits non-zero when any run fails its audit (zero stale reads,
+# the accounting identities) or the determinism digest check.
+bench-smoke:
+	$(GO) -C cmd/mobibench test ./...
+	bash cmd/mobibench/bench.sh --workload agg-fanout --seed 1 --seconds 2 --trace 0
 
 # Parallel-harness scaling: the sweep benchmark at 1/2/4 workers (compare
 # ns/op across the sub-benchmarks on a multi-core machine) plus the

@@ -40,7 +40,7 @@ func (s adaptiveScheme) NewServer(p Params) ServerSide {
 }
 
 func (s adaptiveScheme) NewClient(p Params) ClientSide {
-	return &adaptiveClient{p: p}
+	return &adaptiveClient{p: p, idx: tsIndex{n: p.N}}
 }
 
 type adaptiveServer struct {
@@ -128,6 +128,7 @@ func bsSizeBits(p Params) int {
 type adaptiveClient struct {
 	p       Params
 	scratch []int32
+	idx     tsIndex
 }
 
 // HandleReport implements ClientSide (the client halves of Figures 3/4).
@@ -153,7 +154,7 @@ func (c *adaptiveClient) HandleReport(st *ClientState, r report.Report, now floa
 	case *report.TSReport:
 		windowStart := rep.T - c.p.WindowSeconds()
 		if st.Tlb >= windowStart {
-			applyTSEntries(st, rep.Entries, rep.T)
+			c.idx.applyTSEntries(st, rep)
 			validate(st, rep.T)
 			st.SentTlb = false
 			return Outcome{Ready: true}
@@ -161,7 +162,7 @@ func (c *adaptiveClient) HandleReport(st *ClientState, r report.Report, now floa
 		// Beyond the fixed window. An enlarged report whose dummy Tlb
 		// reaches back to (or past) ours covers everything we missed.
 		if rep.Dummy != nil && rep.Dummy.Tlb <= st.Tlb {
-			applyTSEntries(st, rep.Entries, rep.T)
+			c.idx.applyTSEntries(st, rep)
 			validate(st, rep.T)
 			st.SentTlb = false
 			st.Salvages++

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mobicache/internal/bitseq"
@@ -79,6 +80,14 @@ type ServerSide interface {
 // observable semantics — same LRU order, same hit/miss/eviction
 // accounting — pinned by the population package's differential fuzz
 // suite. Entry values are internal/cache.Entry either way.
+//
+// Fan-out cost: applying a TS report costs a client O(min(Len, entries))
+// cache operations — nothing for an empty cache, a walk of its own
+// Entries against the report's shared index when it holds fewer items
+// than the report lists, one Peek per entry otherwise — plus one
+// O(entries) index build per broadcast, shared by every client of the
+// ClientSide. The index is keyed by the report pointer, which relies on
+// reports being immutable once delivered (see package report).
 type Cache interface {
 	// Lookup finds id, promoting it to most recently used on a hit, and
 	// records the hit or miss.
@@ -226,16 +235,98 @@ type Scheme interface {
 	NewClient(p Params) ClientSide
 }
 
-// applyTSEntries performs the Figure 1 invalidation step: discard every
-// cached item the report lists with a newer update timestamp, then stamp
-// the survivors as validated at the report time.
-func applyTSEntries(st *ClientState, entries []db.UpdateEntry, t float64) {
-	for _, e := range entries {
-		if cached, ok := st.Cache.Peek(e.ID); ok && cached.TS < e.TS {
-			st.Cache.Invalidate(e.ID)
+// tsIndex is the fan-out side of the Figure 1 invalidation step: a dense
+// id → update-timestamp table over the N-item space, built once per TS
+// report and shared by every client a ClientSide serves (the compact
+// report-side indicator, after Cohen–Einziger–Scalosub, arXiv:2104.01386).
+// The table is keyed by the report pointer, which is sound because a
+// report is immutable once delivered (see package report); holding the
+// pointer also keeps the report alive, so its address cannot be reused by
+// a different broadcast.
+type tsIndex struct {
+	n       int              // item-space size N
+	rep     *report.TSReport // the report ts indexes; nil before the first build
+	ts      []float64        // id -> newest update TS in rep, -Inf where rep lists none
+	entries []cache.Entry    // scratch for the cache walk
+}
+
+// index returns the table for r, rebuilding it only when r is not the
+// report it already holds. The rebuild clears through the previous
+// report's ids, so it costs O(|previous| + |r|), never O(N).
+//
+//hot — once per broadcast per ClientSide; the table is sized once per run.
+func (x *tsIndex) index(r *report.TSReport) []float64 {
+	if r == x.rep {
+		return x.ts
+	}
+	if x.ts == nil {
+		//lint:allow hotalloc sized once per run at the item-space size N; every rebuild reuses it
+		x.ts = make([]float64, x.n)
+		for i := range x.ts {
+			x.ts[i] = math.Inf(-1)
 		}
 	}
-	st.Cache.TouchAll(t)
+	if x.rep != nil {
+		for _, e := range x.rep.Entries {
+			x.ts[e.ID] = math.Inf(-1)
+		}
+	}
+	for _, e := range r.Entries {
+		if e.TS > x.ts[e.ID] {
+			x.ts[e.ID] = e.TS
+		}
+	}
+	x.rep = r
+	return x.ts
+}
+
+// applyTSEntries performs the Figure 1 invalidation step: discard every
+// cached item the report lists with a newer update timestamp, then stamp
+// the survivors as validated at the report time. It walks whichever of
+// the cache and the report is shorter. Both walks invalidate the same set
+// and removal never reorders the survivors; only the order of the
+// Invalidate calls differs (MRU order against report order).
+//
+//hot — once per client per broadcast.
+func (x *tsIndex) applyTSEntries(st *ClientState, r *report.TSReport) {
+	n := st.Cache.Len()
+	if n == 0 {
+		return
+	}
+	if n < len(r.Entries) {
+		x.invalidateByCache(st.Cache, r)
+	} else {
+		invalidateByReport(st.Cache, r.Entries)
+	}
+	st.Cache.TouchAll(r.T)
+}
+
+// invalidateByCache checks each cached entry against r's index.
+//
+//hot — O(cache) per client plus the shared index build.
+func (x *tsIndex) invalidateByCache(c Cache, r *report.TSReport) {
+	ts := x.index(r)
+	if n := c.Len(); cap(x.entries) < n {
+		//lint:allow hotalloc grows at most to the largest cache capacity the ClientSide serves, then is reused
+		x.entries = make([]cache.Entry, 0, n)
+	}
+	x.entries = c.Entries(x.entries[:0])
+	for _, e := range x.entries {
+		if e.TS < ts[e.ID] {
+			c.Invalidate(e.ID)
+		}
+	}
+}
+
+// invalidateByReport probes the cache once per report entry.
+//
+//hot — O(report) per client.
+func invalidateByReport(c Cache, entries []db.UpdateEntry) {
+	for _, e := range entries {
+		if cached, ok := c.Peek(e.ID); ok && cached.TS < e.TS {
+			c.Invalidate(e.ID)
+		}
+	}
 }
 
 // dropAll empties the cache and counts it.

@@ -29,7 +29,9 @@ func (s tsScheme) Name() string {
 }
 
 func (s tsScheme) NewServer(p Params) ServerSide { return &tsServer{p: p} }
-func (s tsScheme) NewClient(p Params) ClientSide { return &tsClient{p: p, checking: s.checking} }
+func (s tsScheme) NewClient(p Params) ClientSide {
+	return &tsClient{p: p, checking: s.checking, idx: tsIndex{n: p.N}}
+}
 
 type tsServer struct {
 	p Params
@@ -62,6 +64,7 @@ func (sv *tsServer) HandleControl(d *db.Database, msg *ControlMsg, now float64) 
 type tsClient struct {
 	p        Params
 	checking bool
+	idx      tsIndex
 }
 
 // HandleReport implements ClientSide (Figure 1, plus the §2.2 checking
@@ -88,7 +91,7 @@ func (c *tsClient) HandleReport(st *ClientState, r report.Report, now float64) O
 		degraded = true
 	}
 	if !degraded && st.Tlb >= tr.T-c.p.WindowSeconds() {
-		applyTSEntries(st, tr.Entries, tr.T)
+		c.idx.applyTSEntries(st, tr)
 		validate(st, tr.T)
 		return Outcome{Ready: true}
 	}

@@ -48,27 +48,39 @@ func benchPopulation(n int) (*Population, *sim.Kernel, uint64) {
 
 	// Steady-state cache contents: ids the tick's report never names, so
 	// every report entry costs one bitmap miss per client and the contents
-	// never churn between ticks.
+	// never churn between ticks. Tlb inside the reports' window keeps the
+	// first tick from dropping them.
 	for i := 0; i < n; i++ {
 		for id := int32(0); id < 4; id++ {
 			p.states[i].Cache.Put(500+id, 1e9, 1)
 		}
+		p.states[i].Tlb = tickStart
 	}
 	return p, k, bytes
 }
 
-// tickReport is the fan-out payload: a current timestamp-window report
-// naming a handful of updated items, exactly what the server broadcasts
-// every period.
-func tickReport(t float64) *report.TSReport {
-	return &report.TSReport{
-		T:           t,
-		WindowStart: t - 200,
-		Entries: []db.UpdateEntry{
-			{ID: 0, TS: t - 1}, {ID: 63, TS: t - 1},
-			{ID: 64, TS: t - 1}, {ID: 999, TS: t - 1},
-		},
+// tickStart is the broadcast time of the first tick report.
+const tickStart = 1000
+
+// tickReports is the fan-out payload: two consecutive timestamp-window
+// reports naming a handful of updated items, exactly what the server
+// broadcasts every period. Ticks alternate between them, because a
+// delivered report is immutable: the client halves index each report by
+// its pointer.
+func tickReports() [2]*report.TSReport {
+	var rs [2]*report.TSReport
+	for i := range rs {
+		t := tickStart + 20*float64(i)
+		rs[i] = &report.TSReport{
+			T:           t,
+			WindowStart: t - 200,
+			Entries: []db.UpdateEntry{
+				{ID: 0, TS: t - 1}, {ID: 63, TS: t - 1},
+				{ID: 64, TS: t - 1}, {ID: 999, TS: t - 1},
+			},
+		}
 	}
+	return rs
 }
 
 // tick fans one report out to every client — the aggregate broadcast
@@ -91,18 +103,13 @@ func BenchmarkAggregateTick(b *testing.B) {
 				b.Skip("large populations skipped in -short mode")
 			}
 			p, _, bytes := benchPopulation(n)
-			r := tickReport(1000)
-			tick(p, r, 1000) // warm: first tick validates every Tlb
+			rs := tickReports()
+			tick(p, rs[1], sim.Time(rs[1].T)) // warm
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t := 1000 + float64(i+1)*20
-				r.T = t
-				r.WindowStart = t - 200
-				for j := range r.Entries {
-					r.Entries[j].TS = t - 1
-				}
-				tick(p, r, sim.Time(t))
+				r := rs[i&1]
+				tick(p, r, sim.Time(r.T))
 			}
 			b.StopTimer()
 			// After the timed region: ResetTimer deletes user metrics, so
@@ -121,23 +128,81 @@ func BenchmarkAggregateTick(b *testing.B) {
 // allocations.
 func TestAggregateTickZeroAlloc(t *testing.T) {
 	p, _, _ := benchPopulation(2000)
-	r := tickReport(1000)
-	tick(p, r, 1000)
+	rs := tickReports()
+	tick(p, rs[1], sim.Time(rs[1].T))
 	tickN := 0
 	avg := testing.AllocsPerRun(10, func() {
+		r := rs[tickN&1]
 		tickN++
-		now := 1000 + float64(tickN)*20
-		r.T = now
-		r.WindowStart = now - 200
-		for j := range r.Entries {
-			r.Entries[j].TS = now - 1
-		}
-		tick(p, r, sim.Time(now))
+		tick(p, r, sim.Time(r.T))
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state tick allocates: %v allocs per 2000-client fan-out", avg)
 	}
 	if p.Count(0).ReportsHeard == 0 {
 		t.Fatal("zero-alloc loop delivered nothing")
+	}
+	if got := p.states[0].Cache.Len(); got != 4 {
+		t.Fatalf("client 0 holds %d items after the ticks, want its 4", got)
+	}
+}
+
+// handleReportRig is one AAW client holding occupancy items of a 10-slot
+// BitmapCache over a 1000-item space, validated at the time of a report
+// listing entries ids spread across the space. The cached copies are
+// newer than every entry, so applying the report invalidates nothing and
+// the state is the same after every call.
+func handleReportRig(occupancy, entries int) (core.ClientSide, *core.ClientState, *report.TSReport) {
+	const items, capacity, t = 1000, 10, 1000.0
+	params := core.DefaultParams(items)
+	st := &core.ClientState{Cache: NewBitmapCache(capacity, items), Tlb: t}
+	for i := 0; i < occupancy; i++ {
+		st.Cache.Put(int32(i*items/capacity), t, 1)
+	}
+	r := &report.TSReport{T: t, WindowStart: t - params.WindowSeconds()}
+	for i := 0; i < entries; i++ {
+		r.Entries = append(r.Entries, db.UpdateEntry{ID: int32(i * items / entries), TS: t - 1})
+	}
+	return core.AAW().NewClient(params), st, r
+}
+
+// handleReportCases are the occupancy × report-length points of the
+// per-client report application: an empty cache, the agg-fanout caches
+// (a few of ten slots), a full cache, each against a short and an 80-entry
+// window.
+var handleReportCases = [][2]int{{0, 4}, {0, 80}, {4, 4}, {4, 80}, {10, 4}, {10, 80}}
+
+// BenchmarkHandleReport measures one client's HandleReport against a
+// BitmapCache — the per-client step of the broadcast fan-out. One op
+// reapplies the same report, so the shared index is built once, as when a
+// broadcast reaches a whole population.
+func BenchmarkHandleReport(b *testing.B) {
+	for _, c := range handleReportCases {
+		b.Run(fmt.Sprintf("occupancy=%d/entries=%d", c[0], c[1]), func(b *testing.B) {
+			side, st, r := handleReportRig(c[0], c[1])
+			side.HandleReport(st, r, r.T)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				side.HandleReport(st, r, r.T)
+			}
+		})
+	}
+}
+
+// TestHandleReportZeroAlloc is BenchmarkHandleReport's allocation
+// contract in the ordinary test run: after the first call has sized the
+// shared index and scratch, applying a report allocates nothing, on
+// either walk.
+func TestHandleReportZeroAlloc(t *testing.T) {
+	for _, c := range handleReportCases {
+		side, st, r := handleReportRig(c[0], c[1])
+		side.HandleReport(st, r, r.T)
+		if avg := testing.AllocsPerRun(100, func() { side.HandleReport(st, r, r.T) }); avg != 0 {
+			t.Errorf("occupancy %d, %d entries: %v allocs per HandleReport", c[0], c[1], avg)
+		}
+		if st.Cache.Len() != c[0] {
+			t.Errorf("occupancy %d, %d entries: cache holds %d after the calls", c[0], c[1], st.Cache.Len())
+		}
 	}
 }

@@ -10,6 +10,15 @@
 // bit-packed codec; the encoded length equals the analytic size plus a
 // small fixed framing overhead (kind tag and element counts), which the
 // codec tests pin down exactly.
+//
+// A report is immutable once it reaches a client. The server finishes it
+// (SetSeq, ApplyRecovery) before the broadcast, and the decoder finishes
+// its own result before returning it; from delivery on, clients and the
+// delivery layers only read it, however many clients, duplicates or
+// reorderings share the value. The scheme client halves rely on this:
+// they index a TS report once per broadcast, keyed by its pointer, so a
+// report mutated or reused for another broadcast after delivery would be
+// applied against a stale index.
 package report
 
 import (
