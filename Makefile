@@ -94,18 +94,16 @@ spans-smoke:
 	$(GO) run ./cmd/mobisim -validate-spans results-spans/spans.json
 	$(GO) run ./cmd/experiments -figure ext-aoi -simtime 4000 -out results-spans
 
-# Aggregate-population pass: the full small-n differential matrix (all
-# seven schemes × every adversarial layer, aggregate vs proc, manifests
-# cross-verified), a proc-path manifest replayed on the aggregate path
-# through the CLI, then a 100k-client scale run with its per-interval
-# timeline CSV in results-agg/. The bitmap fuzzer gets a short native
-# run alongside the codec fuzzers.
+# Population pass: the digest oracle (all seven schemes × every
+# adversarial layer, plus warmup, per-interval and spans cells, each
+# checked against the digest table recorded from the retired process
+# path), then a 100k-client scale run with its per-interval timeline CSV
+# in results-agg/. The bitmap fuzzer gets a short native run alongside
+# the codec fuzzers.
 agg-smoke:
 	rm -rf results-agg && mkdir -p results-agg
 	$(GO) test -run 'TestAggregate' ./internal/engine
-	$(GO) run ./cmd/mobisim -scheme aaw -simtime 4000 -manifest results-agg/proc.json
-	$(GO) run ./cmd/mobisim -aggregate -from-manifest results-agg/proc.json | grep -q 'replay verified'
-	$(GO) run ./cmd/mobisim -aggregate -scheme aaw -clients 100000 -db 1000 -buffer 0.01 \
+	$(GO) run ./cmd/mobisim -scheme aaw -clients 100000 -db 1000 -buffer 0.01 \
 		-simtime 1000 -think 2000 -uplink 1000000 -downlink 1000000 \
 		-timeline results-agg/scale-timeline.csv -manifest results-agg/scale.json
 	head -1 results-agg/scale-timeline.csv | grep -q '^t,' || (echo "bad timeline header" && exit 1)

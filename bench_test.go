@@ -257,19 +257,6 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelProcSwitch(b *testing.B) {
-	k := sim.New()
-	defer k.Shutdown()
-	k.Go("switcher", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Hold(1)
-		}
-	})
-	b.ReportAllocs() // cached wake closure: Hold allocates no per-call func
-	b.ResetTimer()
-	k.Run(sim.EndOfTime)
-}
-
 func BenchmarkChannelSaturated(b *testing.B) {
 	k := sim.New()
 	ch := netsim.NewChannel(k, "down", 1e6)

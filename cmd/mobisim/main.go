@@ -90,7 +90,6 @@ func run(args []string, out *os.File) error {
 	chaos := fs.Float64("chaos", 0, "compound fault intensity 0..4: bursty loss/corruption on both channels plus server crashes, with the validated retry policy armed")
 	spansOut := fs.String("spans", "", "assemble per-query causal spans and write them to this file as Chrome trace-event JSON (Perfetto-loadable)")
 	validateSpans := fs.String("validate-spans", "", "validate the trace-event schema of an existing span file and exit")
-	aggregate := fs.Bool("aggregate", false, "run the aggregate client population (flat arenas, bitmap caches); results are bit-identical to the default per-process path but large populations fit in memory — 1M clients in one cell")
 	seeds := fs.Int("seeds", 1, "replication count; N > 1 runs N seeds derived from -seed and averages them")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers for -seeds > 1 (results are identical at any setting)")
 	jsonOut := fs.Bool("json", false, "emit the results as JSON (for scripting)")
@@ -164,13 +163,6 @@ func run(args []string, out *os.File) error {
 		if c.Workload, err = workload.Parse(*wl, c.DBSize); err != nil {
 			return err
 		}
-	}
-	// -aggregate applies on top of a manifest replay too: the digest is
-	// representation-independent (the differential suite proves it), so a
-	// proc-path manifest verifying on the aggregate path is itself an
-	// end-to-end equivalence check.
-	if *aggregate {
-		c.Aggregate = true
 	}
 	// -spans arms the assembly layer (in Keep mode, so the file has every
 	// span and phase segment); on a manifest replay the layer is already

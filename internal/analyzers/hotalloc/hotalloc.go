@@ -36,15 +36,11 @@ import (
 // knownHot pins the contract functions per package-path suffix, as
 // "Type.Method" or plain "Func". These are the paths whose allocs/op the
 // benchmark suite asserts to be zero (BenchmarkKernelEventThroughput,
-// BenchmarkKernelScheduleCancel, BenchmarkKernelProcSwitch,
-// BenchmarkChannelBoundedShed, BenchmarkDeliveryLinkDeliver,
-// BenchmarkChurnStormTick) plus the per-event instruments and the pooled
-// bit writers that ride inside them.
+// BenchmarkKernelScheduleCancel, BenchmarkChannelBoundedShed,
+// BenchmarkDeliveryLinkDeliver, BenchmarkChurnStormTick) plus the
+// per-event instruments and the pooled bit writers that ride inside them.
 var knownHot = map[string][]string{
-	"internal/sim": {
-		"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step",
-		"Proc.Hold", "Proc.HoldUntil", "Signal.Signal", "Signal.Broadcast",
-	},
+	"internal/sim":      {"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step"},
 	"internal/netsim":   {"Channel.Send"},
 	"internal/delivery": {"Link.Deliver"},
 	"internal/metrics": {
@@ -154,7 +150,7 @@ func checkHotBody(pass *framework.Pass, name string, body ast.Node) {
 				"hot path %s: composite literal may heap-allocate; hoist it out of the hot path or justify with //lint:allow hotalloc", name)
 		case *ast.FuncLit:
 			pass.Reportf(n.Pos(),
-				"hot path %s: closure creation allocates when captures escape; reuse a cached closure (see Proc.wake) or justify with //lint:allow hotalloc", name)
+				"hot path %s: closure creation allocates when captures escape; reuse a cached closure (see Population.wakes) or justify with //lint:allow hotalloc", name)
 		}
 		return true
 	})

@@ -1,11 +1,10 @@
-// Package kernelctx flags kernel-blocking calls made from raw goroutines.
-// The simulation kernel runs model code under strict channel handoff: at
-// any moment exactly one goroutine — the kernel or one sim.Proc body
-// started via Kernel.Go — is runnable. A plain `go func() { p.Hold(...) }`
-// goroutine is outside that discipline: it races the calendar, and its
-// park/yield handshake deadlocks the kernel. This is the classic way to
-// corrupt or hang the simulator, and -race only catches it when the
-// interleaving happens to fire.
+// Package kernelctx flags kernel calls made from raw goroutines. The
+// simulation kernel is single-threaded: every event callback runs on the
+// goroutine that calls Kernel.Run or Kernel.Step. A plain
+// `go func() { k.Schedule(...) }` goroutine is outside that discipline:
+// it mutates the event calendar concurrently with the kernel, which
+// corrupts the heap or reorders events, and -race only catches it when
+// the interleaving happens to fire.
 package kernelctx
 
 import (
@@ -15,18 +14,15 @@ import (
 	"mobicache/internal/analyzers/framework"
 )
 
-// blocking lists methods that may only run in kernel-managed context,
-// per receiver type in mobicache/internal/sim.
-var blocking = map[string]map[string]bool{
-	"Proc":   {"Hold": true, "HoldUntil": true, "Wait": true},
-	"Kernel": {"Schedule": true, "At": true, "Run": true, "Step": true},
-}
+// calendar lists the Kernel methods that read or mutate the event
+// calendar and so may only run on the kernel's own goroutine.
+var calendar = map[string]bool{"Schedule": true, "At": true, "Run": true, "Step": true}
 
 // Analyzer is the kernelctx check.
 var Analyzer = &framework.Analyzer{
 	Name: "kernelctx",
-	Doc: "flag Proc.Hold/Proc.Wait/Kernel.Schedule calls from raw `go` " +
-		"goroutines; only kernel-managed Proc bodies (Kernel.Go) may block on the kernel",
+	Doc: "flag Kernel.Schedule/At/Run/Step calls from raw `go` goroutines; " +
+		"the event calendar belongs to the goroutine running the kernel",
 	Run: run,
 }
 
@@ -40,22 +36,20 @@ func run(pass *framework.Pass) error {
 			if !ok {
 				return true
 			}
+			// The analyzer is lexical: it walks the direct
+			// `go func(){...}()` form, which is the pattern that reaches
+			// the kernel in practice.
 			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
 				checkGoroutineBody(pass, lit.Body)
 			}
-			// Function literals passed as arguments run on the new
-			// goroutine too if invoked there; the body walk above covers
-			// the direct `go func(){...}()` form, which is the pattern
-			// the simulator's packages use.
 			return true
 		})
 	}
 	return nil
 }
 
-// checkGoroutineBody reports blocking kernel calls reachable lexically
-// from a raw goroutine body, without descending into Proc bodies handed
-// to Kernel.Go (those run kernel-managed).
+// checkGoroutineBody reports calendar calls reachable lexically from a raw
+// goroutine body.
 func checkGoroutineBody(pass *framework.Pass, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -66,38 +60,25 @@ func checkGoroutineBody(pass *framework.Pass, body ast.Node) {
 		if !ok {
 			return true
 		}
-		recvType, methodName, ok := simMethod(pass, sel)
-		if !ok {
-			return true
-		}
-		if methodName == "Go" && recvType == "Kernel" {
-			// Spawning a process still mutates the calendar, so doing it
-			// from a raw goroutine races the kernel — but the Proc body
-			// handed over will run kernel-managed, so don't descend into
-			// it.
+		if name, ok := kernelMethod(pass, sel); ok && calendar[name] {
 			pass.Reportf(call.Pos(),
-				"sim.Kernel.Go called from a raw goroutine: process spawning mutates the event calendar and must run in kernel context")
-			return false
-		}
-		if names := blocking[recvType]; names != nil && names[methodName] {
-			pass.Reportf(call.Pos(),
-				"sim.%s.%s called from a raw goroutine: only the kernel or a Proc body started by Kernel.Go may block on the kernel (use Kernel.Go)",
-				recvType, methodName)
+				"sim.Kernel.%s called from a raw goroutine: the event calendar may only be touched from the goroutine running the kernel",
+				name)
 		}
 		return true
 	})
 }
 
-// simMethod resolves sel to (receiver type name, method name) when sel is
-// a method of mobicache/internal/sim's Proc or Kernel.
-func simMethod(pass *framework.Pass, sel *ast.SelectorExpr) (string, string, bool) {
+// kernelMethod resolves sel to a method name when sel is a method of
+// mobicache/internal/sim's Kernel.
+func kernelMethod(pass *framework.Pass, sel *ast.SelectorExpr) (string, bool) {
 	obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok {
-		return "", "", false
+		return "", false
 	}
 	sig, ok := obj.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return "", "", false
+		return "", false
 	}
 	recv := sig.Recv().Type()
 	if ptr, ok := recv.(*types.Pointer); ok {
@@ -105,11 +86,11 @@ func simMethod(pass *framework.Pass, sel *ast.SelectorExpr) (string, string, boo
 	}
 	named, ok := recv.(*types.Named)
 	if !ok {
-		return "", "", false
+		return "", false
 	}
 	tn := named.Obj()
-	if tn.Pkg() == nil || !framework.PathHasSuffix(tn.Pkg().Path(), "internal/sim") {
-		return "", "", false
+	if tn.Name() != "Kernel" || tn.Pkg() == nil || !framework.PathHasSuffix(tn.Pkg().Path(), "internal/sim") {
+		return "", false
 	}
-	return tn.Name(), obj.Name(), true
+	return obj.Name(), true
 }

@@ -1,6 +1,6 @@
-// Package sim is a fixture mirroring mobicache/internal/sim's process
-// API: the kernelctx analyzer matches methods of Proc and Kernel from any
-// package path ending in internal/sim.
+// Package sim is a fixture mirroring mobicache/internal/sim's kernel API:
+// the kernelctx analyzer matches methods of Kernel from any package path
+// ending in internal/sim.
 package sim
 
 // Time is simulated time in seconds.
@@ -21,23 +21,5 @@ func (k *Kernel) Run(until Time) {}
 // Step fires the next event.
 func (k *Kernel) Step() bool { return false }
 
-// Go starts body as a kernel-managed process.
-func (k *Kernel) Go(name string, body func(p *Proc)) *Proc { return &Proc{} }
-
-// Proc is a simulated process.
-type Proc struct{}
-
-// Kernel returns the kernel this process runs under.
-func (p *Proc) Kernel() *Kernel { return nil }
-
-// Hold suspends the process for d simulated seconds.
-func (p *Proc) Hold(d Time) {}
-
-// HoldUntil suspends the process until absolute time t.
-func (p *Proc) HoldUntil(t Time) {}
-
-// Wait parks the process on s.
-func (p *Proc) Wait(s *Signal) {}
-
-// Signal is a condition-style wakeup primitive.
-type Signal struct{}
+// Now reports the current simulated time.
+func (k *Kernel) Now() Time { return 0 }

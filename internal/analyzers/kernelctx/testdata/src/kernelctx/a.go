@@ -3,37 +3,32 @@ package kernelctx
 
 import "internal/sim"
 
-// Bad calls kernel-blocking methods from raw goroutines — the classic way
-// to deadlock or race the strict channel-handoff kernel.
-func Bad(k *sim.Kernel, p *sim.Proc, s *sim.Signal) {
+// Bad touches the event calendar from raw goroutines, racing the kernel.
+func Bad(k *sim.Kernel) {
 	go func() {
-		p.Hold(1)                // want `sim\.Proc\.Hold called from a raw goroutine`
-		p.Wait(s)                // want `sim\.Proc\.Wait called from a raw goroutine`
 		k.Schedule(0, func() {}) // want `sim\.Kernel\.Schedule called from a raw goroutine`
 		k.At(5, func() {})       // want `sim\.Kernel\.At called from a raw goroutine`
-	}()
-	go func() {
-		// Spawning is itself a calendar mutation, but the Proc body it
-		// hands over runs kernel-managed, so only the Go call is flagged.
-		k.Go("w", func(q *sim.Proc) { q.Hold(2) }) // want `sim\.Kernel\.Go called from a raw goroutine`
+		k.Run(10)                // want `sim\.Kernel\.Run called from a raw goroutine`
+		k.Step()                 // want `sim\.Kernel\.Step called from a raw goroutine`
 	}()
 }
 
-// Good uses the sanctioned pattern: bodies handed to Kernel.Go may block.
-func Good(k *sim.Kernel, s *sim.Signal) {
-	k.Go("worker", func(p *sim.Proc) {
-		p.Hold(1)
-		p.HoldUntil(10)
-		p.Wait(s)
-		p.Kernel().Schedule(0, func() {})
+// Good stays on the kernel's goroutine: callbacks may schedule freely, and
+// reading the clock is not a calendar mutation.
+func Good(k *sim.Kernel) {
+	k.Schedule(0, func() {
+		k.At(10, func() {})
 	})
-	k.Schedule(0, func() {}) // kernel context, fine
+	go func() {
+		_ = k.Now()
+	}()
+	k.Run(100)
 }
 
 // Unfollowed: the analyzer is lexical; a named function launched with go
 // is not traced into (kept cheap and predictable).
-func Unfollowed(p *sim.Proc) {
-	go helper(p)
+func Unfollowed(k *sim.Kernel) {
+	go helper(k)
 }
 
-func helper(p *sim.Proc) { p.Hold(1) }
+func helper(k *sim.Kernel) { k.Step() }

@@ -21,7 +21,6 @@ var Restricted = []string{
 	"internal/sim",
 	"internal/core",
 	"internal/engine",
-	"internal/client",
 	"internal/server",
 	"internal/workload",
 	"internal/multicell",

@@ -73,13 +73,13 @@ type ServerSide interface {
 	HandleControl(d *db.Database, msg *ControlMsg, now float64) *report.ValidityReport
 }
 
-// Cache is the client buffer pool the schemes operate on. The canonical
-// implementation is the map-indexed LRU in internal/cache; the aggregate
-// client population substitutes a versioned-bitmap representation over
-// the item-id space (internal/population.BitmapCache) with identical
-// observable semantics — same LRU order, same hit/miss/eviction
-// accounting — pinned by the population package's differential fuzz
-// suite. Entry values are internal/cache.Entry either way.
+// Cache is the client buffer pool the schemes operate on. Simulations run
+// on the versioned-bitmap representation over the item-id space
+// (internal/population.BitmapCache); the map-indexed LRU in
+// internal/cache is its reference, with identical observable semantics —
+// same LRU order, same hit/miss/eviction accounting — pinned by the
+// population package's differential fuzz suite. Entry values are
+// internal/cache.Entry either way.
 //
 // Fan-out cost: applying a TS report costs a client O(min(Len, entries))
 // cache operations — nothing for an empty cache, a walk of its own
@@ -152,7 +152,7 @@ type ClientState struct {
 	Epoch int32
 
 	// Sequence-fence state (armed only under the adversarial-delivery
-	// layer; see client.Config.FenceSeq and DESIGN.md §13). LastSeq is
+	// layer; see population.Config.FenceSeq and DESIGN.md §13). LastSeq is
 	// the broadcast sequence number of the last report processed and
 	// HasSeq whether one has been processed since the fence was last
 	// reset; the client resets the fence across disconnections, so an

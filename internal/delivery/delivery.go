@@ -27,7 +27,7 @@
 // bit-identical to runs built without it (pinned by
 // TestDeliveryFreeResultsUnchanged). The protocol-side defense — the
 // broadcast sequence fence clients run over internal/report's frame
-// header — lives in internal/core and internal/client; DESIGN.md §13
+// header — lives in internal/core and internal/population; DESIGN.md §13
 // states the contract.
 package delivery
 

@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"mobicache/internal/churn"
-	"mobicache/internal/client"
 	"mobicache/internal/core"
 	"mobicache/internal/db"
 	"mobicache/internal/delivery"
@@ -61,7 +60,7 @@ type Config struct {
 	MeanUpdate float64
 	// MeanDisc and ProbDisc model disconnection: each inter-query gap is
 	// a disconnection of mean MeanDisc with probability ProbDisc,
-	// otherwise a think (see client.Config.DiscPerInterval for the
+	// otherwise a think (see population.Config.DiscPerInterval for the
 	// alternative per-boundary model).
 	MeanDisc float64
 	ProbDisc float64
@@ -142,17 +141,9 @@ type Config struct {
 	// enforces it, and bounds Churn.SnapshotTTL by the invalidation
 	// window w·L.
 	Churn churn.Config
-	// Aggregate runs the client population on the struct-of-arrays
-	// aggregate path (internal/population): per-client state in flat
-	// slices, caches as versioned bitmaps over the item space, and the
-	// per-client goroutine processes replaced by a continuation machine
-	// driven off the same kernel events. The zero value keeps the
-	// process-per-client path, bit-identical to every recorded golden;
-	// with the switch on, Results and manifest digests are proven
-	// bit-identical to the process path by the differential suite
-	// (aggregate_equiv_test.go, DESIGN.md §16). The only unsupported
-	// combination is multi-cell mobility (client.Config.OnWake), which
-	// the single-cell engine never uses.
+	// Aggregate has no effect: every run uses the struct-of-arrays client
+	// population (internal/population). The field remains only because
+	// existing callers still set it.
 	Aggregate bool
 	// Spans arms the causal-span and age-of-information observability
 	// layer: a span.Assembler rides the trace stream as a sink (created
@@ -461,7 +452,6 @@ func Run(c Config) (*Results, error) {
 	}
 
 	k := sim.New()
-	defer k.Shutdown()
 	root := rng.New(c.Seed)
 	d := db.New(c.DBSize, c.ConsistencyCheck)
 	down := netsim.NewChannel(k, "downlink", c.DownlinkBps)
@@ -553,96 +543,47 @@ func Run(c Config) (*Results, error) {
 	}
 
 	respHist := stats.NewHistogram(0, 4*c.MeanThink+40*c.Period, 512)
-	clMetrics := newClientMetrics(c.Metrics, c)
 
-	side := scheme.NewClient(params)
-	var clients []*client.Client
-	var pop *population.Population
-	if c.Aggregate {
-		pop = population.New(k, up, srv, population.Config{
-			Clients:          c.Clients,
-			Side:             side,
-			Params:           params,
-			CacheCapacity:    c.CacheCapacity(),
-			QueryAccess:      c.Workload.Query,
-			QueryItems:       c.Workload.QueryItems,
-			MeanThink:        c.MeanThink,
-			ProbDisc:         c.ProbDisc,
-			MeanDisc:         c.MeanDisc,
-			DiscPerInterval:  c.DiscPerInterval,
-			FetchRequestBits: c.ControlMsgBits,
-			ConsistencyHook:  hook,
-			RespHist:         respHist,
-			AoIHist:          aoiHist,
-			Tracer:           c.Trace,
-			Metrics:          clMetrics,
-			ReportLossProb:   c.ReportLossProb,
-			DownLoss:         c.Faults.DownLoss,
-			Retry:            c.Faults.Retry,
-			QueryDeadline:    c.Overload.QueryDeadline,
-			FenceSeq:         adv != nil,
-			SkewEpsilon:      c.Delivery.Epsilon,
-		}, root)
-		for i := 0; i < c.Clients; i++ {
-			// Same per-client interleaving as the process path below: the
-			// clock draw, the attach, and the start event land in identical
-			// order, so event sequence numbers match exactly.
-			if adv != nil {
-				clk := adv.ClockFor()
-				pop.SetClock(i, clk)
-				if c.Delivery.SkewMax > 0 || c.Delivery.DriftMax > 0 {
-					c.Trace.Record(trace.Event{T: 0, Kind: trace.ClockSkewApplied,
-						Client: int32(i), A: int64(clk.Offset * 1e6), B: int64(clk.Drift * 1e9)})
-				}
+	pop := population.New(k, up, srv, population.Config{
+		Clients:          c.Clients,
+		Side:             scheme.NewClient(params),
+		Params:           params,
+		CacheCapacity:    c.CacheCapacity(),
+		QueryAccess:      c.Workload.Query,
+		QueryItems:       c.Workload.QueryItems,
+		MeanThink:        c.MeanThink,
+		ProbDisc:         c.ProbDisc,
+		MeanDisc:         c.MeanDisc,
+		DiscPerInterval:  c.DiscPerInterval,
+		FetchRequestBits: c.ControlMsgBits,
+		ConsistencyHook:  hook,
+		RespHist:         respHist,
+		AoIHist:          aoiHist,
+		Tracer:           c.Trace,
+		Metrics:          newClientMetrics(c.Metrics, c),
+		ReportLossProb:   c.ReportLossProb,
+		DownLoss:         c.Faults.DownLoss,
+		Retry:            c.Faults.Retry,
+		QueryDeadline:    c.Overload.QueryDeadline,
+		// The sequence fence is armed for every client whenever the
+		// delivery layer is enabled.
+		FenceSeq:    adv != nil,
+		SkewEpsilon: c.Delivery.Epsilon,
+	}, root)
+	for i := 0; i < c.Clients; i++ {
+		// Clock errors are drawn in client index order, interleaved with
+		// the attach and the start event, so assignments and event
+		// sequence numbers are a pure function of the seed.
+		if adv != nil {
+			clk := adv.ClockFor()
+			pop.SetClock(i, clk)
+			if c.Delivery.SkewMax > 0 || c.Delivery.DriftMax > 0 {
+				c.Trace.Record(trace.Event{T: 0, Kind: trace.ClockSkewApplied,
+					Client: int32(i), A: int64(clk.Offset * 1e6), B: int64(clk.Drift * 1e9)})
 			}
-			srv.Attach(pop.Handle(i))
-			pop.StartClient(i)
 		}
-	} else {
-		clients = make([]*client.Client, c.Clients)
-		for i := range clients {
-			// Clock errors are drawn in client index order so assignments are
-			// a pure function of the seed; the fence is armed for every client
-			// whenever the delivery layer is enabled.
-			var clk delivery.Clock
-			fence := false
-			if adv != nil {
-				fence = true
-				clk = adv.ClockFor()
-				if c.Delivery.SkewMax > 0 || c.Delivery.DriftMax > 0 {
-					c.Trace.Record(trace.Event{T: 0, Kind: trace.ClockSkewApplied,
-						Client: int32(i), A: int64(clk.Offset * 1e6), B: int64(clk.Drift * 1e9)})
-				}
-			}
-			cl := client.New(k, up, srv, client.Config{
-				ID:               int32(i),
-				Side:             side,
-				Params:           params,
-				CacheCapacity:    c.CacheCapacity(),
-				QueryAccess:      c.Workload.Query,
-				QueryItems:       c.Workload.QueryItems,
-				MeanThink:        c.MeanThink,
-				ProbDisc:         c.ProbDisc,
-				MeanDisc:         c.MeanDisc,
-				DiscPerInterval:  c.DiscPerInterval,
-				FetchRequestBits: c.ControlMsgBits,
-				ConsistencyHook:  hook,
-				RespHist:         respHist,
-				AoIHist:          aoiHist,
-				Tracer:           c.Trace,
-				Metrics:          clMetrics,
-				ReportLossProb:   c.ReportLossProb,
-				DownLoss:         c.Faults.DownLoss,
-				Retry:            c.Faults.Retry,
-				QueryDeadline:    c.Overload.QueryDeadline,
-				FenceSeq:         fence,
-				Clock:            clk,
-				SkewEpsilon:      c.Delivery.Epsilon,
-			}, root.Split(1000+uint64(i)))
-			clients[i] = cl
-			srv.Attach(cl)
-			cl.Start()
-		}
+		srv.Attach(pop.Handle(i))
+		pop.StartClient(i)
 	}
 	// The population adversary attaches to the built client population;
 	// nil (the zero config) wires nothing, schedules nothing, and
@@ -651,28 +592,13 @@ func Run(c Config) (*Results, error) {
 	if churnAdv != nil {
 		hosts := make([]churn.Host, c.Clients)
 		for i := range hosts {
-			if pop != nil {
-				hosts[i] = pop.Handle(i)
-			} else {
-				hosts[i] = clients[i]
-			}
+			hosts[i] = pop.Handle(i)
 		}
 		churnAdv.Attach(c.CacheCapacity(), hosts...)
 		churnAdv.Start()
 	}
 	srv.Start()
-	cacheTotals := func() (hits, accesses int64) {
-		if pop != nil {
-			return pop.CacheTotals()
-		}
-		for _, cl := range clients {
-			h := cl.State().Cache.Hits()
-			hits += h
-			accesses += h + cl.State().Cache.Misses()
-		}
-		return hits, accesses
-	}
-	wireSystemMetrics(c, k, srv, down, up, cacheTotals)
+	wireSystemMetrics(c, k, srv, down, up, pop)
 
 	// Batch-means sampler: per-interval query completions, batched into
 	// 50-interval groups for an (approximately independent) CI. The
@@ -682,14 +608,7 @@ func Run(c Config) (*Results, error) {
 	var prevCompleted int64
 	var sampleTick func()
 	sampleTick = func() {
-		var total int64
-		if pop != nil {
-			total = pop.TotalAnswered()
-		} else {
-			for _, cl := range clients {
-				total += cl.QueriesAnswered
-			}
-		}
+		total := pop.TotalAnswered()
 		batch.Observe(float64(total - prevCompleted))
 		prevCompleted = total
 		c.Metrics.Sample(float64(k.Now()))
@@ -701,13 +620,7 @@ func Run(c Config) (*Results, error) {
 
 	if c.Warmup > 0 {
 		k.At(c.Warmup, func() {
-			if pop != nil {
-				pop.ResetStats()
-			} else {
-				for _, cl := range clients {
-					cl.ResetStats()
-				}
-			}
+			pop.ResetStats()
 			srv.ResetStats()
 			down.ResetStats()
 			up.ResetStats()
@@ -729,20 +642,19 @@ func Run(c Config) (*Results, error) {
 	measured := c.SimTime - c.Warmup
 	res.MeasuredTime = measured
 
-	// Collect. Both population representations drain through one
-	// accumulation function, walking clients in index order, so every
-	// float64 sum happens in the same order on both paths and the
-	// aggregate results stay bit-identical to the process path's.
+	// Collect, walking clients in index order so every float64 sum
+	// happens in one fixed order.
 	var resp stats.Tally
 	var aoiSum float64
-	addClient := func(cnt *population.Counters, st *core.ClientState, inFlight int64, crashed bool) {
+	for i := 0; i < c.Clients; i++ {
+		cnt, st := pop.Count(i), pop.State(i)
 		res.AoISamples += cnt.AoISamples
 		aoiSum += cnt.AoISum
 		res.QueriesAnswered += cnt.QueriesAnswered
 		res.QueriesIssued += cnt.QueriesIssued
 		res.QueriesTimedOut += cnt.QueriesTimedOut
 		res.QueriesShed += cnt.QueriesShed
-		res.QueriesInFlight += inFlight
+		res.QueriesInFlight += pop.InFlight(i)
 		res.BusyHeard += cnt.BusyHeard
 		res.UplinkValidationBits += cnt.ValidationUplinkBits
 		res.ValidationUplinkMsgs += cnt.ValidationUplinkMsgs
@@ -758,7 +670,7 @@ func Run(c Config) (*Results, error) {
 		res.RestartsCold += cnt.RestartsCold
 		res.SnapshotRejects += cnt.SnapshotRejects
 		res.OfflineDrops += cnt.OfflineDrops
-		if crashed {
+		if pop.CrashedDown(i) {
 			res.CrashedAtEnd++
 		}
 		res.MeanDisconnectedFor += cnt.DisconnectedFor
@@ -778,16 +690,6 @@ func Run(c Config) (*Results, error) {
 			if cnt.RespTime.Max() > res.MaxResponse {
 				res.MaxResponse = cnt.RespTime.Max()
 			}
-		}
-	}
-	if pop != nil {
-		for i := 0; i < c.Clients; i++ {
-			addClient(pop.Count(i), pop.State(i), pop.InFlight(i), pop.CrashedDown(i))
-		}
-	} else {
-		for _, cl := range clients {
-			cnt := clientCounters(cl)
-			addClient(&cnt, cl.State(), cl.InFlight(), cl.CrashedDown())
 		}
 	}
 	// Storm-forced disconnections have no voluntary duration draw, so the

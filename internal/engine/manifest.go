@@ -25,11 +25,10 @@ import (
 // bit-identical to how they ran, so replay stays faithful); 5 = added
 // the churn block (zero value is the disabled population-churn layer,
 // which draws no randomness, so pre-v5 manifests replay unchanged);
-// 6 = added the aggregate flag (records which population representation
-// ran; the two are digest-identical by the equivalence contract, so a
-// replay on either path verifies, but the flag preserves the exact
-// execution mode — and pre-v6 manifests decode with it false, the
-// process path they ran on).
+// 6 = added the aggregate flag, which recorded which of two client
+// representations ran. One representation remains, so the flag is no
+// longer written; encoding/json skips the key when a v6 file that
+// carries it is read, and the file replays unchanged.
 const ManifestSchemaVersion = 6
 
 // Manifest is the reproducibility record of one run: every knob needed
@@ -44,30 +43,29 @@ type Manifest struct {
 	GoVersion     string `json:"go_version"`
 
 	// Reproduction inputs.
-	Scheme           string        `json:"scheme"`
-	Workload         string        `json:"workload"`
-	Seed             uint64        `json:"seed"`
-	Clients          int           `json:"clients"`
-	DBSize           int           `json:"db_size"`
-	ItemBits         float64       `json:"item_bits"`
-	BufferPct        float64       `json:"buffer_pct"`
-	Period           float64       `json:"period"`
-	WindowIntervals  int           `json:"window_intervals"`
-	DownlinkBps      float64       `json:"downlink_bps"`
-	UplinkBps        float64       `json:"uplink_bps"`
-	ControlMsgBits   float64       `json:"control_msg_bits"`
-	MeanThink        float64       `json:"mean_think"`
-	MeanUpdate       float64       `json:"mean_update"`
-	MeanDisc         float64       `json:"mean_disc"`
-	ProbDisc         float64       `json:"prob_disc"`
-	DiscPerInterval  bool          `json:"disc_per_interval"`
-	SimTime          float64       `json:"sim_time"`
-	Warmup           float64       `json:"warmup"`
-	TSBits           int           `json:"ts_bits"`
-	HeaderBits       int           `json:"header_bits"`
-	ConsistencyCheck bool          `json:"consistency_check"`
+	Scheme           string          `json:"scheme"`
+	Workload         string          `json:"workload"`
+	Seed             uint64          `json:"seed"`
+	Clients          int             `json:"clients"`
+	DBSize           int             `json:"db_size"`
+	ItemBits         float64         `json:"item_bits"`
+	BufferPct        float64         `json:"buffer_pct"`
+	Period           float64         `json:"period"`
+	WindowIntervals  int             `json:"window_intervals"`
+	DownlinkBps      float64         `json:"downlink_bps"`
+	UplinkBps        float64         `json:"uplink_bps"`
+	ControlMsgBits   float64         `json:"control_msg_bits"`
+	MeanThink        float64         `json:"mean_think"`
+	MeanUpdate       float64         `json:"mean_update"`
+	MeanDisc         float64         `json:"mean_disc"`
+	ProbDisc         float64         `json:"prob_disc"`
+	DiscPerInterval  bool            `json:"disc_per_interval"`
+	SimTime          float64         `json:"sim_time"`
+	Warmup           float64         `json:"warmup"`
+	TSBits           int             `json:"ts_bits"`
+	HeaderBits       int             `json:"header_bits"`
+	ConsistencyCheck bool            `json:"consistency_check"`
 	ReportLossProb   float64         `json:"report_loss_prob"`
-	Aggregate        bool            `json:"aggregate,omitempty"`
 	Faults           faults.Config   `json:"faults"`
 	Overload         overload.Config `json:"overload"`
 	Delivery         delivery.Config `json:"delivery"`
@@ -128,7 +126,6 @@ func NewManifest(r *Results) *Manifest {
 		HeaderBits:         c.HeaderBits,
 		ConsistencyCheck:   c.ConsistencyCheck,
 		ReportLossProb:     c.ReportLossProb,
-		Aggregate:          c.Aggregate,
 		Faults:             c.Faults,
 		Overload:           c.Overload,
 		Delivery:           c.Delivery,
@@ -197,7 +194,6 @@ func (m *Manifest) EngineConfig() (Config, error) {
 		HeaderBits:       m.HeaderBits,
 		ConsistencyCheck: m.ConsistencyCheck,
 		ReportLossProb:   m.ReportLossProb,
-		Aggregate:        m.Aggregate,
 		Faults:           m.Faults,
 		Overload:         m.Overload,
 		Delivery:         m.Delivery,

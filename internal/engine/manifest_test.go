@@ -102,6 +102,39 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestV6AggregateKeyDecodes replays a schema-6 file written when
+// the manifest still recorded the client representation: the obsolete
+// "aggregate" key is skipped on decode and the run still verifies.
+func TestManifestV6AggregateKeyDecodes(t *testing.T) {
+	r, err := Run(manifestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := NewManifest(r).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v6 := strings.Replace(buf.String(), `"report_loss_prob"`, `"aggregate": true, "report_loss_prob"`, 1)
+	if !strings.Contains(v6, `"aggregate": true`) || !strings.Contains(v6, `"schema_version": 6`) {
+		t.Fatalf("fixture is not a v6 manifest with the aggregate key:\n%s", v6)
+	}
+	m, err := ReadManifest(strings.NewReader(v6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyReplay(r2); err != nil {
+		t.Fatalf("v6 manifest with the aggregate key did not replay: %v", err)
+	}
+}
+
 func TestManifestErrors(t *testing.T) {
 	r, err := Run(manifestConfig())
 	if err != nil {

@@ -7,9 +7,9 @@
 package engine
 
 import (
-	"mobicache/internal/client"
 	"mobicache/internal/metrics"
 	"mobicache/internal/netsim"
+	"mobicache/internal/population"
 	"mobicache/internal/server"
 	"mobicache/internal/sim"
 )
@@ -19,7 +19,7 @@ import (
 // nil. The response-time histogram covers the same range as the run's
 // percentile histogram and resets every interval, so resp_p50/resp_p95
 // describe each interval alone.
-func newClientMetrics(reg *metrics.Registry, c Config) *client.Metrics {
+func newClientMetrics(reg *metrics.Registry, c Config) *population.Metrics {
 	if reg == nil {
 		return nil
 	}
@@ -30,7 +30,7 @@ func newClientMetrics(reg *metrics.Registry, c Config) *client.Metrics {
 	if c.Spans != nil {
 		aoi = reg.Histogram("aoi", 0, c.SimTime, 512, 0.50, 0.95)
 	}
-	return &client.Metrics{
+	return &population.Metrics{
 		AoI:              aoi,
 		Queries:          reg.Counter("queries"),
 		Resp:             reg.Histogram("resp", 0, 4*c.MeanThink+40*c.Period, 512, 0.50, 0.95),
@@ -54,7 +54,7 @@ func newClientMetrics(reg *metrics.Registry, c Config) *client.Metrics {
 // report choice and crash state, both channels, and the kernel's own
 // event accounting. No-op when metrics are disabled.
 func wireSystemMetrics(c Config, k *sim.Kernel, srv *server.Server,
-	down, up *netsim.Channel, cacheTotals func() (hits, accesses int64)) {
+	down, up *netsim.Channel, pop *population.Population) {
 	reg := c.Metrics
 	if reg == nil {
 		return
@@ -63,7 +63,7 @@ func wireSystemMetrics(c Config, k *sim.Kernel, srv *server.Server,
 	// accesses, clamped across warmup resets. Empty intervals report 0.
 	var prevHits, prevAccesses int64
 	reg.GaugeFunc("hit_ratio", func() float64 {
-		hits, accesses := cacheTotals()
+		hits, accesses := pop.CacheTotals()
 		dh, da := hits-prevHits, accesses-prevAccesses
 		prevHits, prevAccesses = hits, accesses
 		if da <= 0 || dh < 0 {

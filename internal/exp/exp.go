@@ -255,11 +255,6 @@ type Options struct {
 	// run and writes its per-interval timeline to
 	// <dir>/<sweep>-<scheme>-x<x>-s<seed>.csv.
 	TimelineDir string
-	// Aggregate runs every cell on the aggregate-population path
-	// (engine.Config.Aggregate). Results are bit-identical either way —
-	// the differential suite in internal/engine proves it — but large
-	// grids run in a fraction of the memory.
-	Aggregate bool
 }
 
 func (o Options) seeds() []uint64 {
@@ -357,7 +352,6 @@ func (r *Runner) RunSweep(s *Sweep) (*SweepResult, error) {
 		if r.Opts.SimTime > 0 {
 			c.SimTime = r.Opts.SimTime
 		}
-		c.Aggregate = r.Opts.Aggregate
 		if r.Opts.TimelineDir != "" {
 			c.Metrics = metrics.New()
 		}

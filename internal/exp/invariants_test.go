@@ -41,10 +41,6 @@ func randomConfig(src *rng.Source) engine.Config {
 	c.DiscPerInterval = src.Bool(0.25)
 	c.MeanUpdate = 20 + 180*src.Float64()
 	c.MeanThink = 30 + 120*src.Float64()
-	// The population-representation coin: half the grid runs on the
-	// aggregate path, so every invariant below is asserted against both
-	// representations under every layer combination.
-	c.Aggregate = src.Bool(0.5)
 
 	if src.Bool(0.5) { // overload layer on: caps need a recovery path
 		c.Overload = overload.Config{
@@ -103,10 +99,10 @@ func randomConfig(src *rng.Source) engine.Config {
 // describe compresses a config into the line printed on failure, enough
 // to reconstruct the case by eye (the seed reconstructs it exactly).
 func describe(c engine.Config) string {
-	return fmt.Sprintf("scheme=%s wl=%s probdisc=%.2f meandisc=%.0f update=%.0f overload=%v faults=%v crash=%v delivery=%v churn=%v aggregate=%v",
+	return fmt.Sprintf("scheme=%s wl=%s probdisc=%.2f meandisc=%.0f update=%.0f overload=%v faults=%v crash=%v delivery=%v churn=%v",
 		c.Scheme, c.Workload.Name, c.ProbDisc, c.MeanDisc, c.MeanUpdate,
 		c.Overload.Enabled(), c.Faults.DownLoss != faults.GEParams{}, c.Faults.CrashMTBF > 0,
-		c.Delivery.Enabled(), c.Churn.Enabled(), c.Aggregate)
+		c.Delivery.Enabled(), c.Churn.Enabled())
 }
 
 // TestSimulationInvariants is the randomized property suite: across a

@@ -19,11 +19,11 @@ package multicell
 import (
 	"fmt"
 
-	"mobicache/internal/client"
 	"mobicache/internal/core"
 	"mobicache/internal/db"
 	"mobicache/internal/engine"
 	"mobicache/internal/netsim"
+	"mobicache/internal/population"
 	"mobicache/internal/report"
 	"mobicache/internal/rng"
 	"mobicache/internal/server"
@@ -120,7 +120,6 @@ func Run(c Config) (*Results, error) {
 	}
 
 	k := sim.New()
-	defer k.Shutdown()
 	root := rng.New(base.Seed)
 	d := db.New(base.DBSize, base.ConsistencyCheck)
 
@@ -159,48 +158,47 @@ func Run(c Config) (*Results, error) {
 		cells[i] = &cell{down: down, up: up, srv: srv}
 	}
 
-	// Clients, round-robin over cells, with the mobility hook.
+	// One population across all cells, clients placed round-robin, with
+	// the mobility hook.
 	moveRNG := root.Split(999)
-	where := make(map[int32]int) // client id -> cell index
-	clients := make([]*client.Client, base.Clients)
-	side := scheme.NewClient(params)
-	for i := range clients {
-		id := int32(i)
+	where := make([]int, base.Clients) // client id -> cell index
+	var pop *population.Population
+	pop = population.New(k, cells[0].up, cells[0].srv, population.Config{
+		Clients:          base.Clients,
+		Side:             scheme.NewClient(params),
+		Params:           params,
+		CacheCapacity:    base.CacheCapacity(),
+		QueryAccess:      base.Workload.Query,
+		QueryItems:       base.Workload.QueryItems,
+		MeanThink:        base.MeanThink,
+		ProbDisc:         base.ProbDisc,
+		MeanDisc:         base.MeanDisc,
+		DiscPerInterval:  base.DiscPerInterval,
+		FetchRequestBits: base.ControlMsgBits,
+		ConsistencyHook:  hook,
+		Tracer:           base.Trace,
+		OnWake: func(i int) {
+			if c.Cells < 2 || !moveRNG.Bool(c.MoveProb) {
+				return
+			}
+			old := where[i]
+			next := moveRNG.Intn(c.Cells - 1)
+			if next >= old {
+				next++
+			}
+			cells[old].srv.Detach(int32(i))
+			cells[next].srv.Attach(pop.Handle(i))
+			pop.Reattach(i, cells[next].up, cells[next].srv)
+			where[i] = next
+			res.Handoffs++
+		},
+	}, root)
+	for i := range where {
 		home := i % c.Cells
-		cl := client.New(k, cells[home].up, cells[home].srv, client.Config{
-			ID:               id,
-			Side:             side,
-			Params:           params,
-			CacheCapacity:    base.CacheCapacity(),
-			QueryAccess:      base.Workload.Query,
-			QueryItems:       base.Workload.QueryItems,
-			MeanThink:        base.MeanThink,
-			ProbDisc:         base.ProbDisc,
-			MeanDisc:         base.MeanDisc,
-			DiscPerInterval:  base.DiscPerInterval,
-			FetchRequestBits: base.ControlMsgBits,
-			ConsistencyHook:  hook,
-			Tracer:           base.Trace,
-			OnWake: func(cl *client.Client) {
-				if c.Cells < 2 || !moveRNG.Bool(c.MoveProb) {
-					return
-				}
-				old := where[cl.ID()]
-				next := moveRNG.Intn(c.Cells - 1)
-				if next >= old {
-					next++
-				}
-				cells[old].srv.Detach(cl.ID())
-				cells[next].srv.Attach(cl)
-				cl.Reattach(cells[next].up, cells[next].srv)
-				where[cl.ID()] = next
-				res.Handoffs++
-			},
-		}, root.Split(1000+uint64(i)))
-		clients[i] = cl
-		where[id] = home
-		cells[home].srv.Attach(cl)
-		cl.Start()
+		where[i] = home
+		pop.Reattach(i, cells[home].up, cells[home].srv)
+		cells[home].srv.Attach(pop.Handle(i))
+		pop.StartClient(i)
 	}
 	cells[0].srv.StartUpdates()
 	for _, ce := range cells {
@@ -211,15 +209,16 @@ func Run(c Config) (*Results, error) {
 
 	var resp stats.Tally
 	var hits, misses int64
-	for _, cl := range clients {
-		res.QueriesAnswered += cl.QueriesAnswered
-		res.UplinkBitsPerQuery += cl.ValidationUplinkBits
-		hits += cl.State().Cache.Hits()
-		misses += cl.State().Cache.Misses()
-		res.Drops += cl.State().Drops
-		res.Salvages += cl.State().Salvages
-		if cl.RespTime.N() > 0 {
-			resp.Observe(cl.RespTime.Mean())
+	for i := range where {
+		cnt, st := pop.Count(i), pop.State(i)
+		res.QueriesAnswered += cnt.QueriesAnswered
+		res.UplinkBitsPerQuery += cnt.ValidationUplinkBits
+		hits += st.Cache.Hits()
+		misses += st.Cache.Misses()
+		res.Drops += st.Drops
+		res.Salvages += st.Salvages
+		if cnt.RespTime.N() > 0 {
+			resp.Observe(cnt.RespTime.Mean())
 		}
 	}
 	if res.QueriesAnswered > 0 {
@@ -241,8 +240,8 @@ func Run(c Config) (*Results, error) {
 	}
 	// Per-cell query attribution: clients move, so attribute by final
 	// residence (a simple, documented choice).
-	for id, ci := range where {
-		res.PerCell[ci].QueriesAnswered += clients[id].QueriesAnswered
+	for i, ci := range where {
+		res.PerCell[ci].QueriesAnswered += pop.Count(i).QueriesAnswered
 	}
 	return res, nil
 }

@@ -1,18 +1,22 @@
-// Package population implements the aggregate client population: the
-// entire cell's mobile hosts as one struct-of-arrays value instead of one
-// goroutine-backed process per client. Per-client lifecycle state (gap
-// timers, sleep schedules, query cursors, fence/epoch gates, churn and
-// offline flags) lives in flat slices, caches are versioned bitmaps over
-// the N-item id space, and every suspension point of the process client
-// (internal/client) becomes an explicit continuation driven by the same
-// kernel events. The package's contract is bit-identity: an aggregate run
-// schedules exactly the kernel events the process population schedules,
-// in the same order, drawing the same random streams — so Results,
-// manifest digests, traces and span folds are byte-identical (pinned by
-// the differential suite in internal/engine/aggregate_equiv_test.go).
-// What the aggregate buys is scale: no goroutine stacks, no channel
-// handoffs, no per-client map allocations — a million clients fit in a
-// few hundred bytes each. DESIGN.md §16 states the model.
+// Package population implements the mobile hosts of the simulation
+// (paper §4) as one struct-of-arrays value. Each client runs a closed
+// query loop: think (with disconnection chances), issue a read-only query
+// over a few items, wait for the next invalidation report to validate the
+// cache, answer cached items locally, fetch the rest over the shared
+// uplink/downlink, and repeat. Reports are processed whenever the client
+// is connected, independently of the query loop.
+//
+// Per-client lifecycle state (gap timers, sleep schedules, query cursors,
+// fence/epoch gates, churn and offline flags) lives in flat slices, caches
+// are versioned bitmaps over the N-item id space, and every suspension
+// point of the query loop is an explicit continuation driven by kernel
+// events. The package's contract is bit-identity with the
+// process-per-client client it replaced: a run schedules the same kernel
+// events in the same order, drawing the same random streams, so Results
+// reproduce the digests recorded from that path (the digest tables under
+// internal/engine/testdata and internal/multicell/testdata). No goroutine
+// stacks, no channel handoffs, no per-client map allocations — a million
+// clients fit in a few hundred bytes each. DESIGN.md §16 states the model.
 package population
 
 import "mobicache/internal/cache"
@@ -27,7 +31,7 @@ type bslot struct {
 	prev, next int32
 }
 
-// BitmapCache is the aggregate client's buffer pool: a fixed-capacity LRU
+// BitmapCache is a client's buffer pool: a fixed-capacity LRU
 // over the item-id space [0, items), with presence tracked in a bitmap —
 // one bit per database item — and entry metadata (timestamp, version, LRU
 // links) in a small slot array, in the spirit of the compact

@@ -6,8 +6,8 @@ import (
 )
 
 // Result-collection accessors. The engine's collection loop walks
-// clients in index order summing the same fields in the same order on
-// both paths, so every float64 accumulation is bit-identical.
+// clients in index order, so every float64 accumulation happens in one
+// fixed order.
 
 // Clients reports the population size.
 func (p *Population) Clients() int { return p.cfg.Clients }
@@ -18,8 +18,10 @@ func (p *Population) Count(i int) *Counters { return &p.counts[i] }
 // State exposes client i's protocol state.
 func (p *Population) State(i int) *core.ClientState { return &p.states[i] }
 
-// InFlight mirrors client.InFlight: 1 while client i's query is issued
-// but not yet answered, timed out, or shed.
+// InFlight is 1 while client i's query is issued but not yet answered,
+// timed out, or shed. The engine folds it into the accounting identity
+// issued == answered + timed_out + shed + in_flight, computed from
+// independent counters so the check is non-tautological.
 func (p *Population) InFlight(i int) int64 {
 	if p.queryOpen[i] {
 		return 1
@@ -27,8 +29,8 @@ func (p *Population) InFlight(i int) int64 {
 	return 0
 }
 
-// CrashedDown mirrors client.CrashedDown for the horizon-straddling
-// crash accounting.
+// CrashedDown reports whether client i is crashed and not yet
+// restarted, so the restart accounting identity closes at the horizon.
 func (p *Population) CrashedDown(i int) bool { return p.offlineCrash[i] }
 
 // TotalAnswered sums answered queries across the population for the
@@ -53,8 +55,7 @@ func (p *Population) CacheTotals() (hits, accesses int64) {
 }
 
 // ResetStats zeroes every client's measurement counters at the warmup
-// boundary — client.ResetStats applied across the population in index
-// order; protocol and cache state are untouched.
+// boundary, in index order; protocol and cache state are untouched.
 func (p *Population) ResetStats() {
 	for i := range p.counts {
 		cnt := &p.counts[i]

@@ -7,8 +7,8 @@ import (
 	"mobicache/internal/sim"
 )
 
-// Handle is one client's facade over the aggregate population: it
-// implements server.Receiver (downlink deliveries) and churn.Host
+// Handle is one client's facade over the population: it implements
+// server.Receiver (downlink deliveries) and churn.Host
 // (forced-offline transitions) by indexing into the population's flat
 // slices. One Handle per client lives in a flat slice too, so attaching
 // a million receivers allocates nothing beyond the array.
@@ -43,9 +43,9 @@ func (h *Handle) DeliverItem(id int32, version int32, ts float64, now sim.Time) 
 	h.p.deliverItem(h.i, id, version, ts, now)
 }
 
-// DeliverBusy implements server.Receiver — client.DeliverBusy verbatim:
-// count the rejection; recovery rides the armed retry/deadline
-// machinery.
+// DeliverBusy implements server.Receiver: the server's admission control
+// rejected a fetch. The client only counts it; recovery rides the armed
+// retry/deadline machinery.
 func (h *Handle) DeliverBusy(id int32, now sim.Time) {
 	if h.p.offline(h.i) {
 		return
@@ -56,7 +56,9 @@ func (h *Handle) DeliverBusy(id int32, now sim.Time) {
 // State implements churn.Host.
 func (h *Handle) State() *core.ClientState { return &h.p.states[h.i] }
 
-// StormDown implements churn.Host — client.StormDown verbatim.
+// StormDown implements churn.Host: a mass-disconnect storm forces the
+// host into disconnection. Any validation exchange in flight is
+// abandoned, exactly as on a voluntary power-down. Idempotent.
 func (h *Handle) StormDown() {
 	p, i := h.p, h.i
 	if p.offlineStorm[i] {
@@ -67,10 +69,13 @@ func (h *Handle) StormDown() {
 	cnt := &p.counts[i]
 	cnt.Disconnections++
 	cnt.StormDisconnects++
-	p.mStormDisconnect()
+	p.cfg.Metrics.stormDisconnect()
 }
 
-// StormUp implements churn.Host — client.StormUp verbatim.
+// StormUp implements churn.Host: the storm hold clears — at the heal
+// instant, or through the paced resync backoff (paced). The host stays
+// offline while also crashed; the restart then completes the resume.
+// Idempotent.
 func (h *Handle) StormUp(paced bool) {
 	p, i := h.p, h.i
 	if !p.offlineStorm[i] {
@@ -80,7 +85,9 @@ func (h *Handle) StormUp(paced bool) {
 	p.resumeIfOnline(i)
 }
 
-// CrashDown implements churn.Host — client.CrashDown verbatim.
+// CrashDown implements churn.Host: the client crashes. In-flight
+// validation state is abandoned; the cache's fate is decided by Restart.
+// Idempotent.
 func (h *Handle) CrashDown() {
 	p, i := h.p, h.i
 	if p.offlineCrash[i] {
@@ -89,13 +96,13 @@ func (h *Handle) CrashDown() {
 	p.offlineCrash[i] = true
 	p.states[i].AbandonPending()
 	p.counts[i].Crashes++
-	p.mClientCrash()
+	p.cfg.Metrics.clientCrash()
 }
 
-// Restart implements churn.Host — client.Restart verbatim: warm
-// reinstates the persisted cache, validation horizon and epoch; cold
-// drops everything a process keeps in memory. Scheme-specific Ext state
-// is process memory and is lost either way.
+// Restart implements churn.Host: warm reinstates the persisted cache,
+// validation horizon and epoch; cold drops everything a process keeps in
+// memory. Scheme-specific Ext state is process memory and is lost either
+// way.
 func (h *Handle) Restart(snap *churn.Snapshot, rejected bool) {
 	p, i := h.p, h.i
 	if !p.offlineCrash[i] {
@@ -109,17 +116,17 @@ func (h *Handle) Restart(snap *churn.Snapshot, rejected bool) {
 		st.Epoch = snap.Epoch
 		st.Salvages++
 		cnt.RestartsWarm++
-		p.mRestartWarm()
+		p.cfg.Metrics.restartWarm()
 	} else {
 		st.Cache.DropAll()
 		st.Drops++
 		st.Tlb = 0
 		st.Epoch = 0
 		cnt.RestartsCold++
-		p.mRestartCold()
+		p.cfg.Metrics.restartCold()
 		if rejected {
 			cnt.SnapshotRejects++
-			p.mSnapshotReject()
+			p.cfg.Metrics.snapshotReject()
 		}
 	}
 	st.Ext = nil
@@ -127,6 +134,5 @@ func (h *Handle) Restart(snap *churn.Snapshot, rejected bool) {
 	p.resumeIfOnline(i)
 }
 
-// CrashedDown mirrors client.CrashedDown for the engine's
-// horizon-straddling crash accounting.
+// CrashedDown reports whether the host is crashed and not yet restarted.
 func (h *Handle) CrashedDown() bool { return h.p.offlineCrash[h.i] }

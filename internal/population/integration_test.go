@@ -10,16 +10,14 @@ import (
 	"mobicache/internal/metrics"
 )
 
-// Full-stack exercise of the aggregate population through the engine:
-// every delivery, fault, churn and overload path in this package runs
-// under its real driver. The bit-level equivalence against the proc path
-// is proven by internal/engine's differential suite; these runs assert
-// the package-local invariants (work happened, nothing went stale) while
-// giving the population's own coverage profile the lifecycle paths the
-// unit tests cannot reach.
+// Full-stack exercise of the population through the engine: every
+// delivery, fault, churn and overload path in this package runs under its
+// real driver. Bit-level behaviour is pinned by internal/engine's digest
+// oracle; these runs assert the package-local invariants (work happened,
+// nothing went stale) while giving the population's own coverage profile
+// the lifecycle paths the unit tests cannot reach.
 func aggBase(seed uint64) engine.Config {
 	c := engine.Default()
-	c.Aggregate = true
 	c.Clients = 48
 	c.SimTime = 4000
 	c.MeanDisc = 400

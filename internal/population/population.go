@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mobicache/internal/bitio"
-	"mobicache/internal/client"
 	"mobicache/internal/core"
 	"mobicache/internal/delivery"
 	"mobicache/internal/faults"
@@ -17,10 +16,17 @@ import (
 	"mobicache/internal/workload"
 )
 
-// Config carries the population-wide client parameters — the aggregate
-// counterpart of client.Config, minus the per-client fields (ID, RNG
-// stream, clock) the population derives itself. Field semantics are
-// identical to client.Config; see that type for the full contracts.
+// ServerAPI is the clients' view of a server's uplink endpoints; the
+// engine wires it to the server package.
+type ServerAPI interface {
+	// OnControl delivers a validation control message.
+	OnControl(msg *core.ControlMsg, now sim.Time)
+	// OnFetch delivers a data request for the given items.
+	OnFetch(clientID int32, ids []int32, now sim.Time)
+}
+
+// Config carries the population-wide client parameters. Per-client
+// values (id, RNG stream, clock) the population derives itself.
 type Config struct {
 	// Clients is the population size; client ids are 0..Clients-1, their
 	// index in every flat slice.
@@ -34,37 +40,78 @@ type Config struct {
 	// QueryAccess picks queried items; QueryItems their count.
 	QueryAccess workload.Access
 	QueryItems  rng.IntDist
-	// MeanThink, ProbDisc, MeanDisc and DiscPerInterval model the
-	// inter-query gap exactly as in client.Config.
-	MeanThink       float64
-	ProbDisc        float64
-	MeanDisc        float64
+	// MeanThink is the expected think time between queries and MeanDisc
+	// the expected disconnection length (seconds). ProbDisc is Table 1's
+	// "prob. of client disc. per interval".
+	MeanThink float64
+	ProbDisc  float64
+	MeanDisc  float64
+	// DiscPerInterval selects how ProbDisc is applied. False (default)
+	// follows §4's sentence "the arrival of a new query is separated from
+	// the completion of the previous query by either an exponentially
+	// distributed think time or an exponentially distributed
+	// disconnection time": each inter-query gap is a disconnection with
+	// probability ProbDisc, otherwise a think. This keeps the downlink
+	// saturated, matching the paper's "bandwidth is always fully
+	// utilized" assumption. True applies ProbDisc independently at every
+	// broadcast boundary crossed while thinking (the same sentence's "in
+	// each broadcast interval" reading) — kept as an ablation.
 	DiscPerInterval bool
-	// FetchRequestBits is the uplink cost of a data request.
+	// FetchRequestBits is the uplink cost of a data request (Table 1's
+	// 512-byte control message).
 	FetchRequestBits float64
-	// ConsistencyHook, RespHist, AoIHist, Tracer and Metrics are the
-	// engine's shared observability taps (all optional).
+	// ConsistencyHook, if set, is invoked for every cache-served item with
+	// the served version and the client's validation timestamp; the
+	// engine uses it to verify that no stale item is ever served.
 	ConsistencyHook func(clientID, itemID, version int32, tlb float64)
-	RespHist        *stats.Histogram
-	AoIHist         *stats.Histogram
-	Tracer          *trace.Tracer
-	Metrics         *client.Metrics
-	// ReportLossProb, DownLoss and Retry configure the fault layer;
-	// QueryDeadline the overload layer; FenceSeq and SkewEpsilon the
-	// delivery layer's sequence fence. All exactly as in client.Config.
+	// RespHist, if set, receives every query response time.
+	RespHist *stats.Histogram
+	// AoIHist, if set, receives an age-of-information sample for every
+	// item a query answers: answer instant minus the server's last update
+	// of that item. Items never updated (version 0) carry no sample.
+	AoIHist *stats.Histogram
+	// Tracer records protocol events and Metrics drives the timeline
+	// instruments; both optional.
+	Tracer  *trace.Tracer
+	Metrics *Metrics
+	// OnWake, if set, is invoked with the client's id when it finishes a
+	// disconnection, just before it reconnects. A multi-cell coordinator
+	// uses it to move the client to a different cell (Reattach) —
+	// mobility happens while powered off, when no exchange is in flight.
+	OnWake func(i int)
+	// ReportLossProb injects reception failures: each broadcast report is
+	// independently lost with this probability. It is the degenerate
+	// single-state case of DownLoss; setting both is an error upstream
+	// (engine.Config.Validate).
 	ReportLossProb float64
-	DownLoss       faults.GEParams
-	Retry          faults.RetryPolicy
-	QueryDeadline  float64
-	FenceSeq       bool
-	SkewEpsilon    float64
+	// DownLoss is the Gilbert–Elliott bursty loss/corruption model for
+	// report reception. Fading is per receiver, so each client steps its
+	// own chain, seeded from its own rng stream.
+	DownLoss faults.GEParams
+	// Retry is the uplink timeout/backoff policy. Disabled (zero) keeps
+	// the wait-forever exchanges and schedules no timeout events; enabled,
+	// clients abandon stuck check/feedback exchanges (the next report
+	// regenerates them) and re-request unfinished fetches with capped
+	// exponential backoff.
+	Retry faults.RetryPolicy
+	// QueryDeadline abandons a query unanswered after this many simulated
+	// seconds and counts it as timed out. 0 waits forever and schedules no
+	// deadline events.
+	QueryDeadline float64
+	// FenceSeq arms the broadcast sequence fence: duplicates and reorders
+	// are dropped idempotently, gaps force the scheme's conservative
+	// long-disconnection path (DESIGN.md §13). SkewEpsilon is the assumed
+	// bound ε on total clock error: with the fence armed, a report stamped
+	// further than ε ahead of the client's local clock degrades like a
+	// gap. 0 disables the skew guard.
+	FenceSeq    bool
+	SkewEpsilon float64
 }
 
 // Lifecycle continuations: where a client's state machine resumes when
 // its next wake event fires. Each value is one suspension point of the
-// process client's run/gap/disconnect/answer call tree (see
-// internal/client); the transliteration is line-for-line so the two
-// populations schedule identical kernel events.
+// query loop (gap, disconnect, answer); DESIGN.md §16 maps each to the
+// kernel event that resumes it.
 const (
 	pcGapStart         uint8 = iota // top of the run loop: draw the inter-query gap
 	pcAfterGap                      // gap over: wait online, then issue the next query
@@ -75,21 +122,18 @@ const (
 	pcFetchDone                     // answer: waiting for the fetch generation to drain
 )
 
-// Park targets: which signal (in the process client's terms) the client
-// is waiting on. A client waits on at most one of its own signals at a
-// time, so the proc path's waiter lists degenerate to one enum per
-// client; a broadcast on signal s wakes client i exactly when
-// parked[i] == s, scheduling the same zero-delay event Signal.Broadcast
-// would.
+// Park targets: which condition the client is waiting on. A client waits
+// on at most one at a time, so one enum per client suffices; a release of
+// condition s wakes client i exactly when parked[i] == s, as one
+// zero-delay event.
 const (
 	parkNone      uint8 = iota
-	parkValidated       // client.validated: a report validated the cache
-	parkFetch           // client.fetchSig: the fetch generation drained
-	parkOnline          // client.onlineSig: the forced-offline hold cleared
+	parkValidated       // a report validated the cache
+	parkFetch           // the fetch generation drained
+	parkOnline          // the forced-offline hold cleared
 )
 
-// Counters are one client's measurement tallies — the aggregate layout
-// of the exported counter fields of client.Client, one struct per client
+// Counters are one client's measurement tallies, one struct per client
 // in a flat slice. TestPopulationResetStatsZeroesEveryCounter walks this
 // struct by reflection so a counter added here without warmup-reset
 // handling fails the build's test tier.
@@ -128,19 +172,28 @@ type Counters struct {
 	AoISum               float64
 }
 
-// Population is the aggregate client population: every per-client field
-// of client.Client turned into a flat slice indexed by client id, caches
-// packed as versioned bitmaps over the item space, and the process
-// lifecycle replaced by the continuation machine in step. One broadcast
-// tick wakes the whole cell as a batch: the server's fan-out calls each
-// handle's DeliverReport inside the single downlink-completion event, so
-// report application for a million clients is one cache-friendly sweep
-// over the arrays with no goroutine switches at all.
-type Population struct {
-	k      *sim.Kernel
+// route is one cell's uplink endpoint pair: the channel a client
+// transmits on and the server that receives it.
+type route struct {
 	up     *netsim.Channel
-	server client.ServerAPI
-	cfg    Config
+	server ServerAPI
+}
+
+// Population is the client population: every per-client field in a flat
+// slice indexed by client id, caches packed as versioned bitmaps over the
+// item space, and the query loop as the continuation machine in step.
+// One broadcast tick wakes the whole cell as a batch: the server's
+// fan-out calls each handle's DeliverReport inside the single
+// downlink-completion event, so report application for a million clients
+// is one cache-friendly sweep over the arrays.
+type Population struct {
+	k   *sim.Kernel
+	cfg Config
+
+	// routes is the per-cell {uplink, server} table and cell each
+	// client's index into it; a single-cell run carries one entry.
+	routes []route
+	cell   []int32
 
 	states  []core.ClientState
 	caches  []BitmapCache
@@ -153,6 +206,10 @@ type Population struct {
 	parked  []uint8
 	retDisc []uint8 // continuation a finished disconnect returns to
 
+	// connected is owned by the voluntary disconnect path; the churn
+	// adversary forces a host down orthogonally (offlineStorm,
+	// offlineCrash), so a crash during a nap and a nap ending inside a
+	// storm both resolve correctly.
 	connected    []bool
 	offlineStorm []bool
 	offlineCrash []bool
@@ -164,36 +221,37 @@ type Population struct {
 
 	pending   []int32
 	ctrlTries []int32
-	fetchSeq  []int64
+	fetchSeq  []int64 // fetch generations, so stale timeouts no-op
 	deadline  []sim.Handle
 
 	clocks []delivery.Clock
-	ge     []*faults.GE
+	ge     []*faults.GE // report reception loss/corruption, nil when clean
 
 	queryIDs  [][]int32
 	missIDs   [][]int32
-	fetchIDs  [][]int32
-	fetchWant []map[int32]bool
+	fetchIDs  [][]int32        // ids of the outstanding fetch, request order
+	fetchWant []map[int32]bool // ids still undelivered (retry mode only)
 
-	// Cached per-client closures: the wake (the analog of Proc.wake —
-	// every Hold and broadcast schedules it) and the query-deadline
-	// event, both built once at construction so the steady state
-	// allocates neither.
+	// Cached per-client closures: the wake (every hold and release
+	// schedules it) and the query-deadline event, both built once at
+	// construction so the steady state allocates neither.
 	wakes       []func()
 	deadlineFns []func()
 }
 
 // New builds the population: states, caches (three shared arenas), RNG
-// substreams and cached closures. Client i's stream is root.Split(1000+i)
-// — the same per-client substream contract the process engine uses, and
-// rng.Source.Split is non-mutating, so construction consumes no
-// randomness and the substreams are a pure function of the root seed.
-// Call SetClock (optional), then Attach the handles and StartClient each
-// client in id order, mirroring the process path's construction loop.
-func New(k *sim.Kernel, up *netsim.Channel, server client.ServerAPI, cfg Config, root *rng.Source) *Population {
+// substreams and cached closures, with every client routed to up and
+// server. Client i's stream is root.Split(1000+i); rng.Source.Split is
+// non-mutating, so construction consumes no randomness and the
+// substreams are a pure function of the root seed. Call SetClock
+// (optional), then Attach the handles and StartClient each client in id
+// order.
+func New(k *sim.Kernel, up *netsim.Channel, server ServerAPI, cfg Config, root *rng.Source) *Population {
 	n := cfg.Clients
 	p := &Population{
-		k: k, up: up, server: server, cfg: cfg,
+		k: k, cfg: cfg,
+		routes:       []route{{up: up, server: server}},
+		cell:         make([]int32, n),
 		states:       make([]core.ClientState, n),
 		caches:       make([]BitmapCache, n),
 		srcs:         make([]rng.Source, n),
@@ -222,8 +280,8 @@ func New(k *sim.Kernel, up *netsim.Channel, server client.ServerAPI, cfg Config,
 		wakes:        make([]func(), n),
 		deadlineFns:  make([]func(), n),
 	}
-	// One loss path, exactly as in client.New: the legacy Bernoulli knob
-	// is the degenerate single-state Gilbert–Elliott chain.
+	// One loss path: the legacy Bernoulli knob is the degenerate
+	// single-state Gilbert–Elliott chain.
 	dl := cfg.DownLoss
 	if !dl.Enabled() {
 		dl = faults.Bernoulli(cfg.ReportLossProb)
@@ -262,18 +320,36 @@ func (p *Population) Handle(i int) *Handle { return &p.handles[i] }
 
 // SetClock installs client i's injected clock-error model (delivery
 // layer); the engine draws clocks in id order so assignments stay a pure
-// function of the seed.
+// function of the seed. The clock is a lens on perception only: protocol
+// state stays server-timestamped.
 func (p *Population) SetClock(i int, clk delivery.Clock) { p.clocks[i] = clk }
 
+// Reattach routes client i's uplink traffic to another cell's channel and
+// server. Call it before StartClient (initial placement) or from OnWake:
+// a connected, running client may have messages in flight on the old
+// channels.
+func (p *Population) Reattach(i int, up *netsim.Channel, server ServerAPI) {
+	if p.connected[i] && p.phase[i] != pcGapStart {
+		panic("population: reattach while connected")
+	}
+	for r := range p.routes {
+		if p.routes[r].up == up && p.routes[r].server == server {
+			p.cell[i] = int32(r)
+			return
+		}
+	}
+	p.routes = append(p.routes, route{up: up, server: server})
+	p.cell[i] = int32(len(p.routes) - 1)
+}
+
 // StartClient schedules client i's first lifecycle step at the current
-// time — the aggregate analog of client.Start's process launch, costing
-// the same single kernel event.
+// time: one kernel event.
 func (p *Population) StartClient(i int) {
 	p.k.Schedule(0, p.wakes[i])
 }
 
-// hold suspends client i for d simulated seconds, resuming at cont — the
-// analog of Proc.Hold: one scheduled event on the cached wake closure.
+// hold suspends client i for d simulated seconds, resuming at cont: one
+// scheduled event on the cached wake closure.
 //
 //hot — every think/nap timestep of every client; nothing allocates.
 func (p *Population) hold(i int32, d float64, cont uint8) {
@@ -281,9 +357,8 @@ func (p *Population) hold(i int32, d float64, cont uint8) {
 	p.k.Schedule(d, p.wakes[i])
 }
 
-// park suspends client i on the given signal, resuming at cont when a
-// broadcast arrives — the analog of Proc.Wait, which appends to a waiter
-// list and schedules nothing.
+// park suspends client i on the given condition, resuming at cont when
+// wakeIfParked releases it. Parking schedules nothing.
 //
 //hot — no events, no allocation; the wake comes from wakeIfParked.
 func (p *Population) park(i int32, sig, cont uint8) {
@@ -291,11 +366,8 @@ func (p *Population) park(i int32, sig, cont uint8) {
 	p.phase[i] = cont
 }
 
-// wakeIfParked is Signal.Broadcast collapsed to the single-waiter case:
-// only client i's own process ever waits on its validated/fetch/online
-// signals, so a broadcast wakes i exactly when it is parked on that
-// signal, as one zero-delay event — the same event the proc path's
-// Broadcast schedules, in the same order.
+// wakeIfParked releases condition sig for client i: if i is parked on
+// it, i resumes in one zero-delay event.
 //
 //hot — at most one freelist-backed kernel event; nothing allocates.
 func (p *Population) wakeIfParked(i int32, sig uint8) {
@@ -309,8 +381,7 @@ func (p *Population) wakeIfParked(i int32, sig uint8) {
 func (p *Population) offline(i int32) bool { return p.offlineStorm[i] || p.offlineCrash[i] }
 
 // step dispatches client i's continuation — the body of every wake
-// event. Each case resumes exactly where the process client would after
-// the corresponding Hold or Wait returned.
+// event.
 func (p *Population) step(i int32) {
 	switch p.phase[i] {
 	case pcGapStart:
@@ -332,9 +403,11 @@ func (p *Population) step(i int32) {
 	}
 }
 
-// gapStart is the top of the run loop: client.gap. Draw order matches
-// the process client exactly — the disconnection coin (or the
-// per-interval think draw) comes first, then the chosen duration.
+// gapStart is the top of the run loop: the gap that separates the
+// previous query's completion from the next query's arrival (paper §4;
+// see Config.DiscPerInterval for the two models). The disconnection coin
+// (or the per-interval think draw) comes first, then the chosen
+// duration.
 func (p *Population) gapStart(i int32) {
 	if p.cfg.DiscPerInterval {
 		p.remaining[i] = p.srcs[i].Exp(p.cfg.MeanThink)
@@ -348,9 +421,9 @@ func (p *Population) gapStart(i int32) {
 	p.hold(i, p.srcs[i].Exp(p.cfg.MeanThink), pcAfterGap)
 }
 
-// intervalLoop is client.thinkPerInterval's boundary loop. remaining is
-// decremented before the hold rather than after it returns — the value
-// is unobservable in between, so the draw sequence is unchanged.
+// intervalLoop is the per-interval think model: wait out an exponential
+// think time; at every broadcast boundary crossed, the client may power
+// down for an exponential disconnection.
 func (p *Population) intervalLoop(i int32) {
 	if p.remaining[i] <= 0 {
 		p.afterGap(i)
@@ -378,14 +451,16 @@ func (p *Population) intervalBoundary(i int32) {
 	p.intervalLoop(i)
 }
 
-// disconnect is client.disconnect up to its Hold; ret names where the
-// reconnection path hands control back (the two call sites of the
-// process client's disconnect).
+// disconnect powers client i down for an exponential time; ret names
+// where the reconnection path hands control back (the think loop or the
+// query issue). Any validation exchange in flight is abandoned: the
+// client will not hear the answer, and must renegotiate from its
+// (unchanged) Tlb after waking.
 func (p *Population) disconnect(i int32, ret uint8) {
 	p.connected[i] = false
 	p.states[i].AbandonPending()
 	d := p.srcs[i].Exp(p.cfg.MeanDisc)
-	p.mDisconnected()
+	p.cfg.Metrics.disconnected()
 	p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.Disconnect,
 		Client: p.states[i].ID, B: int64(d * 1e6)})
 	cnt := &p.counts[i]
@@ -396,15 +471,19 @@ func (p *Population) disconnect(i int32, ret uint8) {
 	p.hold(i, d, pcDiscWake)
 }
 
-// discWake resumes after the voluntary nap: the waitOnline loop, then
-// the reconnection (fence reset, connected flag, trace), then the return
-// to the disconnect call site. The aggregate engine runs one cell, so
-// there is no OnWake mobility hook here — multi-cell coordination stays
-// on the process path.
+// discWake resumes after the voluntary nap. A storm or crash that caught
+// the sleeping host extends the outage past the voluntary draw (only the
+// voluntary part is in DisconnectedFor). Then the mobility hook, and the
+// reconnection: the fence position is forgotten, because broadcasts
+// missed while asleep are the paper's problem (the Tlb window logic
+// handles them), not a delivery anomaly.
 func (p *Population) discWake(i int32) {
 	if p.offline(i) {
 		p.park(i, parkOnline, pcDiscWake)
 		return
+	}
+	if p.cfg.OnWake != nil {
+		p.cfg.OnWake(int(i))
 	}
 	p.states[i].ResetSeqFence()
 	p.connected[i] = true
@@ -417,10 +496,10 @@ func (p *Population) discWake(i int32) {
 	p.afterGap(i)
 }
 
-// afterGap is the run loop between gap and answer: the waitOnline guard,
-// then the query issue (draw count, sample ids, trace) and the head of
-// client.answer (open the query, arm the deadline), then the validation
-// wait.
+// afterGap is the run loop between gap and answer: a storm or crash
+// holds the host down (no queries while the device is forced off), then
+// the query issue (draw count, sample ids, trace), the query opens and
+// its deadline is armed, then the validation wait.
 func (p *Population) afterGap(i int32) {
 	if p.offline(i) {
 		p.park(i, parkOnline, pcAfterGap)
@@ -442,19 +521,17 @@ func (p *Population) afterGap(i int32) {
 }
 
 // deadlineFired is the query-deadline event: mark the query expired and
-// broadcast both answer-path signals, exactly as the process client's
-// deadline closure does — at most one of them holds the waiter, so at
-// most one wake event results.
+// release both answer-path waits — at most one of them holds the client,
+// so at most one wake event results.
 func (p *Population) deadlineFired(i int32) {
 	p.expired[i] = true
 	p.wakeIfParked(i, parkValidated)
 	p.wakeIfParked(i, parkFetch)
 }
 
-// validatedCheck is answer's validation wait: loop on Wait(validated)
-// while the cache is not validated past the query instant and the
-// deadline has not expired, with the expired verdict taking precedence
-// once the loop exits.
+// validatedCheck is the answer's validation wait: park until a report
+// validates the cache past the query instant or the deadline expires,
+// the expired verdict taking precedence.
 func (p *Population) validatedCheck(i int32) {
 	if p.states[i].Tlb <= p.tq[i] && !p.expired[i] {
 		p.park(i, parkValidated, pcValidated)
@@ -467,7 +544,7 @@ func (p *Population) validatedCheck(i int32) {
 	p.serveQuery(i)
 }
 
-// serveQuery is answer's post-validation body: serve hits from the
+// serveQuery is the answer's post-validation body: serve hits from the
 // cache, account AoI and consistency, and launch the fetch generation
 // for the misses.
 func (p *Population) serveQuery(i int32) {
@@ -511,7 +588,7 @@ func (p *Population) serveQuery(i int32) {
 			p.abandonFetch(i)
 			cnt.QueriesShed++
 			p.queryOpen[i] = false
-			p.mQueryShed()
+			p.cfg.Metrics.queryShed()
 			p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.QueryShed,
 				Client: st.ID, B: int64(len(miss))})
 			p.gapStart(i)
@@ -523,9 +600,9 @@ func (p *Population) serveQuery(i int32) {
 	p.finishQuery(i)
 }
 
-// fetchDoneCheck is answer's fetch wait: loop on Wait(fetchSig) while
-// items are outstanding and the deadline has not expired; an exhausted
-// deadline with items still pending abandons the query.
+// fetchDoneCheck is the answer's fetch wait: park while items are
+// outstanding and the deadline has not expired; an exhausted deadline
+// with items still pending abandons the query.
 func (p *Population) fetchDoneCheck(i int32) {
 	if p.pending[i] > 0 && !p.expired[i] {
 		p.park(i, parkFetch, pcFetchDone)
@@ -538,7 +615,7 @@ func (p *Population) fetchDoneCheck(i int32) {
 	p.finishQuery(i)
 }
 
-// finishQuery is answer's completion tail, then the jump back to the top
+// finishQuery is the answer's completion tail, then the jump back to the top
 // of the run loop.
 func (p *Population) finishQuery(i int32) {
 	cnt := &p.counts[i]
@@ -547,7 +624,7 @@ func (p *Population) finishQuery(i int32) {
 	cnt.QueriesAnswered++
 	resp := p.k.Now() - p.tq[i]
 	cnt.RespTime.Observe(resp)
-	p.mQueryDone(resp)
+	p.cfg.Metrics.queryDone(resp)
 	if p.cfg.RespHist != nil {
 		p.cfg.RespHist.Observe(resp)
 	}
@@ -556,8 +633,12 @@ func (p *Population) finishQuery(i int32) {
 	p.gapStart(i)
 }
 
-// giveUp abandons the open query after its deadline expired
-// (client.giveUp), then returns to the top of the run loop.
+// giveUp abandons the open query after its deadline expired, then
+// returns to the top of the run loop. Any half-open validation exchange
+// is dropped through the sequence-number guard (validating == true: the
+// next broadcast report regenerates it), the fetch generation is
+// cancelled so late deliveries only refresh the cache, and the query is
+// accounted as timed out.
 func (p *Population) giveUp(i int32, validating bool) {
 	if validating {
 		p.states[i].AbandonPending()
@@ -566,14 +647,15 @@ func (p *Population) giveUp(i int32, validating bool) {
 	cnt := &p.counts[i]
 	cnt.QueriesTimedOut++
 	p.queryOpen[i] = false
-	p.mDeadlineMiss()
+	p.cfg.Metrics.deadlineMiss()
 	p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.QueryDeadline,
 		Client: p.states[i].ID, B: int64((p.k.Now() - p.tq[i]) * 1e6)})
 	p.gapStart(i)
 }
 
-// abandonFetch cancels the outstanding fetch generation (client
-// semantics: stale retry timers and late deliveries no-op).
+// abandonFetch cancels the outstanding fetch generation: pending retry
+// timers see a newer sequence and no-op, and late item deliveries fall
+// through to a plain cache refresh.
 func (p *Population) abandonFetch(i int32) {
 	p.fetchSeq[i]++
 	p.pending[i] = 0
@@ -581,12 +663,18 @@ func (p *Population) abandonFetch(i int32) {
 }
 
 // sendFetch transmits a data request for the current fetch's missing
-// items and, in retry mode, arms the backed-off re-request timer —
-// client.sendFetch verbatim, including the fresh ids slice (the server's
-// coalescing path may retain it past this event) and the fresh timer
-// closure capturing the fetch generation.
+// items (all of them on attempt 0, the still-undelivered subset on a
+// retry) and, in retry mode, arms the backed-off re-request timer. The
+// ids slice is fresh because the server's coalescing path may retain it
+// past this event. It reports whether the (possibly bounded) uplink
+// admitted the request; in retry mode the timer is armed either way, so
+// a shed request is simply re-issued later. The uplink is the client's
+// cell's at send time; the receiving server is its cell's when the
+// transmission completes.
 func (p *Population) sendFetch(i int32, attempt int) bool {
 	admitted := false
+	// A forced-offline host cannot transmit: the attempt is skipped, but
+	// in retry mode the backoff timer below still arms.
 	if !p.offline(i) {
 		ids := make([]int32, 0, len(p.fetchIDs[i]))
 		for _, id := range p.fetchIDs[i] {
@@ -601,8 +689,8 @@ func (p *Population) sendFetch(i int32, attempt int) bool {
 					Client: p.states[i].ID, A: 0})
 			}
 		}
-		admitted = p.up.SendObserved(netsim.ClassData, p.cfg.FetchRequestBits, onTx, func() {
-			p.server.OnFetch(p.states[i].ID, ids, p.k.Now())
+		admitted = p.routes[p.cell[i]].up.SendObserved(netsim.ClassData, p.cfg.FetchRequestBits, onTx, func() {
+			p.routes[p.cell[i]].server.OnFetch(p.states[i].ID, ids, p.k.Now())
 		})
 		if admitted {
 			p.counts[i].FetchUplinkBits += p.cfg.FetchRequestBits
@@ -626,8 +714,12 @@ func (p *Population) sendFetch(i int32, attempt int) bool {
 	return admitted
 }
 
-// scheduleCtrlTimeout arms the give-up timer for a just-sent validation
-// exchange — client.scheduleCtrlTimeout verbatim.
+// scheduleCtrlTimeout arms a give-up timer for the validation exchange
+// just sent (a check request or Tlb feedback). Either may die on the
+// uplink, at a crashed server, or on the reply's way back. On expiry the
+// exchange is abandoned through the sequence-number guard — late replies
+// are ignored — and the next broadcast report regenerates it, so no
+// resend machinery is needed. No-op when retries are disabled.
 func (p *Population) scheduleCtrlTimeout(i int32, kindArg int64) {
 	if !p.cfg.Retry.Enabled() {
 		return
@@ -643,24 +735,26 @@ func (p *Population) scheduleCtrlTimeout(i int32, kindArg int64) {
 		}
 		p.ctrlTries[i]++
 		p.counts[i].Retries++
-		p.mRetry()
+		p.cfg.Metrics.retry()
 		p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.RetryAttempt,
 			Client: st.ID, A: kindArg, B: int64(p.ctrlTries[i])})
 		st.AbandonPending()
 	})
 }
 
-// handleOutcome applies a protocol step's verdict — client.handleOutcome
-// verbatim: uplink the control message (with the feedback-delivery stamp
-// and control timeout), then release the validation wait on Ready.
+// handleOutcome applies a protocol step's verdict: uplink the control
+// message (with the feedback-delivery stamp and control timeout), then
+// release the validation wait on Ready. A bounded uplink may tail-drop
+// the message; only admitted sends count toward the uplink accounting,
+// and the control timeout or the query deadline recovers.
 func (p *Population) handleOutcome(i int32, out core.Outcome, now sim.Time) {
 	cnt := &p.counts[i]
 	if out.EpochDegrade {
 		cnt.EpochDegrades++
-		p.mEpochDegrade()
+		p.cfg.Metrics.epochDegrade()
 	}
 	if out.DroppedAll {
-		p.mDropAll()
+		p.cfg.Metrics.dropAll()
 		p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.CacheDrop,
 			Client: p.states[i].ID})
 	}
@@ -681,11 +775,11 @@ func (p *Population) handleOutcome(i int32, out core.Outcome, now sim.Time) {
 			}
 		}
 		st := &p.states[i]
-		admitted := p.up.SendObserved(netsim.ClassControl, bits, onTx, func() {
+		admitted := p.routes[p.cell[i]].up.SendObserved(netsim.ClassControl, bits, onTx, func() {
 			if isFeedback {
 				st.FeedbackDeliveredAt = p.k.Now()
 			}
-			p.server.OnControl(msg, p.k.Now())
+			p.routes[p.cell[i]].server.OnControl(msg, p.k.Now())
 		})
 		if admitted {
 			cnt.ValidationUplinkBits += bits
@@ -701,8 +795,12 @@ func (p *Population) handleOutcome(i int32, out core.Outcome, now sim.Time) {
 	}
 }
 
-// observeAoI records one answered item's age-of-information sample —
-// client.observeAoI verbatim.
+// observeAoI records one answered item's age-of-information sample: the
+// gap between the instant the item's value reaches the application
+// (validation for cache hits, delivery for fetches) and the server's last
+// update of that item. The zero-stale invariant makes the served copy's
+// timestamp exactly that last update. Version-0 items were never updated
+// and carry no sample. No-op unless the engine wired an AoI histogram.
 func (p *Population) observeAoI(i int32, age float64, version int32) {
 	if version == 0 || p.cfg.AoIHist == nil {
 		return
@@ -711,12 +809,18 @@ func (p *Population) observeAoI(i int32, age float64, version int32) {
 	cnt.AoISamples++
 	cnt.AoISum += age
 	p.cfg.AoIHist.Observe(age)
-	p.mAoI(age)
+	p.cfg.Metrics.aoi(age)
 }
 
 // fenceAdmit runs the broadcast sequence fence and the stale-by-skew
-// guard over a report that survived the loss model —
-// client.fenceAdmit verbatim.
+// guard over a report that survived the loss model. It reports whether
+// the handler should process the report. A duplicate was already
+// processed; a reorder's window reaches into already-consumed history,
+// so applying it could resurrect stale entries — both are dropped. A gap
+// (broadcasts missing since the last processed report) or a report
+// stamped beyond the skew envelope marks the state so the scheme takes
+// its conservative long-disconnection path, and the report is still
+// processed.
 func (p *Population) fenceAdmit(i int32, r report.Report, now sim.Time) bool {
 	st := &p.states[i]
 	cnt := &p.counts[i]
@@ -725,19 +829,19 @@ func (p *Population) fenceAdmit(i int32, r report.Report, now sim.Time) bool {
 		switch d := report.SeqDelta(seq, st.LastSeq); {
 		case d == 0:
 			cnt.IRDuplicates++
-			p.mIRDuplicate()
+			p.cfg.Metrics.irDuplicate()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.IRDuplicate,
 				Client: st.ID, A: int64(seq)})
 			return false
 		case d < 0:
 			cnt.IRReorders++
-			p.mIRReorder()
+			p.cfg.Metrics.irReorder()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.IRReorder,
 				Client: st.ID, A: int64(d)})
 			return false
 		case d > 1:
 			cnt.IRGaps++
-			p.mIRGap()
+			p.cfg.Metrics.irGap()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.IRGap,
 				Client: st.ID, A: int64(d)})
 			st.SeqGap = true
@@ -752,9 +856,8 @@ func (p *Population) fenceAdmit(i int32, r report.Report, now sim.Time) bool {
 	return true
 }
 
-// deliverReport is the protocol step behind Handle.DeliverReport —
-// client.DeliverReport verbatim: loss model, fence, scheme handler,
-// outcome.
+// deliverReport is the protocol step behind Handle.DeliverReport: loss
+// model, fence, the paper's client invalidation algorithm, outcome.
 func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 	if !p.connected[i] || p.offline(i) {
 		return
@@ -765,7 +868,7 @@ func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 		switch g.Next() {
 		case faults.Lose:
 			cnt.ReportsLost++
-			p.mReportLost()
+			p.cfg.Metrics.reportLost()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.FaultLoss,
 				Client: st.ID, A: int64(netsim.ClassReport)})
 			return
@@ -780,7 +883,7 @@ func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 				panic("population: corrupted report decoded cleanly")
 			}
 			cnt.ReportsCorrupted++
-			p.mReportCorrupted()
+			p.cfg.Metrics.reportCorrupted()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.FaultCorrupt,
 				Client: st.ID, A: int64(netsim.ClassReport)})
 			return
@@ -795,13 +898,14 @@ func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 	p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ReportDelivered,
 		Client: st.ID, A: int64(r.Kind())})
 	if st.Salvages > salvagesBefore {
-		p.mSalvage()
+		p.cfg.Metrics.salvage()
 		p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.CacheSalvage, Client: st.ID})
 	}
 	p.handleOutcome(i, out, now)
 }
 
-// deliverValidity is client.DeliverValidity verbatim.
+// deliverValidity hands a validity reply to the scheme; a reply to an
+// abandoned exchange (disconnection mid-check) is dropped.
 func (p *Population) deliverValidity(i int32, v *report.ValidityReport, now sim.Time) {
 	st := &p.states[i]
 	if !p.connected[i] || p.offline(i) || !st.AwaitingValidity {
@@ -815,10 +919,13 @@ func (p *Population) deliverValidity(i int32, v *report.ValidityReport, now sim.
 	p.handleOutcome(i, p.cfg.Side.HandleValidity(st, v, now), now)
 }
 
-// deliverItem is client.DeliverItem verbatim: cache the arrival, count
-// down the want-list in retry mode, and release the fetch wait when the
-// generation drains.
+// deliverItem caches a fetched item, counts down the want-list in retry
+// mode (duplicates from re-requests only refresh the cache), and
+// releases the fetch wait when the generation drains.
 func (p *Population) deliverItem(i, id, version int32, ts float64, now sim.Time) {
+	// A crashed or storm-downed host cannot receive: the item is lost on
+	// the air. A voluntary nap keeps receiving — late deliveries refresh
+	// the cache.
 	if p.offline(i) {
 		p.counts[i].OfflineDrops++
 		return
@@ -841,8 +948,10 @@ func (p *Population) deliverItem(i, id, version int32, ts float64, now sim.Time)
 	}
 }
 
-// resumeIfOnline ends a forced-offline episode — client.resumeIfOnline
-// verbatim: fence forgotten, parked lifecycle woken.
+// resumeIfOnline ends a forced-offline episode once the last hold
+// clears: the fence position is forgotten (broadcasts missed while down
+// are judged by the Tlb window logic, as after a voluntary nap) and the
+// parked lifecycle wakes.
 func (p *Population) resumeIfOnline(i int32) {
 	if p.offline(i) {
 		return

@@ -99,7 +99,8 @@ type Server struct {
 	rcv  map[int32]Receiver
 	all  []Receiver
 
-	updRNG *rng.Source
+	updRNG     *rng.Source
+	updScratch []int32
 
 	// Admission-control state (used only when PendingCap or Coalesce is
 	// set): the pending-fetch table keyed by item id, and its population.
@@ -109,6 +110,13 @@ type Server struct {
 	// still completes and decrements exactly once, epoch-guarded).
 	pending  map[int32]*pendingFetch
 	pendingN int
+
+	// The update, broadcast and crash loops run as scheduled callbacks.
+	// The two that fire throughout a run are bound once in New, so
+	// rescheduling them allocates nothing. irNext counts broadcast
+	// periods: the next report is due at irNext·L.
+	updateFn, broadcastFn func()
+	irNext                int64
 
 	// irSeq is the broadcast sequence counter stamped into every report's
 	// frame header. Monotonic across crashes: restart semantics are
@@ -151,7 +159,7 @@ type Server struct {
 
 // New creates a server. updSeed feeds the update process RNG.
 func New(k *sim.Kernel, d *db.Database, down *netsim.Channel, cfg Config, updRNG *rng.Source) *Server {
-	return &Server{
+	s := &Server{
 		cfg:         cfg,
 		k:           k,
 		db:          d,
@@ -162,6 +170,8 @@ func New(k *sim.Kernel, d *db.Database, down *netsim.Channel, cfg Config, updRNG
 		ReportsSent: make(map[report.Kind]int64),
 		ReportBits:  make(map[report.Kind]float64),
 	}
+	s.updateFn, s.broadcastFn = s.update, s.broadcast
+	return s
 }
 
 // Attach registers a client as a broadcast receiver and uplink endpoint.
@@ -210,8 +220,9 @@ func (s *Server) ResetStats() {
 	s.RepliesShed = 0
 }
 
-// Start launches the update and broadcast processes, plus the
-// crash/restart process when fault injection is configured.
+// Start launches the update and broadcast loops, plus the crash/restart
+// loop when fault injection is configured. Each loop begins with one
+// zero-delay event that draws or schedules its first step.
 func (s *Server) Start() {
 	s.StartUpdates()
 	s.StartBroadcast()
@@ -219,7 +230,7 @@ func (s *Server) Start() {
 		if s.cfg.CrashRNG == nil {
 			panic("server: CrashMTBF set without CrashRNG")
 		}
-		s.k.Go("server-crashes", s.crashLoop)
+		s.k.Schedule(0, s.scheduleCrash)
 	}
 }
 
@@ -260,132 +271,147 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 // Epoch reports the current recovery epoch (0 until the first crash).
 func (s *Server) Epoch() int32 { return s.epoch }
 
-// crashLoop alternates exponential up-times and outages. A crash loses
-// every piece of in-memory protocol state — the scheme's history window
-// is implicit in the durable database, so its loss is modeled by the
-// recovery marker truncating post-restart reports (report.ApplyRecovery);
-// explicitly held state (pending feedback, incremental signatures) is
-// cleared through core.CrashRecoverable.
-func (s *Server) crashLoop(p *sim.Proc) {
-	for {
-		p.Hold(s.cfg.CrashRNG.Exp(s.cfg.CrashMTBF))
-		now := p.Now()
-		s.isDown = true
-		s.crashedAt = now
-		s.epoch++
-		s.Crashes++
-		if cr, ok := s.cfg.Scheme.(core.CrashRecoverable); ok {
-			cr.OnServerCrash()
-		}
-		// The pending-fetch table is in-memory protocol state: a crash
-		// loses it. Transmissions already on the downlink still complete
-		// (the channel is not the server), but their epoch-stamped
-		// completions no longer touch the new epoch's population count.
-		clear(s.pending)
-		s.pendingN = 0
-		s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerCrash,
-			Client: -1, B: int64(s.epoch)})
-		p.Hold(s.cfg.CrashRNG.Exp(s.cfg.CrashMTTR))
-		now = p.Now()
-		s.isDown = false
-		s.trustFloor = now
-		s.awaitingIR = true
-		s.Downtime += now - s.crashedAt
-		s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerRestart,
-			Client: -1, B: int64(s.epoch)})
-	}
+// The crash loop alternates exponential up-times and outages. A crash
+// loses every piece of in-memory protocol state — the scheme's history
+// window is implicit in the durable database, so its loss is modeled by
+// the recovery marker truncating post-restart reports
+// (report.ApplyRecovery); explicitly held state (pending feedback,
+// incremental signatures) is cleared through core.CrashRecoverable.
+
+// scheduleCrash draws the next up-time.
+func (s *Server) scheduleCrash() {
+	s.k.Schedule(s.cfg.CrashRNG.Exp(s.cfg.CrashMTBF), s.crash)
 }
 
-// StartUpdates launches only the update process. In a multi-cell setup
-// the database is logically replicated: exactly one server applies the
+// crash takes the server down and draws the repair time.
+func (s *Server) crash() {
+	now := s.k.Now()
+	s.isDown = true
+	s.crashedAt = now
+	s.epoch++
+	s.Crashes++
+	if cr, ok := s.cfg.Scheme.(core.CrashRecoverable); ok {
+		cr.OnServerCrash()
+	}
+	// The pending-fetch table is in-memory protocol state: a crash loses
+	// it. Transmissions already on the downlink still complete (the
+	// channel is not the server), but their epoch-stamped completions no
+	// longer touch the new epoch's population count.
+	clear(s.pending)
+	s.pendingN = 0
+	s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerCrash,
+		Client: -1, B: int64(s.epoch)})
+	s.k.Schedule(s.cfg.CrashRNG.Exp(s.cfg.CrashMTTR), s.restart)
+}
+
+// restart brings the server back and draws the next up-time.
+func (s *Server) restart() {
+	now := s.k.Now()
+	s.isDown = false
+	s.trustFloor = now
+	s.awaitingIR = true
+	s.Downtime += now - s.crashedAt
+	s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerRestart,
+		Client: -1, B: int64(s.epoch)})
+	s.scheduleCrash()
+}
+
+// StartUpdates launches only the update loop. In a multi-cell setup the
+// database is logically replicated: exactly one server applies the
 // update stream to the shared database and every cell broadcasts from it.
 func (s *Server) StartUpdates() {
-	s.k.Go("server-updates", s.updateLoop)
+	s.k.Schedule(0, s.scheduleUpdate)
 }
 
 // StartBroadcast launches only the periodic report broadcaster.
 func (s *Server) StartBroadcast() {
-	s.k.Go("server-broadcast", s.broadcastLoop)
+	s.irNext = 1
+	s.k.Schedule(0, func() { s.k.At(s.cfg.Params.L, s.broadcastFn) })
 }
 
-// updateLoop applies update transactions separated by exponential
-// interarrival times (paper §4).
-func (s *Server) updateLoop(p *sim.Proc) {
-	var scratch []int32
-	for {
-		p.Hold(s.updRNG.Exp(s.cfg.MeanUpdateInterarrival))
-		k := s.cfg.UpdateItems.Draw(s.updRNG)
-		scratch = s.cfg.UpdateAccess.Sample(s.updRNG, k, scratch[:0])
-		now := p.Now()
-		for _, id := range scratch {
-			s.db.Update(id, now)
-		}
+// scheduleUpdate draws the interarrival time of the next update
+// transaction (paper §4: exponential).
+func (s *Server) scheduleUpdate() {
+	s.k.Schedule(s.updRNG.Exp(s.cfg.MeanUpdateInterarrival), s.updateFn)
+}
+
+// update applies one update transaction, then schedules the next.
+func (s *Server) update() {
+	k := s.cfg.UpdateItems.Draw(s.updRNG)
+	s.updScratch = s.cfg.UpdateAccess.Sample(s.updRNG, k, s.updScratch[:0])
+	now := s.k.Now()
+	for _, id := range s.updScratch {
+		s.db.Update(id, now)
 	}
+	s.scheduleUpdate()
 }
 
-// broadcastLoop emits one invalidation report at every multiple of L.
-// The report class preempts the downlink, so transmission always begins
-// exactly on the period boundary (paper §4's priority rule).
-func (s *Server) broadcastLoop(p *sim.Proc) {
-	for i := int64(1); ; i++ {
-		t := float64(i) * s.cfg.Params.L
-		p.HoldUntil(t)
-		if s.isDown {
-			// A dead server broadcasts nothing; clients see a silent
-			// period boundary exactly as if the report were lost.
-			continue
-		}
-		if s.lastIRDone > t {
-			// The previous report is still being transmitted: the channel
-			// cannot start this one on time. Count it; the facility will
-			// queue it FIFO behind its predecessor.
-			s.IROverruns++
-		}
-		r := s.cfg.Scheme.BuildReport(s.db, t)
-		// Every report carries a monotonically increasing broadcast
-		// sequence number in its frame header; clients fence on it to
-		// detect gaps, duplicates, and reorders (DESIGN.md §13). A plain
-		// counter — no randomness, no events — so it is always on.
-		s.irSeq++
-		report.SetSeq(r, s.irSeq)
-		if s.epoch > 0 {
-			// Every report after the first crash announces the current
-			// epoch and trust floor; ApplyRecovery also censors any
-			// history claims reaching below the floor.
-			report.ApplyRecovery(r, report.RecoveryMarker{Epoch: s.epoch, TrustFloor: s.trustFloor})
-		}
-		if s.awaitingIR {
-			s.awaitingIR = false
-			s.RecoveryLatency.Observe(t - s.crashedAt)
-		}
-		bits := float64(r.SizeBits(s.cfg.Params.Rep))
-		kind := r.Kind()
-		s.ReportsSent[kind]++
-		s.ReportBits[kind] += bits
-		s.broadcasts++
-		s.lastKind = kind
-		s.lastBits = bits
-		if tsr, ok := r.(*report.TSReport); ok {
-			// The report's own window start is authoritative: for AAW's
-			// enlarged reports it reaches back to the oldest requesting
-			// Tlb, so this is exactly the adjusted window w' of Figure 4.
-			s.lastW = (t - tsr.WindowStart) / s.cfg.Params.L
-		} else {
-			s.lastW = 0
-		}
-		s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ReportBroadcast,
-			Client: -1, A: int64(kind), B: int64(bits)})
-		s.lastIRDone = t + s.down.TxTime(bits)
-		//lint:allow errcheck-sim the report class is exempt from bounded-queue admission and is never shed
-		s.down.Send(netsim.ClassReport, bits, func() {
-			now := s.k.Now()
-			for _, rc := range s.all {
-				if rc.Connected() {
-					rc.DeliverReport(r, now)
-				}
+// broadcast emits the invalidation report due at irNext·L, then
+// schedules the next period's. A dead server broadcasts nothing; clients
+// see a silent period boundary exactly as if the report were lost.
+func (s *Server) broadcast() {
+	if !s.isDown {
+		s.emitReport(float64(s.irNext) * s.cfg.Params.L)
+	}
+	s.irNext++
+	s.k.At(float64(s.irNext)*s.cfg.Params.L, s.broadcastFn)
+}
+
+// emitReport builds the report for period boundary t and queues it on
+// the downlink. The report class preempts the downlink, so transmission
+// always begins exactly on the period boundary (paper §4's priority
+// rule).
+func (s *Server) emitReport(t float64) {
+	if s.lastIRDone > t {
+		// The previous report is still being transmitted: the channel
+		// cannot start this one on time. Count it; the facility will queue
+		// it FIFO behind its predecessor.
+		s.IROverruns++
+	}
+	r := s.cfg.Scheme.BuildReport(s.db, t)
+	// Every report carries a monotonically increasing broadcast sequence
+	// number in its frame header; clients fence on it to detect gaps,
+	// duplicates, and reorders (DESIGN.md §13). A plain counter — no
+	// randomness, no events — so it is always on.
+	s.irSeq++
+	report.SetSeq(r, s.irSeq)
+	if s.epoch > 0 {
+		// Every report after the first crash announces the current epoch
+		// and trust floor; ApplyRecovery also censors any history claims
+		// reaching below the floor.
+		report.ApplyRecovery(r, report.RecoveryMarker{Epoch: s.epoch, TrustFloor: s.trustFloor})
+	}
+	if s.awaitingIR {
+		s.awaitingIR = false
+		s.RecoveryLatency.Observe(t - s.crashedAt)
+	}
+	bits := float64(r.SizeBits(s.cfg.Params.Rep))
+	kind := r.Kind()
+	s.ReportsSent[kind]++
+	s.ReportBits[kind] += bits
+	s.broadcasts++
+	s.lastKind = kind
+	s.lastBits = bits
+	if tsr, ok := r.(*report.TSReport); ok {
+		// The report's own window start is authoritative: for AAW's
+		// enlarged reports it reaches back to the oldest requesting Tlb,
+		// so this is exactly the adjusted window w' of Figure 4.
+		s.lastW = (t - tsr.WindowStart) / s.cfg.Params.L
+	} else {
+		s.lastW = 0
+	}
+	s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ReportBroadcast,
+		Client: -1, A: int64(kind), B: int64(bits)})
+	s.lastIRDone = t + s.down.TxTime(bits)
+	//lint:allow errcheck-sim the report class is exempt from bounded-queue admission and is never shed
+	s.down.Send(netsim.ClassReport, bits, func() {
+		now := s.k.Now()
+		for _, rc := range s.all {
+			if rc.Connected() {
+				rc.DeliverReport(r, now)
 			}
-		})
-	}
+		}
+	})
 }
 
 // OnControl is the uplink endpoint for validation messages; the channel

@@ -53,7 +53,6 @@ func newTestServer(t *testing.T, schemeName string, downBps float64) (*sim.Kerne
 	}
 	params := core.DefaultParams(1000)
 	k := sim.New()
-	t.Cleanup(k.Shutdown)
 	d := db.New(1000, false)
 	down := netsim.NewChannel(k, "down", downBps)
 	srv := New(k, d, down, Config{

@@ -1,22 +1,19 @@
-// Package sim is a deterministic discrete-event simulation kernel with
-// CSIM-style process semantics, standing in for the CSIM package the
-// paper's evaluation was built on.
+// Package sim is a deterministic discrete-event simulation kernel,
+// standing in for the CSIM package the paper's evaluation was built on.
 //
 // The kernel keeps an event calendar (a binary heap ordered by time and
 // then by scheduling sequence, so simultaneous events fire in the order
-// they were scheduled). Model logic can be written either as plain event
-// callbacks or as processes: goroutines that block in Hold and Wait calls
-// while the kernel runs exactly one of them at a time, handing control
-// back and forth over unbuffered channels. Because at most one goroutine
-// is ever runnable, execution is sequential and fully deterministic even
-// though the model code reads like straight-line concurrent Go.
+// they were scheduled). Model logic is written as event callbacks only:
+// a CSIM process becomes a state machine whose every suspension point
+// (hold, wait) is an explicit continuation scheduled on the calendar
+// (DESIGN.md §16). Everything runs on the caller's goroutine, so
+// execution is sequential and fully deterministic.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Time is simulated time in seconds.
@@ -91,10 +88,9 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// Kernel is the simulation executive. Create one with New, schedule events
-// or start processes, then call Run. A Kernel is single-threaded: all
-// model code runs on the kernel's goroutine or on exactly one process
-// goroutine at a time.
+// Kernel is the simulation executive. Create one with New, schedule
+// events, then call Run. A Kernel is single-threaded: all model code runs
+// inside event callbacks on the goroutine that calls Run or Step.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -105,33 +101,12 @@ type Kernel struct {
 	// what makes parallel sweeps scale instead of serialising in the GC.
 	free []*event
 
-	// yield is the handoff channel processes use to return control to the
-	// kernel; see Proc.
-	yield chan struct{}
-	// kill, when closed by Shutdown, unblocks every parked process
-	// goroutine so finished simulations do not leak goroutines.
-	kill chan struct{}
-
-	procs      atomic.Int64 // live processes, for leak diagnostics
 	executed   uint64
 	maxPending int
 }
 
 // New creates an empty kernel at time 0.
-func New() *Kernel {
-	return &Kernel{yield: make(chan struct{}), kill: make(chan struct{})}
-}
-
-// Shutdown releases all parked process goroutines. Call it once after the
-// final Run; the kernel must not be used afterwards.
-func (k *Kernel) Shutdown() {
-	select {
-	case <-k.kill:
-		return // already shut down
-	default:
-	}
-	close(k.kill)
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -150,7 +125,7 @@ func (k *Kernel) MaxPending() int { return k.maxPending }
 // Schedule queues fn to run delay seconds from now and returns a handle
 // that can be cancelled. It panics on a negative delay.
 //
-//hot path: runs once per simulated event; 0 allocs/op pinned by
+// hot path: runs once per simulated event; 0 allocs/op pinned by
 // BenchmarkKernelScheduleCancel.
 func (k *Kernel) Schedule(delay Time, fn func()) Handle {
 	if delay < 0 {
@@ -161,7 +136,7 @@ func (k *Kernel) Schedule(delay Time, fn func()) Handle {
 
 // At queues fn to run at absolute time t (>= Now) and returns a handle.
 //
-//hot path: every Schedule lands here; steady state reuses freelist
+// hot path: every Schedule lands here; steady state reuses freelist
 // events and allocates nothing.
 func (k *Kernel) At(t Time, fn func()) Handle {
 	if t < k.now {
@@ -193,7 +168,7 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 // fired. Cancelling twice, cancelling after the event fired, or
 // cancelling a zero Handle all do nothing.
 //
-//hot path: timer churn cancels an event per message; 0 allocs/op
+// hot path: timer churn cancels an event per message; 0 allocs/op
 // pinned by BenchmarkKernelScheduleCancel.
 func (k *Kernel) Cancel(h Handle) {
 	if !h.Scheduled() {
@@ -210,7 +185,7 @@ func (k *Kernel) Cancel(h Handle) {
 // Step fires the next event, advancing time. It reports false when the
 // calendar is empty.
 //
-//hot path: the event loop itself; 0 allocs/op pinned by
+// hot path: the event loop itself; 0 allocs/op pinned by
 // BenchmarkKernelEventThroughput.
 func (k *Kernel) Step() bool {
 	if len(k.events) == 0 {

@@ -187,182 +187,3 @@ func TestEventTimeAccessor(t *testing.T) {
 		t.Fatalf("fired event time = %v, want 0", e.Time())
 	}
 }
-
-func TestProcHold(t *testing.T) {
-	k := New()
-	var trace []Time
-	k.Go("holder", func(p *Proc) {
-		trace = append(trace, p.Now())
-		p.Hold(10)
-		trace = append(trace, p.Now())
-		p.Hold(5)
-		trace = append(trace, p.Now())
-	})
-	k.Run(EndOfTime)
-	defer k.Shutdown()
-	if len(trace) != 3 || trace[0] != 0 || trace[1] != 10 || trace[2] != 15 {
-		t.Fatalf("trace = %v", trace)
-	}
-}
-
-func TestProcInterleaving(t *testing.T) {
-	k := New()
-	var got []string
-	k.Go("a", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, "a")
-			p.Hold(2)
-		}
-	})
-	k.Go("b", func(p *Proc) {
-		p.Hold(1)
-		for i := 0; i < 3; i++ {
-			got = append(got, "b")
-			p.Hold(2)
-		}
-	})
-	k.Run(EndOfTime)
-	defer k.Shutdown()
-	want := "abababab"[:6]
-	s := ""
-	for _, g := range got {
-		s += g
-	}
-	if s != want {
-		t.Fatalf("interleaving = %q, want %q", s, want)
-	}
-}
-
-func TestProcHoldUntil(t *testing.T) {
-	k := New()
-	var at Time
-	k.Go("u", func(p *Proc) {
-		p.HoldUntil(42)
-		p.HoldUntil(10) // already past: no-op
-		at = p.Now()
-	})
-	k.Run(EndOfTime)
-	defer k.Shutdown()
-	if at != 42 {
-		t.Fatalf("at = %v", at)
-	}
-}
-
-func TestSignalBroadcast(t *testing.T) {
-	k := New()
-	s := NewSignal(k)
-	var woke []string
-	for _, name := range []string{"p1", "p2", "p3"} {
-		name := name
-		k.Go(name, func(p *Proc) {
-			p.Wait(s)
-			woke = append(woke, name)
-		})
-	}
-	k.Schedule(5, func() { s.Broadcast() })
-	k.Run(EndOfTime)
-	defer k.Shutdown()
-	if len(woke) != 3 || woke[0] != "p1" || woke[1] != "p2" || woke[2] != "p3" {
-		t.Fatalf("woke = %v (want FIFO)", woke)
-	}
-}
-
-func TestSignalOne(t *testing.T) {
-	k := New()
-	s := NewSignal(k)
-	var woke []string
-	for _, name := range []string{"p1", "p2"} {
-		name := name
-		k.Go(name, func(p *Proc) {
-			p.Wait(s)
-			woke = append(woke, name)
-		})
-	}
-	k.Schedule(5, func() { s.Signal() })
-	k.Run(EndOfTime)
-	if len(woke) != 1 || woke[0] != "p1" {
-		t.Fatalf("woke = %v", woke)
-	}
-	if s.Waiting() != 1 {
-		t.Fatalf("waiting = %d", s.Waiting())
-	}
-	k.Shutdown()
-}
-
-func TestSignalEmptyNoop(t *testing.T) {
-	k := New()
-	s := NewSignal(k)
-	s.Signal()
-	s.Broadcast()
-	k.Run(EndOfTime)
-}
-
-func TestProcsGauge(t *testing.T) {
-	k := New()
-	k.Go("short", func(p *Proc) { p.Hold(1) })
-	k.Go("long", func(p *Proc) { p.Hold(100) })
-	k.Run(50)
-	if k.Procs() != 1 {
-		t.Fatalf("procs = %d, want 1", k.Procs())
-	}
-	k.Run(EndOfTime)
-	if k.Procs() != 0 {
-		t.Fatalf("procs = %d, want 0", k.Procs())
-	}
-	k.Shutdown()
-}
-
-// TestShutdownReleasesParked ensures that simulations abandoned mid-run do
-// not leak process goroutines.
-func TestShutdownReleasesParked(t *testing.T) {
-	k := New()
-	s := NewSignal(k)
-	for i := 0; i < 10; i++ {
-		k.Go("stuck", func(p *Proc) { p.Wait(s) })
-	}
-	k.Run(10)
-	if k.Procs() != 10 {
-		t.Fatalf("procs = %d", k.Procs())
-	}
-	k.Shutdown()
-	k.Shutdown() // idempotent
-	// The goroutines exit asynchronously; poll briefly.
-	for i := 0; i < 1000 && k.Procs() != 0; i++ {
-	}
-	// Procs uses an atomic, but exit timing is scheduler-dependent; just
-	// check it trends to zero without hanging the test binary.
-}
-
-// TestDeterministicProcsAndEvents runs a small mixed workload twice and
-// requires identical traces.
-func TestDeterministicProcsAndEvents(t *testing.T) {
-	run := func() []Time {
-		k := New()
-		var trace []Time
-		s := NewSignal(k)
-		k.Go("waiter", func(p *Proc) {
-			p.Wait(s)
-			trace = append(trace, p.Now())
-		})
-		k.Go("ticker", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Hold(3)
-				trace = append(trace, p.Now())
-			}
-			s.Broadcast()
-		})
-		k.Schedule(7, func() { trace = append(trace, k.Now()) })
-		k.Run(EndOfTime)
-		k.Shutdown()
-		return trace
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
