@@ -4,7 +4,7 @@
 GO ?= go
 MOBILINT := bin/mobilint
 
-.PHONY: all build test race lint lint-baseline fuzz-smoke chaos-smoke obs-smoke overload-smoke delivery-smoke churn-smoke spans-smoke agg-smoke bench bench-smoke par-bench cover mobilint clean
+.PHONY: all build test race lint lint-baseline fuzz-smoke adversary-smoke obs-smoke spans-smoke agg-smoke bench bench-smoke par-bench cover mobilint clean
 
 all: build lint test
 
@@ -42,33 +42,20 @@ fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzWorkloadParse -fuzztime=10s ./internal/workload
 	$(GO) test -run Fuzz -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/churn
 
-# Quick compound-fault pass: the ext-chaos sweep (bursty loss +
-# corruption + server crashes, all seven schemes) at a short horizon.
-# The sweep's own check fails the run on any stale read.
-chaos-smoke:
-	$(GO) run ./cmd/experiments -figure ext-chaos-thr -simtime 4000 -out results-chaos
-
-# Saturation/soak pass: the ext-overload sweep (offered load 1x..8x the
-# uplink's fetch-request capacity with the full degradation layer, all
-# seven schemes) at a short horizon. The sweep's own check fails the run
-# on any stale read, broken accounting identity, or queue past its cap.
-overload-smoke:
-	$(GO) run ./cmd/experiments -figure ext-overload-thr -simtime 4000 -out results-overload
-
-# Adversarial-delivery pass: the ext-delivery sweep (delay jitter,
-# reordering, duplication, asymmetric partitions, clock skew at five
-# severity levels, all seven schemes) at a short horizon. The sweep's own
-# check fails the run on any stale read or broken accounting identity.
-delivery-smoke:
-	$(GO) run ./cmd/experiments -figure ext-delivery-thr -simtime 4000 -out results-delivery
-
-# Population-churn pass: the ext-churn sweep (mass-disconnect storms,
-# crash/restart with persisted-snapshot staleness/corruption faults,
-# paced resync at five severity levels, all seven schemes) at a short
-# horizon, with CSV artifacts in results-churn/. The sweep's own check
-# fails the run on any stale read or broken accounting identity.
-churn-smoke:
-	$(GO) run ./cmd/experiments -figure ext-churn-thr -simtime 4000 -out results-churn
+# Adversary pass: the four robustness sweeps at a short horizon, all
+# seven schemes each — ext-chaos (bursty loss + corruption + server
+# crashes), ext-overload (offered load 1x..8x the uplink's fetch-request
+# capacity under the full degradation layer), ext-delivery (jitter,
+# reordering, duplication, partitions, clock skew) and ext-churn (storms,
+# crash/restart with snapshot faults, paced resync). Every run is gated by
+# the sweeps' shared check: engine.Audit (zero stale reads, every
+# accounting identity, queue peaks within their caps) plus a collapse
+# guard. CSV artifacts land in results-adversary/.
+adversary-smoke:
+	$(GO) run ./cmd/experiments -figure ext-chaos-thr -simtime 4000 -out results-adversary
+	$(GO) run ./cmd/experiments -figure ext-overload-thr -simtime 4000 -out results-adversary
+	$(GO) run ./cmd/experiments -figure ext-delivery-thr -simtime 4000 -out results-adversary
+	$(GO) run ./cmd/experiments -figure ext-churn-thr -simtime 4000 -out results-adversary
 
 # Observability smoke: one instrumented run emitting all three artifacts
 # (metrics timeline, lossless JSONL event stream, run manifest), each
@@ -84,9 +71,9 @@ obs-smoke:
 # Span/AoI smoke: one chaos run exporting per-query causal spans, the
 # file re-validated as Perfetto-loadable trace-event JSON, then the
 # ext-aoi sweep (all seven schemes, four fault levels) at a short
-# horizon. The sweep's own check fails the run on any stale read or a
-# span accounting identity that does not reconcile with the query
-# counters.
+# horizon. The sweep's check (engine.Audit) fails the run on any stale
+# read or a span accounting identity that does not reconcile with the
+# query counters.
 spans-smoke:
 	rm -rf results-spans && mkdir -p results-spans
 	$(GO) run ./cmd/mobisim -scheme aaw -chaos 3 -simtime 4000 \
@@ -95,14 +82,14 @@ spans-smoke:
 	$(GO) run ./cmd/experiments -figure ext-aoi -simtime 4000 -out results-spans
 
 # Population pass: the digest oracle (all seven schemes × every
-# adversarial layer, plus warmup, per-interval and spans cells, each
-# checked against the digest table recorded from the retired process
-# path), then a 100k-client scale run with its per-interval timeline CSV
+# adversarial layer, plus warmup, per-interval and spans cells, and the
+# multi-cell table, each checked against the digests recorded from the
+# retired process path), then a 100k-client scale run with its per-interval timeline CSV
 # in results-agg/. The bitmap fuzzer gets a short native run alongside
 # the codec fuzzers.
 agg-smoke:
 	rm -rf results-agg && mkdir -p results-agg
-	$(GO) test -run 'TestAggregate' ./internal/engine
+	$(GO) test -run 'TestAggregate|TestMulticellDigests' ./internal/engine
 	$(GO) run ./cmd/mobisim -scheme aaw -clients 100000 -db 1000 -buffer 0.01 \
 		-simtime 1000 -think 2000 -uplink 1000000 -downlink 1000000 \
 		-timeline results-agg/scale-timeline.csv -manifest results-agg/scale.json

@@ -332,11 +332,7 @@ func run(args []string, out *os.File) error {
 			return err
 		}
 	}
-	if r.ConsistencyViolations > 0 {
-		return fmt.Errorf("%d consistency violations; first: %v",
-			r.ConsistencyViolations, r.FirstViolation)
-	}
-	return nil
+	return engine.Audit(r)
 }
 
 // jsonResults is the flat, marshalable view of a run (Config holds
@@ -438,6 +434,9 @@ type jsonResults struct {
 	AoIP50     float64       `json:"aoi_p50_s,omitempty"`
 	AoIP95     float64       `json:"aoi_p95_s,omitempty"`
 	AoIP99     float64       `json:"aoi_p99_s,omitempty"`
+
+	Handoffs int64              `json:"handoffs,omitempty"`
+	PerCell  []engine.CellStats `json:"per_cell,omitempty"`
 
 	MeasuredTime          float64 `json:"measured_time_s"`
 	Events                uint64  `json:"events"`
@@ -548,6 +547,8 @@ func toJSONResults(r *engine.Results) jsonResults {
 		AoIP95:     r.AoIP95,
 		AoIP99:     r.AoIP99,
 
+		Handoffs:              r.Handoffs,
+		PerCell:               r.PerCell,
 		MeasuredTime:          r.MeasuredTime,
 		Events:                r.Events,
 		PeakEventQueue:        r.PeakEventQueue,
@@ -610,9 +611,8 @@ func runMulti(out *os.File, c engine.Config, count, workers int, root uint64, js
 	}
 
 	for _, r := range results {
-		if r.ConsistencyViolations > 0 {
-			return fmt.Errorf("seed %d: %d consistency violations; first: %v",
-				r.Config.Seed, r.ConsistencyViolations, r.FirstViolation)
+		if err := engine.Audit(r); err != nil {
+			return fmt.Errorf("seed %d: %w", r.Config.Seed, err)
 		}
 	}
 	return nil

@@ -50,15 +50,15 @@ func Example_compare() {
 // The multi-cell extension: hosts migrate between stations while powered
 // off, and the schemes keep their guarantees across handoffs.
 func Example_multicell() {
-	cfg := mobicache.DefaultMulticellConfig()
-	cfg.Base.SimTime = 5000
-	cfg.Base.MeanDisc = 400
-	cfg.Base.ProbDisc = 0.4
-	cfg.Base.ConsistencyCheck = true
+	cfg := mobicache.DefaultConfig()
+	cfg.SimTime = 5000
+	cfg.MeanDisc = 400
+	cfg.ProbDisc = 0.4
+	cfg.ConsistencyCheck = true
 	cfg.Cells = 3
 	cfg.MoveProb = 0.5
 
-	res, err := mobicache.RunMulticell(cfg)
+	res, err := mobicache.Run(cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -20,16 +20,16 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tqueries\thandoffs\tsalvages\tdrops\thit ratio")
 	for _, scheme := range []string{"aaw", "afw", "ts-check", "bs"} {
-		cfg := mobicache.DefaultMulticellConfig()
-		cfg.Base.Scheme = scheme
-		cfg.Base.SimTime = 20000
-		cfg.Base.MeanDisc = 1000 // sleeps reach well past the window
-		cfg.Base.ProbDisc = 0.3
-		cfg.Base.ConsistencyCheck = true
+		cfg := mobicache.DefaultConfig()
+		cfg.Scheme = scheme
+		cfg.SimTime = 20000
+		cfg.MeanDisc = 1000 // sleeps reach well past the window
+		cfg.ProbDisc = 0.3
+		cfg.ConsistencyCheck = true
 		cfg.Cells = 4
 		cfg.MoveProb = 0.5 // half of all wake-ups happen in a new cell
 
-		res, err := mobicache.RunMulticell(cfg)
+		res, err := mobicache.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

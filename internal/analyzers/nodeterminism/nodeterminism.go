@@ -23,7 +23,6 @@ var Restricted = []string{
 	"internal/engine",
 	"internal/server",
 	"internal/workload",
-	"internal/multicell",
 	"internal/netsim",
 	"internal/faults",
 	"internal/delivery",

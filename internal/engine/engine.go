@@ -1,7 +1,9 @@
-// Package engine assembles one complete simulation run: the kernel, the
-// shared downlink and uplink channels, the server with its update stream,
-// and the population of mobile clients — the system of paper §4. Config
-// mirrors Table 1; Run executes the simulation and gathers Results.
+// Package engine assembles one complete simulation run: the kernel, one
+// mobile support station per cell (a downlink, an uplink and a server
+// over the shared database, cell 0's carrying the update stream), and
+// the population of mobile clients — the system of paper §4, extended to
+// §2's several cells. Config mirrors Table 1; Run executes the simulation
+// and gathers Results; Audit checks them.
 package engine
 
 import (
@@ -33,8 +35,21 @@ type Config struct {
 	// Scheme names the invalidation method (core registry: "ts",
 	// "ts-check", "at", "bs", "afw", "aaw").
 	Scheme string
-	// Clients is the number of mobile hosts in the cell.
+	// Clients is the number of mobile hosts, placed round-robin over the
+	// cells (client i starts in cell i mod Cells).
 	Clients int
+	// Cells is the number of cells, each covered by its own mobile
+	// support station: a downlink, an uplink and a server broadcasting on
+	// the common schedule from the replicated database (paper §2). One
+	// cell is the paper's evaluated model. With more, the layers that
+	// wire one channel or one server are rejected by Validate.
+	Cells int `json:",omitempty"`
+	// MoveProb is the probability that a host wakes from a disconnection
+	// in a uniformly chosen different cell — a handoff, made while no
+	// fetch or validity exchange is in flight. Ignored with one cell.
+	// Both tags keep the JSON of a zeroed Config, which every recorded
+	// result digest hashes, as it was before the fields existed.
+	MoveProb float64 `json:",omitempty"`
 	// DBSize is the number of database items.
 	DBSize int
 	// ItemBits is the downlink size of one data item. Table 1 says
@@ -166,14 +181,15 @@ type SpanOptions struct {
 	Keep bool
 }
 
-// Default returns Table 1's settings with the UNIFORM workload: 100
-// clients, 10000-item database, 2% buffers, L=20 s, w=10, symmetric
+// Default returns Table 1's settings with the UNIFORM workload: one cell
+// of 100 clients, 10000-item database, 2% buffers, L=20 s, w=10, symmetric
 // 10 kbit/s channels, 100 s think and update interarrival, disconnection
 // probability 0.1 with 4000 s mean, 100000 s horizon.
 func Default() Config {
 	return Config{
 		Scheme:           "aaw",
 		Clients:          100,
+		Cells:            1,
 		DBSize:           10000,
 		ItemBits:         8192,
 		BufferPct:        0.02,
@@ -207,6 +223,13 @@ func (c Config) Validate() error {
 	switch {
 	case c.Clients <= 0:
 		return fmt.Errorf("engine: need at least one client")
+	case c.Cells < 1:
+		return fmt.Errorf("engine: need at least one cell")
+	case c.Cells >= moveStream:
+		// Cell i's server draws from stream i, below the mobility stream.
+		return fmt.Errorf("engine: %d cells, want fewer than %d", c.Cells, moveStream)
+	case c.MoveProb < 0 || c.MoveProb > 1:
+		return fmt.Errorf("engine: invalid move probability %v", c.MoveProb)
 	case c.DBSize < 2:
 		return fmt.Errorf("engine: database too small (%d)", c.DBSize)
 	case c.Period <= 0 || c.WindowIntervals <= 0:
@@ -241,6 +264,28 @@ func (c Config) Validate() error {
 		float64(c.WindowIntervals)*c.Period); err != nil {
 		return err
 	}
+	if c.Cells > 1 {
+		// Each of these wires one channel or one server, and the crash,
+		// uplink-loss, delivery and churn streams (2-5) are cells 2-5's
+		// server streams; a per-cell design is future work. The
+		// client-side settings work in every cell as they are.
+		for _, l := range []struct {
+			on   bool
+			name string
+		}{
+			{c.Faults.UpLoss.Enabled(), "Faults.UpLoss"},
+			{c.Faults.CrashMTBF > 0, "Faults.CrashMTBF"},
+			{c.Overload.UpQueueCap > 0 || c.Overload.DownQueueCap > 0, "Overload queue caps"},
+			{c.Overload.ServerPendingCap > 0 || c.Overload.Coalesce, "Overload admission control"},
+			{c.Delivery.Enabled(), "Delivery"},
+			{c.Churn.Enabled(), "Churn"},
+			{c.Metrics != nil, "Metrics"},
+		} {
+			if l.on {
+				return fmt.Errorf("engine: %s needs a single cell, have %d", l.name, c.Cells)
+			}
+		}
+	}
 	if _, err := core.Lookup(c.Scheme); err != nil {
 		return err
 	}
@@ -270,7 +315,17 @@ func (v Violation) String() string {
 		v.Client, v.Item, v.Served, v.Tlb, v.Correct)
 }
 
-// Results aggregates one run.
+// CellStats summarizes one cell of a multi-cell run.
+type CellStats struct {
+	// QueriesAnswered attributes each client's answered queries to the
+	// cell it resides in at the horizon.
+	QueriesAnswered int64
+	DownUtilization float64
+	ReportsSent     map[string]int64
+}
+
+// Results aggregates one run. Channel and server counters are summed over
+// the cells, and the utilizations are the mean over the cells.
 type Results struct {
 	Config Config
 
@@ -379,6 +434,12 @@ type Results struct {
 	// MeasuredTime is the span statistics cover (SimTime - Warmup).
 	MeasuredTime float64
 
+	// Multi-cell (zero and nil with one cell, so single-cell digests are
+	// unchanged). Handoffs counts the cell changes at wake-up; PerCell
+	// holds one entry per cell.
+	Handoffs int64       `json:",omitempty"`
+	PerCell  []CellStats `json:",omitempty"`
+
 	// Span/AoI observability (nil and zero unless Config.Spans is set).
 	// Spans is the assembled span digest: terminal-outcome counts
 	// satisfying the accounting identity, per-phase latency percentiles,
@@ -398,6 +459,17 @@ type Results struct {
 	PeakEventQueue        int
 	ConsistencyViolations int64
 	FirstViolation        *Violation
+}
+
+// moveStream is the root RNG stream of host mobility. Cell i's server
+// owns stream i, so the cell count stays below it.
+const moveStream = 999
+
+// cell is one mobile support station: its own downlink and uplink, and a
+// server broadcasting from the shared database.
+type cell struct {
+	down, up *netsim.Channel
+	srv      *server.Server
 }
 
 // Run executes the simulation described by c.
@@ -454,27 +526,35 @@ func Run(c Config) (*Results, error) {
 	k := sim.New()
 	root := rng.New(c.Seed)
 	d := db.New(c.DBSize, c.ConsistencyCheck)
-	down := netsim.NewChannel(k, "downlink", c.DownlinkBps)
-	up := netsim.NewChannel(k, "uplink", c.UplinkBps)
 
 	var crashRNG *rng.Source
 	if c.Faults.CrashMTBF > 0 {
 		crashRNG = root.Split(2)
 	}
-	srv := server.New(k, d, down, server.Config{
-		Scheme:                 scheme.NewServer(params),
-		Params:                 params,
-		ItemBits:               c.ItemBits,
-		UpdateAccess:           c.Workload.Update,
-		UpdateItems:            c.Workload.UpdateItems,
-		MeanUpdateInterarrival: c.MeanUpdate,
-		Tracer:                 c.Trace,
-		CrashMTBF:              c.Faults.CrashMTBF,
-		CrashMTTR:              c.Faults.CrashMTTR,
-		CrashRNG:               crashRNG,
-		PendingCap:             c.Overload.ServerPendingCap,
-		Coalesce:               c.Overload.Coalesce,
-	}, root.Split(0))
+	// One station per cell, each broadcasting from the shared database;
+	// cell i's server draws from root.Split(i). The single-cell layers
+	// below wire cell 0 (Validate rejects them with more cells).
+	cells := make([]cell, c.Cells)
+	for i := range cells {
+		ce := &cells[i]
+		ce.down = netsim.NewChannel(k, "downlink", c.DownlinkBps)
+		ce.up = netsim.NewChannel(k, "uplink", c.UplinkBps)
+		ce.srv = server.New(k, d, ce.down, server.Config{
+			Scheme:                 scheme.NewServer(params),
+			Params:                 params,
+			ItemBits:               c.ItemBits,
+			UpdateAccess:           c.Workload.Update,
+			UpdateItems:            c.Workload.UpdateItems,
+			MeanUpdateInterarrival: c.MeanUpdate,
+			Tracer:                 c.Trace,
+			CrashMTBF:              c.Faults.CrashMTBF,
+			CrashMTTR:              c.Faults.CrashMTTR,
+			CrashRNG:               crashRNG,
+			PendingCap:             c.Overload.ServerPendingCap,
+			Coalesce:               c.Overload.Coalesce,
+		}, root.Split(uint64(i)))
+	}
+	down, up, srv := cells[0].down, cells[0].up, cells[0].srv
 
 	// Bounded channel queues: deterministic tail-drop at admission,
 	// surfaced as rejections to senders and traced as ChannelShed events.
@@ -544,7 +624,13 @@ func Run(c Config) (*Results, error) {
 
 	respHist := stats.NewHistogram(0, 4*c.MeanThink+40*c.Period, 512)
 
-	pop := population.New(k, up, srv, population.Config{
+	// Mobility: a waking host moves to a uniformly chosen other cell with
+	// probability MoveProb, drawn from its own stream (no draw with one
+	// cell). where maps client id to its current cell.
+	moveRNG := root.Split(moveStream)
+	where := make([]int, c.Clients)
+	var pop *population.Population
+	pop = population.New(k, up, srv, population.Config{
 		Clients:          c.Clients,
 		Side:             scheme.NewClient(params),
 		Params:           params,
@@ -569,6 +655,21 @@ func Run(c Config) (*Results, error) {
 		// delivery layer is enabled.
 		FenceSeq:    adv != nil,
 		SkewEpsilon: c.Delivery.Epsilon,
+		OnWake: func(i int) {
+			if c.Cells < 2 || !moveRNG.Bool(c.MoveProb) {
+				return
+			}
+			old := where[i]
+			next := moveRNG.Intn(c.Cells - 1)
+			if next >= old {
+				next++
+			}
+			cells[old].srv.Detach(int32(i))
+			cells[next].srv.Attach(pop.Handle(i))
+			pop.Reattach(i, cells[next].up, cells[next].srv)
+			where[i] = next
+			res.Handoffs++
+		},
 	}, root)
 	for i := 0; i < c.Clients; i++ {
 		// Clock errors are drawn in client index order, interleaved with
@@ -582,7 +683,10 @@ func Run(c Config) (*Results, error) {
 					Client: int32(i), A: int64(clk.Offset * 1e6), B: int64(clk.Drift * 1e9)})
 			}
 		}
-		srv.Attach(pop.Handle(i))
+		where[i] = i % c.Cells
+		home := &cells[where[i]]
+		pop.Reattach(i, home.up, home.srv)
+		home.srv.Attach(pop.Handle(i))
 		pop.StartClient(i)
 	}
 	// The population adversary attaches to the built client population;
@@ -597,7 +701,13 @@ func Run(c Config) (*Results, error) {
 		churnAdv.Attach(c.CacheCapacity(), hosts...)
 		churnAdv.Start()
 	}
+	// Cell 0's station applies the update stream to the shared database
+	// (and runs the crash process); every station broadcasts on the same
+	// schedule.
 	srv.Start()
+	for _, ce := range cells[1:] {
+		ce.srv.StartBroadcast()
+	}
 	wireSystemMetrics(c, k, srv, down, up, pop)
 
 	// Batch-means sampler: per-interval query completions, batched into
@@ -621,9 +731,11 @@ func Run(c Config) (*Results, error) {
 	if c.Warmup > 0 {
 		k.At(c.Warmup, func() {
 			pop.ResetStats()
-			srv.ResetStats()
-			down.ResetStats()
-			up.ResetStats()
+			for _, ce := range cells {
+				ce.srv.ResetStats()
+				ce.down.ResetStats()
+				ce.up.ResetStats()
+			}
 			adv.ResetStats()
 			churnAdv.ResetStats()
 			*respHist = *stats.NewHistogram(respHist.Lo, respHist.Hi, respHist.Bins())
@@ -632,6 +744,7 @@ func Run(c Config) (*Results, error) {
 			}
 			res.UplinkMsgsLost = 0
 			res.UplinkMsgsCorrupted = 0
+			res.Handoffs = 0
 			// Restart the batch-means sampler from the warmed-up state.
 			prevCompleted = 0
 			batch = stats.NewBatchMeans(50)
@@ -646,8 +759,14 @@ func Run(c Config) (*Results, error) {
 	// happens in one fixed order.
 	var resp stats.Tally
 	var aoiSum float64
+	if c.Cells > 1 {
+		res.PerCell = make([]CellStats, c.Cells)
+	}
 	for i := 0; i < c.Clients; i++ {
 		cnt, st := pop.Count(i), pop.State(i)
+		if res.PerCell != nil {
+			res.PerCell[where[i]].QueriesAnswered += cnt.QueriesAnswered
+		}
 		res.AoISamples += cnt.AoISamples
 		aoiSum += cnt.AoISum
 		res.QueriesAnswered += cnt.QueriesAnswered
@@ -705,20 +824,42 @@ func Run(c Config) (*Results, error) {
 	if total := res.CacheHits + res.CacheMisses; total > 0 {
 		res.HitRatio = float64(res.CacheHits) / float64(total)
 	}
-	for kind, n := range srv.ReportsSent {
-		res.ReportsSent[kind.String()] = n
+	for i := range cells {
+		ce := &cells[i]
+		for kind, n := range ce.srv.ReportsSent {
+			res.ReportsSent[kind.String()] += n
+		}
+		for kind, bits := range ce.srv.ReportBits {
+			res.ReportBits[kind.String()] += bits
+		}
+		res.IROverruns += ce.srv.IROverruns
+		res.CoalescedFetches += ce.srv.CoalescedFetches
+		res.BusyReplies += ce.srv.BusyReplies
+		res.RepliesShed += ce.srv.RepliesShed
+		res.ServerCrashes += ce.srv.Crashes
+		res.ServerDowntime += ce.srv.Downtime
+		res.UpShedMsgs += ce.up.TotalShed()
+		res.DownShedMsgs += ce.down.TotalShed()
+		res.UpPeakQueue = max(res.UpPeakQueue, ce.up.MaxQueuedLow())
+		res.DownPeakQueue = max(res.DownPeakQueue, ce.down.MaxQueuedLow())
+		res.DownReportBits += ce.down.Bits(netsim.ClassReport)
+		res.DownControlBits += ce.down.Bits(netsim.ClassControl)
+		res.DownDataBits += ce.down.Bits(netsim.ClassData)
+		res.UpControlBits += ce.up.Bits(netsim.ClassControl)
+		res.UpDataBits += ce.up.Bits(netsim.ClassData)
+		res.DownUtilization += ce.down.Utilization(measured)
+		res.UpUtilization += ce.up.Utilization(measured)
+		if res.PerCell != nil {
+			cs := &res.PerCell[i]
+			cs.DownUtilization = ce.down.Utilization(measured)
+			cs.ReportsSent = make(map[string]int64)
+			for kind, n := range ce.srv.ReportsSent {
+				cs.ReportsSent[kind.String()] = n
+			}
+		}
 	}
-	for kind, bits := range srv.ReportBits {
-		res.ReportBits[kind.String()] = bits
-	}
-	res.IROverruns = srv.IROverruns
-	res.CoalescedFetches = srv.CoalescedFetches
-	res.BusyReplies = srv.BusyReplies
-	res.RepliesShed = srv.RepliesShed
-	res.UpShedMsgs = up.TotalShed()
-	res.DownShedMsgs = down.TotalShed()
-	res.UpPeakQueue = up.MaxQueuedLow()
-	res.DownPeakQueue = down.MaxQueuedLow()
+	res.DownUtilization /= float64(c.Cells)
+	res.UpUtilization /= float64(c.Cells)
 	if adv != nil {
 		res.Partitions = adv.Partitions
 		res.PartitionDrops = adv.PartitionDrops()
@@ -730,21 +871,13 @@ func Run(c Config) (*Results, error) {
 		res.Storms = churnAdv.Storms
 		res.PacedResumes = churnAdv.PacedResumes
 	}
-	res.ServerCrashes = srv.Crashes
-	res.ServerDowntime = srv.Downtime
+	// Crashes run in cell 0 only (Validate).
 	if srv.RecoveryLatency.N() > 0 {
 		res.MeanRecoveryLatency = srv.RecoveryLatency.Mean()
 	}
 	if res.QueriesAnswered > 0 {
 		res.RetriesPerQuery = float64(res.Retries) / float64(res.QueriesAnswered)
 	}
-	res.DownReportBits = down.Bits(netsim.ClassReport)
-	res.DownControlBits = down.Bits(netsim.ClassControl)
-	res.DownDataBits = down.Bits(netsim.ClassData)
-	res.UpControlBits = up.Bits(netsim.ClassControl)
-	res.UpDataBits = up.Bits(netsim.ClassData)
-	res.DownUtilization = down.Utilization(measured)
-	res.UpUtilization = up.Utilization(measured)
 	if batch.Batches() >= 2 {
 		intervals := measured / c.Period
 		res.ThroughputCI95 = batch.CI95() * intervals

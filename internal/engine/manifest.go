@@ -28,8 +28,10 @@ import (
 // 6 = added the aggregate flag, which recorded which of two client
 // representations ran. One representation remains, so the flag is no
 // longer written; encoding/json skips the key when a v6 file that
-// carries it is read, and the file replays unchanged.
-const ManifestSchemaVersion = 6
+// carries it is read, and the file replays unchanged; 7 = added cells
+// and move_prob (a file without them is a single-cell run and replays as
+// one).
+const ManifestSchemaVersion = 7
 
 // Manifest is the reproducibility record of one run: every knob needed
 // to re-execute it bit-identically (scheme, workload, seed, all Config
@@ -47,6 +49,8 @@ type Manifest struct {
 	Workload         string          `json:"workload"`
 	Seed             uint64          `json:"seed"`
 	Clients          int             `json:"clients"`
+	Cells            int             `json:"cells"`
+	MoveProb         float64         `json:"move_prob"`
 	DBSize           int             `json:"db_size"`
 	ItemBits         float64         `json:"item_bits"`
 	BufferPct        float64         `json:"buffer_pct"`
@@ -107,6 +111,8 @@ func NewManifest(r *Results) *Manifest {
 		Workload:           c.Workload.Name,
 		Seed:               c.Seed,
 		Clients:            c.Clients,
+		Cells:              c.Cells,
+		MoveProb:           c.MoveProb,
 		DBSize:             c.DBSize,
 		ItemBits:           c.ItemBits,
 		BufferPct:          c.BufferPct,
@@ -169,10 +175,16 @@ func (m *Manifest) EngineConfig() (Config, error) {
 	if m.SpansEnabled {
 		spans = &SpanOptions{}
 	}
+	cells := m.Cells
+	if cells == 0 { // written before schema 7: one cell
+		cells = 1
+	}
 	return Config{
 		Spans:            spans,
 		Scheme:           m.Scheme,
 		Clients:          m.Clients,
+		Cells:            cells,
+		MoveProb:         m.MoveProb,
 		DBSize:           m.DBSize,
 		ItemBits:         m.ItemBits,
 		BufferPct:        m.BufferPct,

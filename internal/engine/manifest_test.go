@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,22 +103,33 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestV6AggregateKeyDecodes replays a schema-6 file written when
-// the manifest still recorded the client representation: the obsolete
-// "aggregate" key is skipped on decode and the run still verifies.
-func TestManifestV6AggregateKeyDecodes(t *testing.T) {
-	r, err := Run(manifestConfig())
+// asV6 renders m the way schema 6 wrote it: version 6 and no cells or
+// move_prob keys (added in 7), with extra keys merged in.
+func asV6(t *testing.T, m *Manifest, extra map[string]json.RawMessage) string {
+	t.Helper()
+	b, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := NewManifest(r).WriteJSON(&buf); err != nil {
+	var kv map[string]json.RawMessage
+	if err := json.Unmarshal(b, &kv); err != nil {
 		t.Fatal(err)
 	}
-	v6 := strings.Replace(buf.String(), `"report_loss_prob"`, `"aggregate": true, "report_loss_prob"`, 1)
-	if !strings.Contains(v6, `"aggregate": true`) || !strings.Contains(v6, `"schema_version": 6`) {
-		t.Fatalf("fixture is not a v6 manifest with the aggregate key:\n%s", v6)
+	delete(kv, "cells")
+	delete(kv, "move_prob")
+	kv["schema_version"] = json.RawMessage("6")
+	for k, v := range extra {
+		kv[k] = v
 	}
+	if b, err = json.Marshal(kv); err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// replayV6 reads a schema-6 file, replays it, and verifies the digest.
+func replayV6(t *testing.T, v6 string) Config {
+	t.Helper()
 	m, err := ReadManifest(strings.NewReader(v6))
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +138,88 @@ func TestManifestV6AggregateKeyDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(c)
+	r, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyReplay(r); err != nil {
+		t.Fatalf("v6 manifest did not replay: %v", err)
+	}
+	return c
+}
+
+// TestManifestV6AggregateKeyDecodes replays a schema-6 file written when
+// the manifest still recorded the client representation: the obsolete
+// "aggregate" key is skipped on decode and the run still verifies.
+func TestManifestV6AggregateKeyDecodes(t *testing.T) {
+	r, err := Run(manifestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v6 := asV6(t, NewManifest(r), map[string]json.RawMessage{"aggregate": json.RawMessage("true")})
+	if !strings.Contains(v6, `"aggregate":true`) || !strings.Contains(v6, `"schema_version":6`) {
+		t.Fatalf("fixture is not a v6 manifest with the aggregate key:\n%s", v6)
+	}
+	replayV6(t, v6)
+}
+
+// TestManifestV6ReplaysAsOneCell: a file written before the cell count
+// was recorded has no cells key and replays as the single cell it ran.
+func TestManifestV6ReplaysAsOneCell(t *testing.T) {
+	r, err := Run(manifestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v6 := asV6(t, NewManifest(r), nil)
+	if strings.Contains(v6, `"cells"`) || strings.Contains(v6, `"move_prob"`) {
+		t.Fatalf("fixture carries schema-7 keys:\n%s", v6)
+	}
+	if c := replayV6(t, v6); c.Cells != 1 || c.MoveProb != 0 {
+		t.Fatalf("v6 manifest replayed as %d cells, move prob %v", c.Cells, c.MoveProb)
+	}
+}
+
+// TestManifestMulticellRoundTrip: a multi-cell run's manifest rebuilds
+// the same Config and replays to the recorded digest.
+func TestManifestMulticellRoundTrip(t *testing.T) {
+	c := multicellConfig()
+	c.Cells = 3
+	c.MoveProb = 0.5
+	c.Workload = workload.HotCold(c.DBSize)
+	r, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := NewManifest(r).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Workload.Name != c.Workload.Name {
+		t.Fatalf("workload %q, want %q", got.Workload.Name, c.Workload.Name)
+	}
+	got.Workload, c.Workload = workload.Workload{}, workload.Workload{}
+	if !reflect.DeepEqual(got, c) {
+		t.Fatalf("manifest config diverged:\nran     %+v\nreplays %+v", c, got)
+	}
+	got.Workload = workload.HotCold(got.DBSize)
+	r2, err := Run(got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.VerifyReplay(r2); err != nil {
-		t.Fatalf("v6 manifest with the aggregate key did not replay: %v", err)
+		t.Fatal(err)
+	}
+	if r2.Handoffs != r.Handoffs || len(r2.PerCell) != 3 {
+		t.Fatalf("replay ran %d cells with %d handoffs, recorded 3 with %d",
+			len(r2.PerCell), r2.Handoffs, r.Handoffs)
 	}
 }
 

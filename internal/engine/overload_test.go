@@ -30,26 +30,20 @@ func guardrails(c *Config) {
 	}
 }
 
-// checkAccounting asserts the exact degradation identity: every issued
-// query is answered, timed out at its deadline, shed outright, or still
-// open at the horizon — nothing is lost or double-counted. All five
-// numbers come from independent counters, so the check is not
-// tautological.
+// checkAccounting asserts Audit's identities (every issued query
+// answered, timed out, shed or still open; queue peaks within their caps;
+// the churn reconciliations) plus two per-client bounds: at most one open
+// query and one crashed process per client.
 func checkAccounting(t *testing.T, scheme string, r *Results) {
 	t.Helper()
-	got := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight
-	if r.QueriesIssued != got {
-		t.Fatalf("%s: accounting identity broken: issued=%d != answered=%d + timed_out=%d + shed=%d + in_flight=%d",
-			scheme, r.QueriesIssued, r.QueriesAnswered, r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight)
+	if err := Audit(r); err != nil {
+		t.Fatal(err)
 	}
 	if r.QueriesInFlight < 0 || r.QueriesInFlight > int64(r.Config.Clients) {
 		t.Fatalf("%s: %d queries in flight with %d clients", scheme, r.QueriesInFlight, r.Config.Clients)
 	}
-	if cap := r.Config.Overload.UpQueueCap; cap > 0 && r.UpPeakQueue > cap {
-		t.Fatalf("%s: uplink peak queue %d exceeds cap %d", scheme, r.UpPeakQueue, cap)
-	}
-	if cap := r.Config.Overload.DownQueueCap; cap > 0 && r.DownPeakQueue > cap {
-		t.Fatalf("%s: downlink peak queue %d exceeds cap %d", scheme, r.DownPeakQueue, cap)
+	if r.CrashedAtEnd < 0 || r.CrashedAtEnd > int64(r.Config.Clients) {
+		t.Fatalf("%s: %d clients down at end with %d clients", scheme, r.CrashedAtEnd, r.Config.Clients)
 	}
 }
 

@@ -87,12 +87,8 @@ func TestSpanIdentityAllSchemes(t *testing.T) {
 		if r.Spans == nil {
 			t.Fatalf("%s: no span summary", scheme)
 		}
-		if err := r.Spans.Identity(r.QueriesIssued, r.QueriesAnswered,
-			r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight); err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if r.Spans.MaxResidual > 1e-6 {
-			t.Fatalf("%s: phase decomposition residual %g s", scheme, r.Spans.MaxResidual)
+		if err := Audit(r); err != nil {
+			t.Fatal(err)
 		}
 		if r.Spans.TotalP50 <= 0 || r.Spans.TotalP95 < r.Spans.TotalP50 {
 			t.Fatalf("%s: span latency percentiles out of order: p50=%v p95=%v",
@@ -207,8 +203,7 @@ func TestSpanTracerCoexists(t *testing.T) {
 		t.Fatalf("user tracer counted %d completions, results say %d",
 			tr.Count(trace.QueryDone), r.QueriesAnswered)
 	}
-	if err := r.Spans.Identity(r.QueriesIssued, r.QueriesAnswered,
-		r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight); err != nil {
+	if err := Audit(r); err != nil {
 		t.Fatal(err)
 	}
 

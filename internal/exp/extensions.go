@@ -123,12 +123,17 @@ func ChaosFaults(level float64) faults.Config {
 	return f
 }
 
-// chaosCheck is the ext-chaos acceptance bar: the consistency checker must
-// see zero stale reads no matter how hard the faults hit.
-func chaosCheck(r *engine.Results) error {
-	if r.ConsistencyViolations > 0 {
-		return fmt.Errorf("chaos: %s served %d stale read(s); first: %v",
-			r.Config.Scheme, r.ConsistencyViolations, r.FirstViolation)
+// auditCheck is the acceptance bar of the adversary sweeps (ext-chaos,
+// ext-overload, ext-delivery, ext-churn and ext-aoi), applied to every
+// run at every level: engine.Audit — zero stale reads and every
+// accounting identity — plus a collapse guard, since work must still
+// complete however hard the adversary hits.
+func auditCheck(r *engine.Results) error {
+	if err := engine.Audit(r); err != nil {
+		return err
+	}
+	if r.QueriesAnswered == 0 {
+		return fmt.Errorf("%s collapsed (nothing answered)", r.Config.Scheme)
 	}
 	return nil
 }
@@ -146,136 +151,11 @@ func OverloadGuardrails(c *engine.Config) {
 	}
 }
 
-// overloadCheck is the ext-overload acceptance bar, applied to every run
-// at every offered-load multiple: zero stale reads, exact accounting
-// (issued == answered + timed_out + shed + in_flight), queue populations
-// bounded by the configured caps, and no collapse (work still completes
-// at 8x capacity).
-func overloadCheck(r *engine.Results) error {
-	if r.ConsistencyViolations > 0 {
-		return fmt.Errorf("overload: %s served %d stale read(s); first: %v",
-			r.Config.Scheme, r.ConsistencyViolations, r.FirstViolation)
-	}
-	balance := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight
-	if r.QueriesIssued != balance {
-		return fmt.Errorf("overload: %s accounting identity broken: issued=%d != answered=%d + timed_out=%d + shed=%d + in_flight=%d",
-			r.Config.Scheme, r.QueriesIssued, r.QueriesAnswered, r.QueriesTimedOut,
-			r.QueriesShed, r.QueriesInFlight)
-	}
-	if cap := r.Config.Overload.UpQueueCap; r.UpPeakQueue > cap {
-		return fmt.Errorf("overload: %s uplink peak queue %d exceeds cap %d",
-			r.Config.Scheme, r.UpPeakQueue, cap)
-	}
-	if cap := r.Config.Overload.DownQueueCap; r.DownPeakQueue > cap {
-		return fmt.Errorf("overload: %s downlink peak queue %d exceeds cap %d",
-			r.Config.Scheme, r.DownPeakQueue, cap)
-	}
-	if r.QueriesAnswered == 0 {
-		return fmt.Errorf("overload: %s collapsed (nothing answered)", r.Config.Scheme)
-	}
-	return nil
-}
-
-// deliveryCheck is the ext-delivery acceptance bar, applied to every run
-// at every severity level: zero stale reads no matter how the channel
-// reorders, duplicates, jitters, partitions, or how far the clients'
-// clocks drift — and the PR 4 accounting identity intact, since the
-// adversary destroys and postpones uplink exchanges too.
-func deliveryCheck(r *engine.Results) error {
-	if r.ConsistencyViolations > 0 {
-		return fmt.Errorf("delivery: %s served %d stale read(s); first: %v",
-			r.Config.Scheme, r.ConsistencyViolations, r.FirstViolation)
-	}
-	balance := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight
-	if r.QueriesIssued != balance {
-		return fmt.Errorf("delivery: %s accounting identity broken: issued=%d != answered=%d + timed_out=%d + shed=%d + in_flight=%d",
-			r.Config.Scheme, r.QueriesIssued, r.QueriesAnswered, r.QueriesTimedOut,
-			r.QueriesShed, r.QueriesInFlight)
-	}
-	if r.QueriesAnswered == 0 {
-		return fmt.Errorf("delivery: %s collapsed (nothing answered)", r.Config.Scheme)
-	}
-	return nil
-}
-
-// churnCheck is the ext-churn acceptance bar, applied to every run at
-// every severity level: zero stale reads no matter how the population
-// storms, crashes and restores persisted snapshots — plus the PR 4
-// query identity and the churn accounting identities (every forced
-// disconnection and every crash reconciled against its restart).
-func churnCheck(r *engine.Results) error {
-	if r.ConsistencyViolations > 0 {
-		return fmt.Errorf("churn: %s served %d stale read(s); first: %v",
-			r.Config.Scheme, r.ConsistencyViolations, r.FirstViolation)
-	}
-	balance := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight
-	if r.QueriesIssued != balance {
-		return fmt.Errorf("churn: %s accounting identity broken: issued=%d != answered=%d + timed_out=%d + shed=%d + in_flight=%d",
-			r.Config.Scheme, r.QueriesIssued, r.QueriesAnswered, r.QueriesTimedOut,
-			r.QueriesShed, r.QueriesInFlight)
-	}
-	if r.Disconnections != r.StormDisconnects+r.SoloDisconnects {
-		return fmt.Errorf("churn: %s disconnect identity broken: total=%d != storm=%d + solo=%d",
-			r.Config.Scheme, r.Disconnections, r.StormDisconnects, r.SoloDisconnects)
-	}
-	if r.ClientCrashes != r.RestartsWarm+r.RestartsCold+r.CrashedAtEnd {
-		return fmt.Errorf("churn: %s crash identity broken: crashes=%d != warm=%d + cold=%d + down_at_end=%d",
-			r.Config.Scheme, r.ClientCrashes, r.RestartsWarm, r.RestartsCold, r.CrashedAtEnd)
-	}
-	if r.SnapshotRejects > r.RestartsCold {
-		return fmt.Errorf("churn: %s rejected %d snapshots but only %d cold restarts",
-			r.Config.Scheme, r.SnapshotRejects, r.RestartsCold)
-	}
-	if r.Salvages < r.RestartsWarm {
-		return fmt.Errorf("churn: %s salvaged %d caches but %d warm restarts",
-			r.Config.Scheme, r.Salvages, r.RestartsWarm)
-	}
-	if r.Drops < r.RestartsCold {
-		return fmt.Errorf("churn: %s dropped %d caches but %d cold restarts",
-			r.Config.Scheme, r.Drops, r.RestartsCold)
-	}
-	if r.QueriesAnswered == 0 {
-		return fmt.Errorf("churn: %s collapsed (nothing answered)", r.Config.Scheme)
-	}
-	return nil
-}
-
-// aoiCheck is the ext-aoi acceptance bar, applied to every run at every
-// chaos level: zero stale reads, the PR 4 query accounting identity, the
-// span accounting identity (every issued query assembled into exactly
-// one terminal span whose outcome matches the client counters), and a
-// phase decomposition that sums to the total latency within float
-// tolerance.
-func aoiCheck(r *engine.Results) error {
-	if r.ConsistencyViolations > 0 {
-		return fmt.Errorf("aoi: %s served %d stale read(s); first: %v",
-			r.Config.Scheme, r.ConsistencyViolations, r.FirstViolation)
-	}
-	balance := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight
-	if r.QueriesIssued != balance {
-		return fmt.Errorf("aoi: %s accounting identity broken: issued=%d != answered=%d + timed_out=%d + shed=%d + in_flight=%d",
-			r.Config.Scheme, r.QueriesIssued, r.QueriesAnswered, r.QueriesTimedOut,
-			r.QueriesShed, r.QueriesInFlight)
-	}
-	if r.Spans == nil {
-		return fmt.Errorf("aoi: %s run carried no span summary", r.Config.Scheme)
-	}
-	if err := r.Spans.Identity(r.QueriesIssued, r.QueriesAnswered,
-		r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight); err != nil {
-		return fmt.Errorf("aoi: %s: %w", r.Config.Scheme, err)
-	}
-	if r.Spans.MaxResidual > 1e-6 {
-		return fmt.Errorf("aoi: %s phase decomposition residual %g s exceeds tolerance",
-			r.Config.Scheme, r.Spans.MaxResidual)
-	}
-	return nil
-}
-
 func init() {
 	// Chaos robustness sweep: compound bursty loss + corruption + server
 	// crash/restart, jointly scaled by the chaos level, for all seven
-	// schemes with the stale-read checker armed. Defined in init (not a
-	// literal) so the Check hook can live next to the family.
+	// schemes with the stale-read checker armed. The audited families
+	// and their figures are registered together here.
 	ExtensionSweeps["ext-chaos"] = &Sweep{
 		ID: "ext-chaos", XLabel: "Chaos Level (burst loss x crash rate)",
 		Xs:      []float64{0, 1, 2, 3, 4},
@@ -288,7 +168,7 @@ func init() {
 			c.Faults = ChaosFaults(x)
 			return c
 		},
-		Check: chaosCheck,
+		Check: auditCheck,
 	}
 	// Overload/soak sweep: offered query load at 1x..8x the uplink's
 	// fetch-request capacity, with the full degradation layer on and the
@@ -312,7 +192,7 @@ func init() {
 			OverloadGuardrails(&c)
 			return c
 		},
-		Check: overloadCheck,
+		Check: auditCheck,
 	}
 	// Adversarial-delivery sweep: reordering, duplication, delay jitter,
 	// asymmetric partitions and clock skew/drift, jointly scaled by the
@@ -340,7 +220,7 @@ func init() {
 			c.Delivery = delivery.Severity(x)
 			return c
 		},
-		Check: deliveryCheck,
+		Check: auditCheck,
 	}
 	// Population-churn sweep: mass-disconnect storms with flash-crowd
 	// reconnection, crash/restart with persisted-snapshot staleness and
@@ -367,7 +247,7 @@ func init() {
 			c.Churn = churn.Severity(x)
 			return c
 		},
-		Check: churnCheck,
+		Check: auditCheck,
 	}
 	// Observability sweep: the span/AoI layer armed for all seven schemes
 	// across the chaos ladder, with the stale-read checker on and both
@@ -389,7 +269,7 @@ func init() {
 			c.Spans = &engine.SpanOptions{}
 			return c
 		},
-		Check: aoiCheck,
+		Check: auditCheck,
 	}
 	Extensions = append(Extensions,
 		Figure{ID: "ext-aoi", Title: "OBSERVABILITY: answer AoI p95 vs compound fault intensity", Sweep: ExtensionSweeps["ext-aoi"], Metric: AoIP95},

@@ -108,9 +108,8 @@ func describe(c engine.Config) string {
 // TestSimulationInvariants is the randomized property suite: across a
 // fixed seed grid of configurations spanning all schemes and the
 // disconnection, update, overload and fault knobs, every run must
-// (a) serve zero stale reads, (b) satisfy the query accounting identity
-// issued == answered + timed_out + shed + in_flight, and (c) report no
-// negative counter anywhere in its Results.
+// (a) pass engine.Audit — zero stale reads and every accounting
+// identity — and (b) report no negative counter anywhere in its Results.
 func TestSimulationInvariants(t *testing.T) {
 	const cases = 24
 	gen := rng.New(20260806)
@@ -121,14 +120,8 @@ func TestSimulationInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (%s): %v", i, describe(c), err)
 		}
-		if r.ConsistencyViolations != 0 {
-			t.Errorf("case %d (%s): %d stale reads; first: %v",
-				i, describe(c), r.ConsistencyViolations, r.FirstViolation)
-		}
-		if got := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight; got != r.QueriesIssued {
-			t.Errorf("case %d (%s): accounting identity broken: issued=%d answered=%d + timedout=%d + shed=%d + inflight=%d = %d",
-				i, describe(c), r.QueriesIssued, r.QueriesAnswered,
-				r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight, got)
+		if err := engine.Audit(r); err != nil {
+			t.Errorf("case %d (%s): %v", i, describe(c), err)
 		}
 		checkNonNegative(t, i, describe(c), r)
 	}
@@ -139,9 +132,9 @@ func TestSimulationInvariants(t *testing.T) {
 // tight overload caps, and population churn — across every scheme. The
 // layers compose (delivery wraps inside the GE verdict; overload
 // shedding races the retry policy; storms and crashes strand exchanges
-// under all of it), and under the full stack the global invariants must
-// still hold: zero stale reads, exact query accounting, and the churn
-// reconciliation identities.
+// under all of it), and under the full stack engine.Audit must still
+// pass: zero stale reads, exact query accounting, the churn
+// reconciliation identities and queue peaks within their caps.
 func TestCompoundChaosInvariants(t *testing.T) {
 	for _, scheme := range core.Names() {
 		c := engine.Default()
@@ -170,28 +163,14 @@ func TestCompoundChaosInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
-		if r.ConsistencyViolations != 0 {
-			t.Errorf("%s: %d stale reads under compound chaos; first: %v",
-				scheme, r.ConsistencyViolations, r.FirstViolation)
-		}
-		if got := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight; got != r.QueriesIssued {
-			t.Errorf("%s: accounting identity broken: issued=%d answered=%d + timedout=%d + shed=%d + inflight=%d = %d",
-				scheme, r.QueriesIssued, r.QueriesAnswered,
-				r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight, got)
+		if err := engine.Audit(r); err != nil {
+			t.Errorf("under compound chaos: %v", err)
 		}
 		if r.DeliveryDelayed == 0 && r.DeliveryDups == 0 && r.Partitions == 0 {
 			t.Errorf("%s: delivery adversary idle under severity 3", scheme)
 		}
 		if r.Storms == 0 && r.ClientCrashes == 0 {
 			t.Errorf("%s: churn adversary idle under severity 3", scheme)
-		}
-		if r.Disconnections != r.StormDisconnects+r.SoloDisconnects {
-			t.Errorf("%s: disconnect identity broken: total=%d != storm=%d + solo=%d",
-				scheme, r.Disconnections, r.StormDisconnects, r.SoloDisconnects)
-		}
-		if r.ClientCrashes != r.RestartsWarm+r.RestartsCold+r.CrashedAtEnd {
-			t.Errorf("%s: crash identity broken: crashes=%d != warm=%d + cold=%d + down_at_end=%d",
-				scheme, r.ClientCrashes, r.RestartsWarm, r.RestartsCold, r.CrashedAtEnd)
 		}
 		checkNonNegative(t, 0, scheme, r)
 	}

@@ -196,3 +196,19 @@ func TestSweepTimelineDir(t *testing.T) {
 		}
 	}
 }
+
+// TestAoISweepArmsSpans: every ext-aoi level arms the span layer and the
+// stale-read checker with no warmup, so the sweep's audit checks the span
+// identity on every run.
+func TestAoISweepArmsSpans(t *testing.T) {
+	sw := ExtensionSweeps["ext-aoi"]
+	for _, x := range sw.Xs {
+		c := sw.Configure(x)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("level %v: %v", x, err)
+		}
+		if c.Spans == nil || !c.ConsistencyCheck || c.Warmup != 0 {
+			t.Fatalf("level %v: spans %v, checker %v, warmup %v", x, c.Spans, c.ConsistencyCheck, c.Warmup)
+		}
+	}
+}

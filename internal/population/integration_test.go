@@ -32,8 +32,8 @@ func run(t *testing.T, c engine.Config) *engine.Results {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ConsistencyViolations != 0 {
-		t.Fatalf("%d stale reads; first: %v", r.ConsistencyViolations, r.FirstViolation)
+	if err := engine.Audit(r); err != nil {
+		t.Fatal(err)
 	}
 	return r
 }
@@ -88,9 +88,6 @@ func TestAggregateUnderOverload(t *testing.T) {
 	if r.QueriesTimedOut == 0 && r.QueriesShed == 0 {
 		t.Fatal("tight caps produced no degradation at all")
 	}
-	if got := r.QueriesAnswered + r.QueriesTimedOut + r.QueriesShed + r.QueriesInFlight; got != r.QueriesIssued {
-		t.Fatalf("accounting identity broken: issued=%d, parts sum to %d", r.QueriesIssued, got)
-	}
 }
 
 func TestAggregateUnderDelivery(t *testing.T) {
@@ -119,9 +116,5 @@ func TestAggregateUnderChurn(t *testing.T) {
 	}
 	if r.RestartsWarm+r.RestartsCold == 0 {
 		t.Fatal("no restart path exercised")
-	}
-	if r.Disconnections != r.StormDisconnects+r.SoloDisconnects {
-		t.Fatalf("disconnect identity broken: total=%d storm=%d solo=%d",
-			r.Disconnections, r.StormDisconnects, r.SoloDisconnects)
 	}
 }

@@ -14,6 +14,10 @@
 //	cfg.Workload = mobicache.HotCold(cfg.DBSize)
 //	res, err := mobicache.Run(cfg)
 //
+// Setting cfg.Cells above 1 runs the multi-cell extension: one station
+// per cell, with hosts moving between cells (cfg.MoveProb) while
+// powered off.
+//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.
 package mobicache
@@ -29,7 +33,6 @@ import (
 	"mobicache/internal/exp"
 	"mobicache/internal/faults"
 	"mobicache/internal/metrics"
-	"mobicache/internal/multicell"
 	"mobicache/internal/overload"
 	"mobicache/internal/span"
 	"mobicache/internal/trace"
@@ -187,18 +190,3 @@ func PlotTimeline(title string, reg *MetricsRegistry, width, height int, cols ..
 	}
 	return t.Plot(width, height), nil
 }
-
-// MulticellConfig describes a multi-cell simulation (see
-// internal/multicell): several mobile support stations over a replicated
-// database, with hosts migrating between cells while powered off.
-type MulticellConfig = multicell.Config
-
-// MulticellResults aggregates a multi-cell run.
-type MulticellResults = multicell.Results
-
-// DefaultMulticellConfig is four cells with 30% mobility per
-// disconnection over the Table 1 base configuration.
-func DefaultMulticellConfig() MulticellConfig { return multicell.DefaultConfig() }
-
-// RunMulticell executes a multi-cell simulation.
-func RunMulticell(c MulticellConfig) (*MulticellResults, error) { return multicell.Run(c) }
