@@ -35,12 +35,14 @@ lint: mobilint
 lint-baseline: mobilint
 	$(MOBILINT) -write-baseline lint.baseline.json ./...
 
-# Short native-fuzz runs: the invalidation-report codec and the workload
-# name parser (manifest round-trip property).
+# Short native-fuzz runs: the invalidation-report codec, the workload
+# name parser (manifest round-trip property), the churn snapshot decoder,
+# and the client cache against its reference LRU.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz='Fuzz.*IR' -fuzztime=10s ./internal/core
 	$(GO) test -run Fuzz -fuzz=FuzzWorkloadParse -fuzztime=10s ./internal/workload
 	$(GO) test -run Fuzz -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/churn
+	$(GO) test -run FuzzCache -fuzz=FuzzCache -fuzztime=10s ./internal/cache
 
 # Adversary pass: the four robustness sweeps at a short horizon, all
 # seven schemes each — ext-chaos (bursty loss + corruption + server
@@ -85,8 +87,7 @@ spans-smoke:
 # adversarial layer, plus warmup, per-interval and spans cells, and the
 # multi-cell table, each checked against the digests recorded from the
 # retired process path), then a 100k-client scale run with its per-interval timeline CSV
-# in results-agg/. The bitmap fuzzer gets a short native run alongside
-# the codec fuzzers.
+# in results-agg/.
 agg-smoke:
 	rm -rf results-agg && mkdir -p results-agg
 	$(GO) test -run 'TestAggregate|TestMulticellDigests' ./internal/engine
@@ -94,7 +95,6 @@ agg-smoke:
 		-simtime 1000 -think 2000 -uplink 1000000 -downlink 1000000 \
 		-timeline results-agg/scale-timeline.csv -manifest results-agg/scale.json
 	head -1 results-agg/scale-timeline.csv | grep -q '^t,' || (echo "bad timeline header" && exit 1)
-	$(GO) test -run FuzzBitmapCache -fuzz=FuzzBitmapCache -fuzztime=10s ./internal/population
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -210,7 +210,7 @@ func BenchmarkReportEncodeTS(b *testing.B) {
 }
 
 func BenchmarkCacheLookupPut(b *testing.B) {
-	c := cache.New(200)
+	c := cache.New(200, 10000)
 	src := rng.New(5)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -57,8 +57,9 @@ var knownHot = map[string][]string{
 	// population is 0 allocs/op; the cache methods ride inside it.
 	"internal/population": {
 		"Handle.DeliverReport", "Population.hold", "Population.wakeIfParked",
-		"BitmapCache.Lookup", "BitmapCache.Peek", "BitmapCache.Put",
-		"BitmapCache.Invalidate", "BitmapCache.TouchAll",
+	},
+	"internal/cache": {
+		"Cache.Lookup", "Cache.Peek", "Cache.Put", "Cache.Invalidate", "Cache.TouchAll",
 	},
 }
 

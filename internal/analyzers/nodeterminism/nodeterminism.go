@@ -32,6 +32,7 @@ var Restricted = []string{
 	"internal/span",
 	"internal/churn",
 	"internal/population",
+	"internal/cache",
 }
 
 // forbidden maps import path -> banned top-level names -> suggestion.

@@ -15,62 +15,117 @@ type Entry struct {
 	// Version identifies the cached copy for the simulator's consistency
 	// checker; it plays no role in the protocols themselves.
 	Version int32
-
-	prev, next int32 // intrusive LRU list over slot indexes
 }
 
 const nilSlot = int32(-1)
 
-// Cache is a fixed-capacity LRU cache keyed by item id.
-// The zero value is unusable; call New.
-type Cache struct {
-	cap   int
-	slots []Entry
-	index map[int32]int32 // item id -> slot
-	free  []int32
-	head  int32 // most recently used
-	tail  int32 // least recently used
-
-	hits, misses  int64
-	evictions     int64
-	invalidations int64
-	drops         int64
+// slot is one cache slot: the entry fields plus the intrusive LRU links.
+type slot struct {
+	id         int32
+	ver        int32
+	ts         float64
+	prev, next int32
 }
 
-// New creates a cache holding at most capacity items (capacity >= 1).
-func New(capacity int) *Cache {
+// Cache is a client's buffer pool: a fixed-capacity LRU over the item-id
+// space [0, items), with presence tracked in a bitmap — one bit per
+// database item — and entry metadata (timestamp, version, LRU links) in a
+// small slot array, in the spirit of the compact cache-indicator
+// representations of Cohen–Einziger–Scalosub (arXiv:2104.01386).
+// Membership tests are one bit probe; the slot walk on a hit is bounded
+// by the capacity, which is small by construction (BufferPct · DBSize).
+// FuzzCache pins LRU order, hit/miss accounting, entry contents and
+// Reload panics against a map-indexed reference LRU.
+//
+// The zero value is unusable; call New, or NewSet to carve many caches
+// from shared arenas.
+type Cache struct {
+	capacity int
+	bits     []uint64 // presence, one bit per item id
+	slots    []slot
+	free     []int32
+	head     int32 // most recently used
+	tail     int32 // least recently used
+
+	hits, misses int64
+}
+
+// New creates a standalone cache holding at most capacity of the items
+// item ids (capacity >= 1, items >= 1).
+func New(capacity, items int) *Cache { return &NewSet(1, capacity, items)[0] }
+
+// NewSet creates n caches like New, carving all of them from three shared
+// arenas — presence bitmaps, slots, free stacks — so a million caches
+// cost four allocations.
+func NewSet(n, capacity, items int) []Cache {
 	if capacity < 1 {
 		panic("cache: capacity must be at least 1")
 	}
-	c := &Cache{
-		cap:   capacity,
-		slots: make([]Entry, capacity),
-		index: make(map[int32]int32, capacity),
-		free:  make([]int32, 0, capacity),
-		head:  nilSlot,
-		tail:  nilSlot,
+	if items < 1 {
+		panic("cache: item space must be at least 1")
 	}
-	for i := capacity - 1; i >= 0; i-- {
-		c.free = append(c.free, int32(i))
+	words := (items + 63) / 64
+	bits := make([]uint64, words*n)
+	slots := make([]slot, capacity*n)
+	free := make([]int32, capacity*n)
+	cs := make([]Cache, n)
+	for i := range cs {
+		c := &cs[i]
+		c.capacity = capacity
+		c.bits = bits[i*words : (i+1)*words]
+		c.slots = slots[i*capacity : (i+1)*capacity]
+		// Three-index slice: the free stack must never grow past its
+		// carve-out into the neighbour's.
+		c.free = free[i*capacity : i*capacity : (i+1)*capacity]
+		c.resetSlots()
 	}
-	return c
+	return cs
 }
 
-// Cap reports the cache capacity in items.
-func (c *Cache) Cap() int { return c.cap }
+// resetSlots empties the slot structure without touching statistics. The
+// free stack is rebuilt high-to-low so pops hand out ascending slot
+// numbers.
+func (c *Cache) resetSlots() {
+	c.free = c.free[:0]
+	for i := c.capacity - 1; i >= 0; i-- {
+		c.free = append(c.free, int32(i))
+	}
+	c.head, c.tail = nilSlot, nilSlot
+}
 
 // Len reports the number of cached items.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.capacity - len(c.free) }
 
-// Hits and Misses report Lookup outcomes; Evictions counts LRU
-// replacements, Invalidations counts Invalidate removals, Drops counts
-// DropAll calls.
-func (c *Cache) Hits() int64          { return c.hits }
-func (c *Cache) Misses() int64        { return c.misses }
-func (c *Cache) Evictions() int64     { return c.evictions }
-func (c *Cache) Invalidations() int64 { return c.invalidations }
-func (c *Cache) Drops() int64         { return c.drops }
+// Hits and Misses report Lookup outcomes.
+func (c *Cache) Hits() int64   { return c.hits }
+func (c *Cache) Misses() int64 { return c.misses }
 
+// present is the bitmap probe: one load, one mask.
+//
+//hot — the negative-lookup fast path of every report application and
+// query scan; a single bit test, no allocation.
+func (c *Cache) present(id int32) bool {
+	return c.bits[uint32(id)>>6]&(1<<(uint32(id)&63)) != 0
+}
+
+func (c *Cache) setBit(id int32)   { c.bits[uint32(id)>>6] |= 1 << (uint32(id) & 63) }
+func (c *Cache) clearBit(id int32) { c.bits[uint32(id)>>6] &^= 1 << (uint32(id) & 63) }
+
+// slotOf finds the slot holding id by walking the recency list. Callers
+// probe the bitmap first, so the walk only runs when the id is present;
+// it is bounded by the (small) capacity.
+//
+//hot — bounded linear walk, no allocation.
+func (c *Cache) slotOf(id int32) int32 {
+	for s := c.head; s != nilSlot; s = c.slots[s].next {
+		if c.slots[s].id == id {
+			return s
+		}
+	}
+	panic("cache: bitmap/slot divergence")
+}
+
+//hot — list surgery only.
 func (c *Cache) unlink(s int32) {
 	e := &c.slots[s]
 	if e.prev != nilSlot {
@@ -86,6 +141,7 @@ func (c *Cache) unlink(s int32) {
 	e.prev, e.next = nilSlot, nilSlot
 }
 
+//hot — list surgery only.
 func (c *Cache) pushFront(s int32) {
 	e := &c.slots[s]
 	e.prev = nilSlot
@@ -99,36 +155,52 @@ func (c *Cache) pushFront(s int32) {
 	}
 }
 
+// entryAt materializes the slot as an Entry value.
+func (c *Cache) entryAt(s int32) Entry {
+	e := &c.slots[s]
+	return Entry{ID: e.id, TS: e.ts, Version: e.ver}
+}
+
 // Lookup finds id, promoting it to most recently used on a hit, and
 // records the hit or miss.
+//
+//hot — every queried item passes through here; the Entry return value
+// is a small struct handed back on the stack.
 func (c *Cache) Lookup(id int32) (Entry, bool) {
-	s, ok := c.index[id]
-	if !ok {
+	if !c.present(id) {
 		c.misses++
+		//lint:allow hotalloc the zero Entry is returned by value on the stack
 		return Entry{}, false
 	}
 	c.hits++
+	s := c.slotOf(id)
 	c.unlink(s)
 	c.pushFront(s)
-	return c.slots[s], true
+	return c.entryAt(s), true
 }
 
 // Peek finds id without promoting it or recording statistics.
+//
+//hot — report application probes every announced id through here.
 func (c *Cache) Peek(id int32) (Entry, bool) {
-	s, ok := c.index[id]
-	if !ok {
+	if !c.present(id) {
+		//lint:allow hotalloc the zero Entry is returned by value on the stack
 		return Entry{}, false
 	}
-	return c.slots[s], true
+	return c.entryAt(c.slotOf(id)), true
 }
 
 // Put inserts or refreshes id with the given validity timestamp and
 // version, making it most recently used and evicting the LRU entry when
 // the cache is full.
+//
+//hot — every fetched item lands here; eviction reuses the tail slot, so
+// steady-state inserts allocate nothing.
 func (c *Cache) Put(id int32, ts float64, version int32) {
-	if s, ok := c.index[id]; ok {
-		c.slots[s].TS = ts
-		c.slots[s].Version = version
+	if c.present(id) {
+		s := c.slotOf(id)
+		c.slots[s].ts = ts
+		c.slots[s].ver = version
 		c.unlink(s)
 		c.pushFront(s)
 		return
@@ -139,70 +211,49 @@ func (c *Cache) Put(id int32, ts float64, version int32) {
 		c.free = c.free[:len(c.free)-1]
 	} else {
 		s = c.tail
-		delete(c.index, c.slots[s].ID)
+		c.clearBit(c.slots[s].id)
 		c.unlink(s)
-		c.evictions++
 	}
-	c.slots[s] = Entry{ID: id, TS: ts, Version: version, prev: nilSlot, next: nilSlot}
-	c.index[id] = s
+	//lint:allow hotalloc slot assignment by composite literal writes in place; the backing array is preallocated
+	c.slots[s] = slot{id: id, ts: ts, ver: version, prev: nilSlot, next: nilSlot}
+	c.setBit(id)
 	c.pushFront(s)
 }
 
-// Touch updates the validity timestamp of id if cached (a report
-// confirmed the copy), without changing recency.
-func (c *Cache) Touch(id int32, ts float64) {
-	if s, ok := c.index[id]; ok {
-		c.slots[s].TS = ts
-	}
-}
-
-// TouchAll advances the validity timestamp of every entry. The TS
-// algorithm does this when a report confirms the whole cache.
+// TouchAll advances the validity timestamp of every entry.
+//
+//hot — the TS family stamps the whole cache on every confirming report.
 func (c *Cache) TouchAll(ts float64) {
 	for s := c.head; s != nilSlot; s = c.slots[s].next {
-		c.slots[s].TS = ts
+		c.slots[s].ts = ts
 	}
 }
 
 // Invalidate removes id if cached, reporting whether it was present.
+//
+//hot — every report entry naming a cached item passes through here; the
+// freed slot returns to the stack in place.
 func (c *Cache) Invalidate(id int32) bool {
-	s, ok := c.index[id]
-	if !ok {
+	if !c.present(id) {
 		return false
 	}
+	s := c.slotOf(id)
 	c.unlink(s)
-	delete(c.index, id)
+	c.clearBit(id)
+	//lint:allow hotalloc the free stack was built with the full capacity, so this append never grows it
 	c.free = append(c.free, s)
-	c.invalidations++
 	return true
 }
 
 // DropAll empties the cache (the client could not prove validity and must
-// discard everything).
+// discard everything). The bitmap is cleared entry-by-entry off the
+// recency list, so the cost scales with the occupancy, not the item
+// space.
 func (c *Cache) DropAll() {
-	if len(c.index) == 0 {
-		c.drops++
-		return
-	}
-	for id := range c.index {
-		delete(c.index, id)
-	}
-	c.free = c.free[:0]
-	for i := c.cap - 1; i >= 0; i-- {
-		c.free = append(c.free, int32(i))
-	}
-	c.head, c.tail = nilSlot, nilSlot
-	c.drops++
-}
-
-// Each visits entries from most to least recently used, stopping early if
-// fn returns false.
-func (c *Cache) Each(fn func(e Entry) bool) {
 	for s := c.head; s != nilSlot; s = c.slots[s].next {
-		if !fn(c.slots[s]) {
-			return
-		}
+		c.clearBit(c.slots[s].id)
 	}
+	c.resetSlots()
 }
 
 // Entries appends every cached entry, MRU first, to dst — the churn
@@ -211,7 +262,15 @@ func (c *Cache) Each(fn func(e Entry) bool) {
 // scratch slice pay zero steady-state allocations.
 func (c *Cache) Entries(dst []Entry) []Entry {
 	for s := c.head; s != nilSlot; s = c.slots[s].next {
-		dst = append(dst, c.slots[s])
+		dst = append(dst, c.entryAt(s))
+	}
+	return dst
+}
+
+// IDs appends all cached item ids, MRU first, to dst.
+func (c *Cache) IDs(dst []int32) []int32 {
+	for s := c.head; s != nilSlot; s = c.slots[s].next {
+		dst = append(dst, c.slots[s].id)
 	}
 	return dst
 }
@@ -219,55 +278,28 @@ func (c *Cache) Entries(dst []Entry) []Entry {
 // Reload replaces the cache contents with the given entries (MRU first),
 // reinstating a decoded snapshot at warm restart. Unlike DropAll + Put it
 // touches no statistics: a warm restore is a state transplant, not a
-// protocol-visible drop or a sequence of insertions. Entries beyond the
-// capacity or with duplicate ids are a caller bug (the snapshot codec
-// rejects both) and panic.
+// sequence of insertions. Entries beyond the capacity or with duplicate
+// ids are a caller bug (the snapshot codec rejects both) and panic.
 func (c *Cache) Reload(entries []Entry) {
-	if len(entries) > c.cap {
+	if len(entries) > c.capacity {
 		panic("cache: reload beyond capacity")
 	}
-	for id := range c.index {
-		delete(c.index, id)
-	}
-	c.free = c.free[:0]
-	for i := c.cap - 1; i >= 0; i-- {
-		c.free = append(c.free, int32(i))
-	}
-	c.head, c.tail = nilSlot, nilSlot
+	c.DropAll()
 	// Insert LRU-first so the recency list ends MRU-first, matching the
 	// order the snapshot recorded.
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
-		if _, dup := c.index[e.ID]; dup {
+		if c.present(e.ID) {
 			panic("cache: duplicate id in reload")
 		}
 		s := c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
-		c.slots[s] = Entry{ID: e.ID, TS: e.TS, Version: e.Version, prev: nilSlot, next: nilSlot}
-		c.index[e.ID] = s
+		c.slots[s] = slot{id: e.ID, ts: e.TS, ver: e.Version, prev: nilSlot, next: nilSlot}
+		c.setBit(e.ID)
 		c.pushFront(s)
 	}
 }
 
-// IDs appends all cached item ids, MRU first, to dst.
-func (c *Cache) IDs(dst []int32) []int32 {
-	for s := c.head; s != nilSlot; s = c.slots[s].next {
-		dst = append(dst, c.slots[s].ID)
-	}
-	return dst
-}
-
-// ResetStats zeroes the hit/miss/eviction counters (measurement warmup);
-// cache contents are untouched.
-func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.evictions, c.invalidations, c.drops = 0, 0, 0, 0, 0
-}
-
-// HitRatio reports hits / (hits + misses), or 0 before any lookup.
-func (c *Cache) HitRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
+// ResetStats zeroes the hit and miss counters (measurement warmup); cache
+// contents are untouched.
+func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }

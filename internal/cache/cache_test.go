@@ -8,7 +8,7 @@ import (
 )
 
 func TestPutLookup(t *testing.T) {
-	c := New(3)
+	c := New(3, 100)
 	c.Put(10, 1.5, 2)
 	e, ok := c.Lookup(10)
 	if !ok || e.ID != 10 || e.TS != 1.5 || e.Version != 2 {
@@ -23,7 +23,7 @@ func TestPutLookup(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(3)
+	c := New(3, 100)
 	c.Put(1, 0, 0)
 	c.Put(2, 0, 0)
 	c.Put(3, 0, 0)
@@ -37,13 +37,13 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatalf("item %d missing", id)
 		}
 	}
-	if c.Evictions() != 1 {
-		t.Fatalf("evictions = %d", c.Evictions())
+	if c.Len() != 3 {
+		t.Fatalf("len = %d", c.Len())
 	}
 }
 
 func TestPutRefreshesExisting(t *testing.T) {
-	c := New(2)
+	c := New(2, 100)
 	c.Put(1, 10, 1)
 	c.Put(2, 10, 1)
 	c.Put(1, 20, 2) // refresh, promote
@@ -60,7 +60,7 @@ func TestPutRefreshesExisting(t *testing.T) {
 }
 
 func TestPeekDoesNotPromote(t *testing.T) {
-	c := New(2)
+	c := New(2, 100)
 	c.Put(1, 0, 0)
 	c.Put(2, 0, 0)
 	c.Peek(1)      // must not promote
@@ -68,13 +68,13 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	if _, ok := c.Peek(1); ok {
 		t.Fatal("Peek promoted")
 	}
-	if c.Hits() != 0 && c.Misses() != 0 {
+	if c.Hits() != 0 || c.Misses() != 0 {
 		t.Fatal("Peek recorded stats")
 	}
 }
 
 func TestInvalidate(t *testing.T) {
-	c := New(3)
+	c := New(3, 100)
 	c.Put(1, 0, 0)
 	c.Put(2, 0, 0)
 	if !c.Invalidate(1) {
@@ -83,8 +83,11 @@ func TestInvalidate(t *testing.T) {
 	if c.Invalidate(1) {
 		t.Fatal("double invalidate")
 	}
-	if c.Len() != 1 || c.Invalidations() != 1 {
-		t.Fatalf("len=%d inv=%d", c.Len(), c.Invalidations())
+	if c.Len() != 1 {
+		t.Fatalf("len=%d", c.Len())
+	}
+	if _, ok := c.Peek(1); ok {
+		t.Fatal("invalidated item still cached")
 	}
 	// Freed slot is reusable.
 	c.Put(5, 0, 0)
@@ -95,90 +98,86 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestDropAll(t *testing.T) {
-	c := New(4)
+	c := New(4, 100)
 	for i := int32(0); i < 4; i++ {
 		c.Put(i, 0, 0)
 	}
 	c.DropAll()
-	if c.Len() != 0 || c.Drops() != 1 {
-		t.Fatalf("len=%d drops=%d", c.Len(), c.Drops())
+	if c.Len() != 0 {
+		t.Fatalf("len=%d", c.Len())
+	}
+	for i := int32(0); i < 4; i++ {
+		if _, ok := c.Peek(i); ok {
+			t.Fatalf("item %d survived DropAll", i)
+		}
 	}
 	for i := int32(10); i < 14; i++ {
 		c.Put(i, 0, 0)
 	}
-	if c.Len() != 4 || c.Evictions() != 0 {
-		t.Fatalf("refill failed: len=%d evictions=%d", c.Len(), c.Evictions())
+	// The refill fits without eviction: every new item is still cached.
+	for i := int32(10); i < 14; i++ {
+		if _, ok := c.Peek(i); !ok || c.Len() != 4 {
+			t.Fatalf("refill failed: item %d missing, len=%d", i, c.Len())
+		}
 	}
 	c.DropAll()
-	c.DropAll() // empty drop still counted
-	if c.Drops() != 3 {
-		t.Fatalf("drops=%d", c.Drops())
+	c.DropAll() // dropping an empty cache is a no-op
+	if c.Len() != 0 {
+		t.Fatalf("len=%d", c.Len())
 	}
 }
 
 func TestTouch(t *testing.T) {
-	c := New(2)
+	c := New(2, 100)
 	c.Put(1, 5, 1)
 	c.Put(2, 5, 1)
-	c.Touch(1, 9)
-	c.Touch(99, 9) // absent: no-op
-	if e, _ := c.Peek(1); e.TS != 9 {
-		t.Fatalf("TS = %v", e.TS)
-	}
 	c.TouchAll(12)
-	if e, _ := c.Peek(2); e.TS != 12 {
-		t.Fatalf("TouchAll TS = %v", e.TS)
+	for _, id := range []int32{1, 2} {
+		if e, _ := c.Peek(id); e.TS != 12 {
+			t.Fatalf("TouchAll TS of %d = %v", id, e.TS)
+		}
 	}
-	// Touch must not change recency: 1 would otherwise outlive 2.
+	// TouchAll must not change recency: 1 stays least recently used.
 	c.Put(3, 0, 0) // evicts LRU = 1
 	if _, ok := c.Peek(1); ok {
-		t.Fatal("Touch changed recency")
+		t.Fatal("TouchAll changed recency")
 	}
 }
 
 func TestEachOrderAndIDs(t *testing.T) {
-	c := New(3)
+	c := New(3, 100)
 	c.Put(1, 0, 0)
 	c.Put(2, 0, 0)
 	c.Put(3, 0, 0)
 	c.Lookup(2)
-	var order []int32
-	c.Each(func(e Entry) bool { order = append(order, e.ID); return true })
 	want := []int32{2, 3, 1}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
+	entries := c.Entries(nil)
 	ids := c.IDs(nil)
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("IDs = %v", ids)
-		}
+	if len(entries) != len(want) || len(ids) != len(want) {
+		t.Fatalf("Entries = %v, IDs = %v, want ids %v", entries, ids, want)
 	}
-	// Early stop.
-	n := 0
-	c.Each(func(Entry) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
+	for i := range want {
+		if entries[i].ID != want[i] || ids[i] != want[i] {
+			t.Fatalf("Entries = %v, IDs = %v, want ids %v", entries, ids, want)
+		}
 	}
 }
 
 func TestHitRatio(t *testing.T) {
-	c := New(2)
-	if c.HitRatio() != 0 {
-		t.Fatal("empty ratio")
+	c := New(2, 10)
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatal("fresh cache has lookup stats")
 	}
 	c.Put(1, 0, 0)
 	c.Lookup(1)
 	c.Lookup(2)
-	if c.HitRatio() != 0.5 {
-		t.Fatalf("ratio = %v", c.HitRatio())
+	if c.Hits() != 1 || c.Misses() != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", c.Hits(), c.Misses())
 	}
 }
 
 func TestCapacityOne(t *testing.T) {
-	c := New(1)
+	c := New(1, 100)
 	c.Put(1, 0, 0)
 	c.Put(2, 0, 0)
 	if _, ok := c.Peek(1); ok {
@@ -190,12 +189,16 @@ func TestCapacityOne(t *testing.T) {
 }
 
 func TestZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
-		}
-	}()
-	New(0)
+	for _, size := range [][2]int{{0, 10}, {1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%d, %d) did not panic", size[0], size[1])
+				}
+			}()
+			New(size[0], size[1])
+		}()
+	}
 }
 
 // Property: under random operations the cache never exceeds capacity, the
@@ -205,7 +208,7 @@ func TestCacheConsistencyProperty(t *testing.T) {
 	src := rng.New(7)
 	f := func(opsRaw uint16, capRaw uint8) bool {
 		capacity := int(capRaw)%16 + 1
-		c := New(capacity)
+		c := New(capacity, 24)
 		model := make(map[int32]float64) // id -> ts for items possibly cached
 		ops := int(opsRaw) % 500
 		for i := 0; i < ops; i++ {
@@ -233,10 +236,8 @@ func TestCacheConsistencyProperty(t *testing.T) {
 			if c.Len() > capacity {
 				return false
 			}
-			// List/index agreement.
-			count := 0
-			c.Each(func(Entry) bool { count++; return true })
-			if count != c.Len() {
+			// List/bitmap agreement.
+			if len(c.IDs(nil)) != c.Len() {
 				return false
 			}
 		}

@@ -1,0 +1,422 @@
+package cache
+
+import "testing"
+
+// The bitmap Cache is trusted only because everything observable about
+// it — LRU order, hit/miss accounting, entry contents, reload semantics —
+// is differentially pinned against lru, a map-indexed LRU that states the
+// paper's buffer pool directly, by a fuzzer over random op streams and by
+// boundary tables at the item-space word edges.
+
+// lru is the reference buffer pool: a fixed-capacity LRU keyed by item id
+// through a map, with an intrusive recency list over a slot array.
+type lru struct {
+	cap   int
+	slots []lruSlot
+	index map[int32]int32 // item id -> slot
+	free  []int32
+	head  int32 // most recently used
+	tail  int32 // least recently used
+
+	hits, misses int64
+}
+
+type lruSlot struct {
+	e          Entry
+	prev, next int32
+}
+
+func newLRU(capacity int) *lru {
+	c := &lru{
+		cap:   capacity,
+		slots: make([]lruSlot, capacity),
+		index: make(map[int32]int32, capacity),
+	}
+	c.reset()
+	return c
+}
+
+func (c *lru) reset() {
+	for id := range c.index {
+		delete(c.index, id)
+	}
+	c.free = c.free[:0]
+	for i := c.cap - 1; i >= 0; i-- {
+		c.free = append(c.free, int32(i))
+	}
+	c.head, c.tail = nilSlot, nilSlot
+}
+
+func (c *lru) Len() int      { return len(c.index) }
+func (c *lru) Hits() int64   { return c.hits }
+func (c *lru) Misses() int64 { return c.misses }
+
+func (c *lru) unlink(s int32) {
+	e := &c.slots[s]
+	if e.prev != nilSlot {
+		c.slots[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nilSlot {
+		c.slots[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+	e.prev, e.next = nilSlot, nilSlot
+}
+
+func (c *lru) pushFront(s int32) {
+	e := &c.slots[s]
+	e.prev = nilSlot
+	e.next = c.head
+	if c.head != nilSlot {
+		c.slots[c.head].prev = s
+	}
+	c.head = s
+	if c.tail == nilSlot {
+		c.tail = s
+	}
+}
+
+func (c *lru) Lookup(id int32) (Entry, bool) {
+	s, ok := c.index[id]
+	if !ok {
+		c.misses++
+		return Entry{}, false
+	}
+	c.hits++
+	c.unlink(s)
+	c.pushFront(s)
+	return c.slots[s].e, true
+}
+
+func (c *lru) Peek(id int32) (Entry, bool) {
+	s, ok := c.index[id]
+	if !ok {
+		return Entry{}, false
+	}
+	return c.slots[s].e, true
+}
+
+func (c *lru) Put(id int32, ts float64, version int32) {
+	if s, ok := c.index[id]; ok {
+		c.slots[s].e.TS = ts
+		c.slots[s].e.Version = version
+		c.unlink(s)
+		c.pushFront(s)
+		return
+	}
+	var s int32
+	if len(c.free) > 0 {
+		s = c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+	} else {
+		s = c.tail
+		delete(c.index, c.slots[s].e.ID)
+		c.unlink(s)
+	}
+	c.slots[s] = lruSlot{e: Entry{ID: id, TS: ts, Version: version}, prev: nilSlot, next: nilSlot}
+	c.index[id] = s
+	c.pushFront(s)
+}
+
+func (c *lru) TouchAll(ts float64) {
+	for s := c.head; s != nilSlot; s = c.slots[s].next {
+		c.slots[s].e.TS = ts
+	}
+}
+
+func (c *lru) Invalidate(id int32) bool {
+	s, ok := c.index[id]
+	if !ok {
+		return false
+	}
+	c.unlink(s)
+	delete(c.index, id)
+	c.free = append(c.free, s)
+	return true
+}
+
+func (c *lru) DropAll() { c.reset() }
+
+func (c *lru) Entries(dst []Entry) []Entry {
+	for s := c.head; s != nilSlot; s = c.slots[s].next {
+		dst = append(dst, c.slots[s].e)
+	}
+	return dst
+}
+
+func (c *lru) IDs(dst []int32) []int32 {
+	for s := c.head; s != nilSlot; s = c.slots[s].next {
+		dst = append(dst, c.slots[s].e.ID)
+	}
+	return dst
+}
+
+func (c *lru) Reload(entries []Entry) {
+	if len(entries) > c.cap {
+		panic("lru: reload beyond capacity")
+	}
+	c.reset()
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := entries[i]
+		if _, dup := c.index[e.ID]; dup {
+			panic("lru: duplicate id in reload")
+		}
+		s := c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+		c.slots[s] = lruSlot{e: e, prev: nilSlot, next: nilSlot}
+		c.index[e.ID] = s
+		c.pushFront(s)
+	}
+}
+
+func (c *lru) ResetStats() { c.hits, c.misses = 0, 0 }
+
+// pair drives the shipped cache and the reference in lockstep and asserts
+// every observable agrees after each operation.
+type pair struct {
+	t   *testing.T
+	ref *lru
+	c   *Cache
+}
+
+func newPair(t *testing.T, capacity, items int) *pair {
+	return &pair{t: t, ref: newLRU(capacity), c: New(capacity, items)}
+}
+
+func (p *pair) check() {
+	p.t.Helper()
+	if p.ref.Len() != p.c.Len() {
+		p.t.Fatalf("len diverged: ref=%d cache=%d", p.ref.Len(), p.c.Len())
+	}
+	if p.ref.Hits() != p.c.Hits() || p.ref.Misses() != p.c.Misses() {
+		p.t.Fatalf("lookup stats diverged: ref=%d/%d cache=%d/%d",
+			p.ref.Hits(), p.ref.Misses(), p.c.Hits(), p.c.Misses())
+	}
+	a := p.ref.Entries(nil)
+	b := p.c.Entries(nil)
+	if len(a) != len(b) {
+		p.t.Fatalf("entries diverged: ref=%v cache=%v", a, b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			p.t.Fatalf("entry %d diverged (MRU order): ref=%v cache=%v", i, a[i], b[i])
+		}
+	}
+	ids1 := p.ref.IDs(nil)
+	ids2 := p.c.IDs(nil)
+	if len(ids1) != len(ids2) {
+		p.t.Fatalf("ids diverged: ref=%v cache=%v", ids1, ids2)
+	}
+	for i := range ids1 {
+		if ids1[i] != ids2[i] {
+			p.t.Fatalf("id order diverged: ref=%v cache=%v", ids1, ids2)
+		}
+	}
+}
+
+// lookup and peek apply one probe to both sides and compare the results.
+func (p *pair) lookup(id int32) {
+	p.t.Helper()
+	e1, ok1 := p.ref.Lookup(id)
+	e2, ok2 := p.c.Lookup(id)
+	if ok1 != ok2 || e1 != e2 {
+		p.t.Fatalf("Lookup(%d) diverged: ref=%v,%v cache=%v,%v", id, e1, ok1, e2, ok2)
+	}
+}
+
+func (p *pair) peek(id int32) {
+	p.t.Helper()
+	e1, ok1 := p.ref.Peek(id)
+	e2, ok2 := p.c.Peek(id)
+	if ok1 != ok2 || e1 != e2 {
+		p.t.Fatalf("Peek(%d) diverged: ref=%v,%v cache=%v,%v", id, e1, ok1, e2, ok2)
+	}
+}
+
+func (p *pair) invalidate(id int32) {
+	p.t.Helper()
+	if p.ref.Invalidate(id) != p.c.Invalidate(id) {
+		p.t.Fatalf("Invalidate(%d) verdicts diverged", id)
+	}
+}
+
+func (p *pair) put(id int32, ts float64, ver int32) {
+	p.ref.Put(id, ts, ver)
+	p.c.Put(id, ts, ver)
+}
+
+// step applies one fuzz-chosen operation to both sides.
+func (p *pair) step(op byte, id int32, ts float64, ver int32) {
+	p.t.Helper()
+	switch op % 8 {
+	case 0, 1:
+		p.lookup(id)
+	case 2:
+		p.peek(id)
+	case 3, 4:
+		p.put(id, ts, ver)
+	case 5:
+		p.invalidate(id)
+	case 6:
+		p.ref.TouchAll(ts)
+		p.c.TouchAll(ts)
+	case 7:
+		p.ref.DropAll()
+		p.c.DropAll()
+	}
+	p.check()
+}
+
+// FuzzCache feeds both sides the same op stream and fails on the first
+// observable divergence. The corpus seeds cover the word edges of the
+// presence bitmap (ids 0, 63, 64) and capacity-1 eviction pressure.
+func FuzzCache(f *testing.F) {
+	f.Add(uint8(4), uint8(200), []byte{3, 0, 3, 63, 3, 64, 0, 63, 5, 0, 7, 7})
+	f.Add(uint8(1), uint8(100), []byte{3, 1, 3, 2, 3, 3, 0, 1, 0, 3})
+	f.Add(uint8(8), uint8(65), []byte{3, 64, 3, 0, 6, 10, 5, 64, 2, 64})
+	f.Add(uint8(16), uint8(255), []byte{3, 254, 3, 0, 3, 127, 3, 128, 0, 254, 7, 0})
+	f.Fuzz(func(t *testing.T, capRaw, itemsRaw uint8, ops []byte) {
+		capacity := int(capRaw%32) + 1
+		items := int(itemsRaw) + 1
+		p := newPair(t, capacity, items)
+		ts := 0.0
+		for i := 0; i+1 < len(ops); i += 2 {
+			ts += 0.5
+			id := int32(int(ops[i+1]) % items)
+			p.step(ops[i], id, ts, int32(ops[i])%7)
+		}
+	})
+}
+
+// TestBitmapBoundaryIDs walks the item-space edges where the presence
+// bitmap's word indexing could slip: first and last bit of a word, the
+// last id of the space, single-word and multi-word spaces.
+func TestBitmapBoundaryIDs(t *testing.T) {
+	cases := []struct {
+		name     string
+		capacity int
+		items    int
+		ids      []int32
+	}{
+		{"single-word", 4, 64, []int32{0, 1, 62, 63}},
+		{"word-edge", 4, 128, []int32{63, 64, 65, 127}},
+		{"last-id", 3, 1000, []int32{0, 511, 512, 999}},
+		{"tiny-space", 2, 3, []int32{0, 1, 2}},
+		{"capacity-one", 1, 256, []int32{0, 63, 64, 255}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t, tc.capacity, tc.items)
+			ts := 1.0
+			for _, id := range tc.ids {
+				p.put(id, ts, 1)
+				p.check()
+				ts++
+			}
+			for _, id := range tc.ids {
+				p.lookup(id)
+				p.check()
+			}
+			for _, id := range tc.ids {
+				p.invalidate(id)
+				p.check()
+			}
+		})
+	}
+}
+
+// TestBitmapReloadMirrorsCache pins the warm-restart transplant path:
+// Reload replaces contents without touching statistics, exactly like the
+// reference, and both panic on overflow and duplicates.
+func TestBitmapReloadMirrorsCache(t *testing.T) {
+	p := newPair(t, 4, 128)
+	p.put(5, 1, 1)
+	p.lookup(5)
+	p.lookup(99)
+	entries := []Entry{{ID: 64, TS: 3, Version: 2}, {ID: 63, TS: 2, Version: 1}}
+	p.ref.Reload(entries)
+	p.c.Reload(entries)
+	p.check()
+	if p.c.Hits() != 1 || p.c.Misses() != 1 {
+		t.Fatalf("Reload touched stats: hits=%d misses=%d", p.c.Hits(), p.c.Misses())
+	}
+
+	for name, bad := range map[string][]Entry{
+		"overflow":  {{ID: 1}, {ID: 2}, {ID: 3}, {ID: 4}, {ID: 5}},
+		"duplicate": {{ID: 7}, {ID: 7}},
+	} {
+		for side, reload := range map[string]func([]Entry){
+			"reference": newLRU(4).Reload,
+			"cache":     New(4, 128).Reload,
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s %s reload did not panic", side, name)
+					}
+				}()
+				reload(bad)
+			}()
+		}
+	}
+}
+
+// TestBitmapResetStats pins ResetStats: both counters zero, contents
+// untouched.
+func TestBitmapResetStats(t *testing.T) {
+	p := newPair(t, 2, 64)
+	for id := int32(0); id < 5; id++ {
+		p.put(id, 1, 1)
+	}
+	p.lookup(4)
+	p.lookup(60)
+	p.invalidate(4)
+	p.ref.ResetStats()
+	p.c.ResetStats()
+	p.check()
+	if p.c.Hits() != 0 || p.c.Misses() != 0 || p.c.Len() != 1 {
+		t.Fatalf("ResetStats left hits=%d misses=%d len=%d", p.c.Hits(), p.c.Misses(), p.c.Len())
+	}
+}
+
+// TestBitmapArenaIsolation pins the shared-arena construction: caches
+// carved by NewSet must never bleed into a neighbour's slots, even at full
+// capacity churn on both sides of the carve boundary, and each must track
+// its own reference.
+func TestBitmapArenaIsolation(t *testing.T) {
+	const n, capacity, items = 3, 4, 128
+	caches := NewSet(n, capacity, items)
+	var refs [n]*lru
+	for i := range refs {
+		refs[i] = newLRU(capacity)
+	}
+	// Churn every cache past capacity with distinct id streams.
+	for round := 0; round < 3; round++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < 2*capacity; j++ {
+				id := int32((i*40 + j + round) % items)
+				caches[i].Put(id, float64(j), int32(i))
+				refs[i].Put(id, float64(j), int32(i))
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		p := &pair{t: t, ref: refs[i], c: &caches[i]}
+		p.check()
+		if caches[i].Len() != capacity {
+			t.Fatalf("cache %d len %d, want %d", i, caches[i].Len(), capacity)
+		}
+		for _, e := range caches[i].Entries(nil) {
+			if e.Version != int32(i) {
+				t.Fatalf("cache %d holds neighbour entry %+v", i, e)
+			}
+		}
+		caches[i].DropAll()
+		if caches[i].Len() != 0 {
+			t.Fatalf("cache %d not empty after DropAll", i)
+		}
+	}
+}

@@ -92,8 +92,10 @@ type stubHost struct {
 	lastSnap *Snapshot
 }
 
+// newStubHost gives the stub a cache over a 64-item space, room for every
+// id the tests cache.
 func newStubHost(id int32, cap int) *stubHost {
-	return &stubHost{st: core.ClientState{ID: id, Cache: cache.New(cap)}}
+	return &stubHost{st: core.ClientState{ID: id, Cache: cache.New(cap, 64)}}
 }
 
 func (h *stubHost) State() *core.ClientState { return &h.st }

@@ -73,59 +73,12 @@ type ServerSide interface {
 	HandleControl(d *db.Database, msg *ControlMsg, now float64) *report.ValidityReport
 }
 
-// Cache is the client buffer pool the schemes operate on. Simulations run
-// on the versioned-bitmap representation over the item-id space
-// (internal/population.BitmapCache); the map-indexed LRU in
-// internal/cache is its reference, with identical observable semantics —
-// same LRU order, same hit/miss/eviction accounting — pinned by the
-// population package's differential fuzz suite. Entry values are
-// internal/cache.Entry either way.
-//
-// Fan-out cost: applying a TS report costs a client O(min(Len, entries))
-// cache operations — nothing for an empty cache, a walk of its own
-// Entries against the report's shared index when it holds fewer items
-// than the report lists, one Peek per entry otherwise — plus one
-// O(entries) index build per broadcast, shared by every client of the
-// ClientSide. The index is keyed by the report pointer, which relies on
-// reports being immutable once delivered (see package report).
-type Cache interface {
-	// Lookup finds id, promoting it to most recently used on a hit, and
-	// records the hit or miss.
-	Lookup(id int32) (cache.Entry, bool)
-	// Peek finds id without promoting it or recording statistics.
-	Peek(id int32) (cache.Entry, bool)
-	// Put inserts or refreshes id, making it most recently used and
-	// evicting the LRU entry when the cache is full.
-	Put(id int32, ts float64, version int32)
-	// TouchAll advances the validity timestamp of every entry.
-	TouchAll(ts float64)
-	// Invalidate removes id if cached, reporting whether it was present.
-	Invalidate(id int32) bool
-	// DropAll empties the cache.
-	DropAll()
-	// Len reports the number of cached items.
-	Len() int
-	// Each visits entries MRU first, stopping early if fn returns false.
-	Each(fn func(e cache.Entry) bool)
-	// Entries appends every cached entry, MRU first, to dst.
-	Entries(dst []cache.Entry) []cache.Entry
-	// IDs appends all cached item ids, MRU first, to dst.
-	IDs(dst []int32) []int32
-	// Reload replaces the contents with the given entries (MRU first)
-	// without touching statistics (warm-restart state transplant).
-	Reload(entries []cache.Entry)
-	// Hits and Misses report Lookup outcomes; ResetStats zeroes them.
-	Hits() int64
-	Misses() int64
-	ResetStats()
-}
-
 // ClientState is the per-client protocol state every scheme operates on.
 type ClientState struct {
 	// ID identifies the client in uplink messages.
 	ID int32
 	// Cache is the client's buffer pool.
-	Cache Cache
+	Cache *cache.Cache
 	// Tlb is the timestamp of the latest report (or validity reply)
 	// through which the cache has been validated. Queries arriving at
 	// time t may be answered from cache once Tlb > t.
@@ -172,12 +125,6 @@ type ClientState struct {
 	// disconnection revalidations that kept the cache.
 	Drops    int64
 	Salvages int64
-}
-
-// NewClientState creates protocol state with an empty cache of the given
-// capacity, validated through time 0.
-func NewClientState(id int32, capacity int) *ClientState {
-	return &ClientState{ID: id, Cache: cache.New(capacity)}
 }
 
 // AbandonPending clears in-flight validation state. The hosting client
@@ -287,6 +234,14 @@ func (x *tsIndex) index(r *report.TSReport) []float64 {
 // and removal never reorders the survivors; only the order of the
 // Invalidate calls differs (MRU order against report order).
 //
+// Fan-out cost: applying a TS report costs a client O(min(Len, entries))
+// cache operations — nothing for an empty cache, a walk of its own
+// Entries against the report's shared index when it holds fewer items
+// than the report lists, one Peek per entry otherwise — plus one
+// O(entries) index build per broadcast, shared by every client of the
+// ClientSide. The index is keyed by the report pointer, which relies on
+// reports being immutable once delivered (see package report).
+//
 //hot — once per client per broadcast.
 func (x *tsIndex) applyTSEntries(st *ClientState, r *report.TSReport) {
 	n := st.Cache.Len()
@@ -304,7 +259,7 @@ func (x *tsIndex) applyTSEntries(st *ClientState, r *report.TSReport) {
 // invalidateByCache checks each cached entry against r's index.
 //
 //hot — O(cache) per client plus the shared index build.
-func (x *tsIndex) invalidateByCache(c Cache, r *report.TSReport) {
+func (x *tsIndex) invalidateByCache(c *cache.Cache, r *report.TSReport) {
 	ts := x.index(r)
 	if n := c.Len(); cap(x.entries) < n {
 		//lint:allow hotalloc grows at most to the largest cache capacity the ClientSide serves, then is reused
@@ -321,7 +276,7 @@ func (x *tsIndex) invalidateByCache(c Cache, r *report.TSReport) {
 // invalidateByReport probes the cache once per report entry.
 //
 //hot — O(report) per client.
-func invalidateByReport(c Cache, entries []db.UpdateEntry) {
+func invalidateByReport(c *cache.Cache, entries []db.UpdateEntry) {
 	for _, e := range entries {
 		if cached, ok := c.Peek(e.ID); ok && cached.TS < e.TS {
 			c.Invalidate(e.ID)

@@ -1,35 +1,33 @@
-package core_test
+package core
 
 import (
 	"testing"
 
 	"mobicache/internal/cache"
-	"mobicache/internal/core"
 	"mobicache/internal/db"
-	"mobicache/internal/population"
 	"mobicache/internal/report"
 	"mobicache/internal/rng"
 )
 
-// statCache is a core.Cache that also reports its invalidation count;
-// both cache representations are.
-type statCache interface {
-	core.Cache
-	Invalidations() int64
-}
-
 // TestInvalidationWalksAgree pins the two walks applyTSEntries chooses
 // between: for random cache contents and reports, the cache walk and the
 // report walk leave identical caches — same entries in the same MRU
-// order, same timestamps and versions, same invalidation count — on both
-// cache representations, and both match the Figure 1 rule computed
-// directly. Timestamps come from a five-value set so cached.TS == e.TS,
-// which must not invalidate, is frequent; occupancy sweeps 0..capacity,
-// report length 0..N, and most ids of each side are absent from the other.
+// order, same timestamps and versions, same number of invalidations — and
+// both match the Figure 1 rule computed directly. Timestamps come from a
+// five-value set so cached.TS == e.TS, which must not invalidate, is
+// frequent; occupancy sweeps 0..capacity, report length 0..N, and most ids
+// of each side are absent from the other.
 func TestInvalidationWalksAgree(t *testing.T) {
 	const items, capacity = 130, 10 // the id space spans three bitmap words
 	src := rng.New(12)
-	walks := core.NewFanout(items)
+	x := &tsIndex{n: items} // one index shared by every call, as one ClientSide shares it
+	walks := []struct {
+		name string
+		run  func(c *cache.Cache, r *report.TSReport)
+	}{
+		{"cache walk", x.invalidateByCache},
+		{"report walk", func(c *cache.Cache, r *report.TSReport) { invalidateByReport(c, r.Entries) }},
+	}
 	ids := make([]int, items)
 	var invalidated, kept int
 	for round := 0; round < 3000; round++ {
@@ -44,17 +42,15 @@ func TestInvalidationWalksAgree(t *testing.T) {
 			newest[e.ID] = e.TS
 		}
 
-		caches := []statCache{
-			cache.New(capacity), cache.New(capacity),
-			population.NewBitmapCache(capacity, items), population.NewBitmapCache(capacity, items),
-		}
-		for _, c := range caches {
-			fill := src.Split(uint64(round))
+		fill := func() *cache.Cache {
+			c := cache.New(capacity, items)
+			draws := src.Split(uint64(round)) // the same contents on every call
 			for c.Len() < occupancy {
-				c.Put(int32(fill.Intn(items)), float64(1+fill.Intn(5)), int32(fill.Intn(100)))
+				c.Put(int32(draws.Intn(items)), float64(1+draws.Intn(5)), int32(draws.Intn(100)))
 			}
+			return c
 		}
-		before := caches[0].Entries(nil)
+		before := fill().Entries(nil)
 		var want []cache.Entry
 		for _, e := range before {
 			ts, listed := newest[e.ID]
@@ -68,22 +64,20 @@ func TestInvalidationWalksAgree(t *testing.T) {
 			want = append(want, e)
 		}
 
-		walks.ByCache(caches[0], r)
-		walks.ByReport(caches[1], r)
-		walks.ByCache(caches[2], r)
-		walks.ByReport(caches[3], r)
-		for i, c := range caches {
+		for _, w := range walks {
+			c := fill()
+			w.run(c, r)
 			got := c.Entries(nil)
 			if len(got) != len(want) {
-				t.Fatalf("round %d cache %d: %d survivors, want %d\ngot  %v\nwant %v", round, i, len(got), len(want), got, want)
+				t.Fatalf("round %d %s: %d survivors, want %d\ngot  %v\nwant %v", round, w.name, len(got), len(want), got, want)
 			}
 			for j := range got {
-				if got[j].ID != want[j].ID || got[j].TS != want[j].TS || got[j].Version != want[j].Version {
-					t.Fatalf("round %d cache %d: survivor %d = %+v, want %+v", round, i, j, got[j], want[j])
+				if got[j] != want[j] {
+					t.Fatalf("round %d %s: survivor %d = %+v, want %+v", round, w.name, j, got[j], want[j])
 				}
 			}
-			if inv := c.Invalidations(); inv != int64(len(before)-len(want)) {
-				t.Fatalf("round %d cache %d: %d invalidations, want %d", round, i, inv, len(before)-len(want))
+			if inv := len(before) - c.Len(); inv != len(before)-len(want) {
+				t.Fatalf("round %d %s: %d invalidations, want %d", round, w.name, inv, len(before)-len(want))
 			}
 		}
 	}

@@ -23,7 +23,7 @@ func protocolFuzz(t *testing.T, scheme Scheme, seed uint64, rounds int) {
 	d := db.New(n, true)
 	server := scheme.NewServer(DefaultParams(n))
 	client := scheme.NewClient(DefaultParams(n))
-	st := NewClientState(1, 30)
+	st := newClientState(1, 30, n)
 
 	now := 0.0
 	connected := true

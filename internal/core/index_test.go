@@ -53,7 +53,7 @@ func TestReportIndexReuse(t *testing.T) {
 			side := s.NewClient(DefaultParams(n))
 			idx := indexOf(t, side)
 			for _, step := range steps {
-				st := NewClientState(1, 10)
+				st := newClientState(1, 10, n)
 				st.Tlb = 390
 				for _, id := range []int32{7, 50, n - 1} {
 					st.Cache.Put(id, 100, 1)

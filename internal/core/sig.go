@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mobicache/internal/cache"
 	"mobicache/internal/db"
 	"mobicache/internal/report"
 )
@@ -176,6 +175,8 @@ type sigClient struct {
 	// function of (item, group), so the table is shared by every client
 	// served by this ClientSide (the kernel is single-threaded).
 	members map[int32][]int16
+	// ids is scratch for the cache walk, reused across clients.
+	ids []int32
 }
 
 // groupsOf returns (memoized) the groups containing id.
@@ -251,8 +252,9 @@ func (c *sigClient) HandleReport(st *ClientState, r report.Report, now float64) 
 		}
 	}
 	var stale []int32
-	st.Cache.Each(func(e cache.Entry) bool {
-		gs := c.groupsOf(e.ID)
+	c.ids = st.Cache.IDs(c.ids[:0])
+	for _, id := range c.ids {
+		gs := c.groupsOf(id)
 		vouched := false
 		for _, j := range gs {
 			if changed[j>>6]&(1<<(uint(j)&63)) == 0 {
@@ -261,10 +263,9 @@ func (c *sigClient) HandleReport(st *ClientState, r report.Report, now float64) 
 			}
 		}
 		if len(gs) == 0 || !vouched {
-			stale = append(stale, e.ID)
+			stale = append(stale, id)
 		}
-		return true
-	})
+	}
 	had := st.Cache.Len()
 	for _, id := range stale {
 		st.Cache.Invalidate(id)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"mobicache/internal/cache"
 	"mobicache/internal/db"
 	"mobicache/internal/report"
 )
@@ -26,8 +27,14 @@ func newRig(t *testing.T, s Scheme, n, cacheCap int) *testRig {
 		d:      db.New(n, true),
 		server: s.NewServer(p),
 		client: s.NewClient(p),
-		st:     NewClientState(1, cacheCap),
+		st:     newClientState(1, cacheCap, n),
 	}
+}
+
+// newClientState creates protocol state with an empty cache of the given
+// capacity over an n-item space, validated through time 0.
+func newClientState(id int32, capacity, n int) *ClientState {
+	return &ClientState{ID: id, Cache: cache.New(capacity, n)}
 }
 
 // broadcast builds a report at time now and delivers it to the client,

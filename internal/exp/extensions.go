@@ -95,15 +95,7 @@ var ExtensionSweeps = map[string]*Sweep{
 // every ~1500 s. The retry policy is always on — without timeouts a fetch
 // swallowed by a dead server would hang its client forever.
 func ChaosFaults(level float64) faults.Config {
-	f := faults.Config{
-		Retry: faults.RetryPolicy{
-			Timeout:     240,
-			Backoff:     2,
-			MaxDelay:    1920,
-			Jitter:      0.2,
-			MaxAttempts: 6,
-		},
-	}
+	f := faults.Config{Retry: adversaryRetry}
 	if level <= 0 {
 		return f
 	}
@@ -121,6 +113,17 @@ func ChaosFaults(level float64) faults.Config {
 	f.CrashMTBF = 6000 / level
 	f.CrashMTTR = 120
 	return f
+}
+
+// adversaryRetry is the fetch retry policy of every adversarySweeps row:
+// without timeouts a fetch swallowed by a dead server, a partition or a
+// client crash would hang its client forever.
+var adversaryRetry = faults.RetryPolicy{
+	Timeout:     240,
+	Backoff:     2,
+	MaxDelay:    1920,
+	Jitter:      0.2,
+	MaxAttempts: 6,
 }
 
 // auditCheck is the acceptance bar of the adversary sweeps (ext-chaos,
@@ -151,24 +154,66 @@ func OverloadGuardrails(c *engine.Config) {
 	}
 }
 
-func init() {
-	// Chaos robustness sweep: compound bursty loss + corruption + server
-	// crash/restart, jointly scaled by the chaos level, for all seven
-	// schemes with the stale-read checker armed. The audited families
-	// and their figures are registered together here.
-	ExtensionSweeps["ext-chaos"] = &Sweep{
-		ID: "ext-chaos", XLabel: "Chaos Level (burst loss x crash rate)",
-		Xs:      []float64{0, 1, 2, 3, 4},
-		Schemes: AllSchemes,
-		Configure: func(x float64) engine.Config {
-			c := base()
-			c.ProbDisc = 0.1
-			c.MeanDisc = 400
-			c.ConsistencyCheck = true
+// adversarySweeps are the audited robustness families that share one
+// base: all seven schemes, occasional disconnections (ProbDisc 0.1,
+// MeanDisc 400), the stale-read checker armed, and auditCheck on every
+// run. Each row layers one adversary onto that base, scaled by x.
+var adversarySweeps = []struct {
+	id, label string
+	xs        []float64
+	apply     func(c *engine.Config, x float64)
+}{
+	// Chaos: compound bursty loss + corruption + server crash/restart,
+	// jointly scaled by the chaos level.
+	{"ext-chaos", "Chaos Level (burst loss x crash rate)", []float64{0, 1, 2, 3, 4},
+		func(c *engine.Config, x float64) { c.Faults = ChaosFaults(x) }},
+	// Adversarial delivery: reordering, duplication, delay jitter,
+	// asymmetric partitions and clock skew/drift, jointly scaled by
+	// delivery.Severity. Level 1 already reorders past the broadcast
+	// period, so the sequence fence works at every enabled level.
+	{"ext-delivery", "Delivery Severity (reorder x dup x partition x skew)", []float64{0, 1, 2, 3, 4},
+		func(c *engine.Config, x float64) {
+			c.Faults.Retry = adversaryRetry
+			c.Delivery = delivery.Severity(x)
+		}},
+	// Population churn: mass-disconnect storms with flash-crowd
+	// reconnection, crash/restart with persisted-snapshot staleness and
+	// corruption faults, and paced resync, jointly scaled by
+	// churn.Severity.
+	{"ext-churn", "Churn Severity (storm x crash x snapshot faults)", []float64{0, 1, 2, 3, 4},
+		func(c *engine.Config, x float64) {
+			c.Faults.Retry = adversaryRetry
+			c.Churn = churn.Severity(x)
+		}},
+	// Observability: the span/AoI layer armed across the chaos ladder,
+	// with both span accounting identities enforced by the audit. Warmup
+	// is zero so the span ledger and the client counters describe the
+	// same population (a query terminating exactly at a warmup boundary
+	// could otherwise land on different sides of the two resets).
+	{"ext-aoi", "Chaos Level (burst loss x crash rate)", []float64{0, 1, 2, 3},
+		func(c *engine.Config, x float64) {
+			c.Warmup = 0
 			c.Faults = ChaosFaults(x)
-			return c
-		},
-		Check: auditCheck,
+			c.Spans = &engine.SpanOptions{}
+		}},
+}
+
+func init() {
+	for _, a := range adversarySweeps {
+		ExtensionSweeps[a.id] = &Sweep{
+			ID: a.id, XLabel: a.label,
+			Xs:      a.xs,
+			Schemes: AllSchemes,
+			Configure: func(x float64) engine.Config {
+				c := base()
+				c.ProbDisc = 0.1
+				c.MeanDisc = 400
+				c.ConsistencyCheck = true
+				a.apply(&c, x)
+				return c
+			},
+			Check: auditCheck,
+		}
 	}
 	// Overload/soak sweep: offered query load at 1x..8x the uplink's
 	// fetch-request capacity, with the full degradation layer on and the
@@ -190,83 +235,6 @@ func init() {
 			// equals x times UplinkBps at this think time.
 			c.MeanThink = float64(c.Clients) * c.ControlMsgBits / (c.UplinkBps * x)
 			OverloadGuardrails(&c)
-			return c
-		},
-		Check: auditCheck,
-	}
-	// Adversarial-delivery sweep: reordering, duplication, delay jitter,
-	// asymmetric partitions and clock skew/drift, jointly scaled by the
-	// severity level (delivery.Severity), for all seven schemes with the
-	// stale-read checker armed. Level 1 already reorders past the
-	// broadcast period, so the sequence fence works at every enabled
-	// level; the retry policy is always on — a partition-destroyed fetch
-	// must be re-requested, not waited on forever.
-	ExtensionSweeps["ext-delivery"] = &Sweep{
-		ID: "ext-delivery", XLabel: "Delivery Severity (reorder x dup x partition x skew)",
-		Xs:      []float64{0, 1, 2, 3, 4},
-		Schemes: AllSchemes,
-		Configure: func(x float64) engine.Config {
-			c := base()
-			c.ProbDisc = 0.1
-			c.MeanDisc = 400
-			c.ConsistencyCheck = true
-			c.Faults.Retry = faults.RetryPolicy{
-				Timeout:     240,
-				Backoff:     2,
-				MaxDelay:    1920,
-				Jitter:      0.2,
-				MaxAttempts: 6,
-			}
-			c.Delivery = delivery.Severity(x)
-			return c
-		},
-		Check: auditCheck,
-	}
-	// Population-churn sweep: mass-disconnect storms with flash-crowd
-	// reconnection, crash/restart with persisted-snapshot staleness and
-	// corruption faults, and paced resync, jointly scaled by the severity
-	// level (churn.Severity), for all seven schemes with the stale-read
-	// checker armed. The retry policy is always on — a crash-orphaned
-	// fetch must be re-requested after restart, not waited on forever.
-	ExtensionSweeps["ext-churn"] = &Sweep{
-		ID: "ext-churn", XLabel: "Churn Severity (storm x crash x snapshot faults)",
-		Xs:      []float64{0, 1, 2, 3, 4},
-		Schemes: AllSchemes,
-		Configure: func(x float64) engine.Config {
-			c := base()
-			c.ProbDisc = 0.1
-			c.MeanDisc = 400
-			c.ConsistencyCheck = true
-			c.Faults.Retry = faults.RetryPolicy{
-				Timeout:     240,
-				Backoff:     2,
-				MaxDelay:    1920,
-				Jitter:      0.2,
-				MaxAttempts: 6,
-			}
-			c.Churn = churn.Severity(x)
-			return c
-		},
-		Check: auditCheck,
-	}
-	// Observability sweep: the span/AoI layer armed for all seven schemes
-	// across the chaos ladder, with the stale-read checker on and both
-	// accounting identities enforced on every run. Warmup is zero so the
-	// span ledger and the client counters describe the same population
-	// (a query terminating exactly at a warmup boundary could otherwise
-	// land on different sides of the two resets).
-	ExtensionSweeps["ext-aoi"] = &Sweep{
-		ID: "ext-aoi", XLabel: "Chaos Level (burst loss x crash rate)",
-		Xs:      []float64{0, 1, 2, 3},
-		Schemes: AllSchemes,
-		Configure: func(x float64) engine.Config {
-			c := base()
-			c.ProbDisc = 0.1
-			c.MeanDisc = 400
-			c.Warmup = 0
-			c.ConsistencyCheck = true
-			c.Faults = ChaosFaults(x)
-			c.Spans = &engine.SpanOptions{}
 			return c
 		},
 		Check: auditCheck,

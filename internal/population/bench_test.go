@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mobicache/internal/cache"
 	"mobicache/internal/core"
 	"mobicache/internal/db"
 	"mobicache/internal/netsim"
@@ -148,14 +149,14 @@ func TestAggregateTickZeroAlloc(t *testing.T) {
 }
 
 // handleReportRig is one AAW client holding occupancy items of a 10-slot
-// BitmapCache over a 1000-item space, validated at the time of a report
+// cache over a 1000-item space, validated at the time of a report
 // listing entries ids spread across the space. The cached copies are
 // newer than every entry, so applying the report invalidates nothing and
 // the state is the same after every call.
 func handleReportRig(occupancy, entries int) (core.ClientSide, *core.ClientState, *report.TSReport) {
 	const items, capacity, t = 1000, 10, 1000.0
 	params := core.DefaultParams(items)
-	st := &core.ClientState{Cache: NewBitmapCache(capacity, items), Tlb: t}
+	st := &core.ClientState{Cache: cache.New(capacity, items), Tlb: t}
 	for i := 0; i < occupancy; i++ {
 		st.Cache.Put(int32(i*items/capacity), t, 1)
 	}
@@ -173,7 +174,7 @@ func handleReportRig(occupancy, entries int) (core.ClientSide, *core.ClientState
 var handleReportCases = [][2]int{{0, 4}, {0, 80}, {4, 4}, {4, 80}, {10, 4}, {10, 80}}
 
 // BenchmarkHandleReport measures one client's HandleReport against a
-// BitmapCache — the per-client step of the broadcast fan-out. One op
+// client cache — the per-client step of the broadcast fan-out. One op
 // reapplies the same report, so the shared index is built once, as when a
 // broadcast reaches a whole population.
 func BenchmarkHandleReport(b *testing.B) {

@@ -1,9 +1,29 @@
+// Package population implements the mobile hosts of the simulation
+// (paper §4) as one struct-of-arrays value. Each client runs a closed
+// query loop: think (with disconnection chances), issue a read-only query
+// over a few items, wait for the next invalidation report to validate the
+// cache, answer cached items locally, fetch the rest over the shared
+// uplink/downlink, and repeat. Reports are processed whenever the client
+// is connected, independently of the query loop.
+//
+// Per-client lifecycle state (gap timers, sleep schedules, query cursors,
+// fence/epoch gates, churn and offline flags) lives in flat slices, caches
+// are bitmap-indexed LRUs carved from shared arenas (cache.NewSet), and
+// every suspension point of the query loop is an explicit continuation
+// driven by kernel events. The package's contract is bit-identity with the
+// process-per-client client it replaced: a run schedules the same kernel
+// events in the same order, drawing the same random streams, so Results
+// reproduce the digests recorded from that path (the digest tables under
+// internal/engine/testdata). No goroutine stacks, no channel handoffs, no
+// per-client map allocations — a million clients fit in a few hundred
+// bytes each. DESIGN.md §16 states the model.
 package population
 
 import (
 	"math"
 
 	"mobicache/internal/bitio"
+	"mobicache/internal/cache"
 	"mobicache/internal/core"
 	"mobicache/internal/delivery"
 	"mobicache/internal/faults"
@@ -180,8 +200,8 @@ type route struct {
 }
 
 // Population is the client population: every per-client field in a flat
-// slice indexed by client id, caches packed as versioned bitmaps over the
-// item space, and the query loop as the continuation machine in step.
+// slice indexed by client id, caches packed as bitmaps over the item
+// space, and the query loop as the continuation machine in step.
 // One broadcast tick wakes the whole cell as a batch: the server's
 // fan-out calls each handle's DeliverReport inside the single
 // downlink-completion event, so report application for a million clients
@@ -196,7 +216,7 @@ type Population struct {
 	cell   []int32
 
 	states  []core.ClientState
-	caches  []BitmapCache
+	caches  []cache.Cache
 	srcs    []rng.Source
 	handles []Handle
 	counts  []Counters
@@ -239,7 +259,7 @@ type Population struct {
 	deadlineFns []func()
 }
 
-// New builds the population: states, caches (three shared arenas), RNG
+// New builds the population: states, caches (shared arenas), RNG
 // substreams and cached closures, with every client routed to up and
 // server. Client i's stream is root.Split(1000+i); rng.Source.Split is
 // non-mutating, so construction consumes no randomness and the
@@ -253,7 +273,7 @@ func New(k *sim.Kernel, up *netsim.Channel, server ServerAPI, cfg Config, root *
 		routes:       []route{{up: up, server: server}},
 		cell:         make([]int32, n),
 		states:       make([]core.ClientState, n),
-		caches:       make([]BitmapCache, n),
+		caches:       cache.NewSet(n, cfg.CacheCapacity, cfg.Params.N),
 		srcs:         make([]rng.Source, n),
 		handles:      make([]Handle, n),
 		counts:       make([]Counters, n),
@@ -286,22 +306,8 @@ func New(k *sim.Kernel, up *netsim.Channel, server ServerAPI, cfg Config, root *
 	if !dl.Enabled() {
 		dl = faults.Bernoulli(cfg.ReportLossProb)
 	}
-	// The three cache arenas: presence bitmaps, slots, free stacks. Every
-	// client's cache is a view; a million caches cost three allocations.
-	words := BitmapWords(cfg.Params.N)
-	cap := cfg.CacheCapacity
-	bitArena := make([]uint64, words*n)
-	slotArena := make([]bslot, cap*n)
-	freeArena := make([]int32, cap*n)
 	for i := 0; i < n; i++ {
-		c := &p.caches[i]
-		c.Init(cap, cfg.Params.N,
-			bitArena[i*words:(i+1)*words],
-			slotArena[i*cap:(i+1)*cap],
-			// Three-index slice: the free stack must never grow past its
-			// carve-out into the neighbour's.
-			freeArena[i*cap:i*cap:(i+1)*cap])
-		p.states[i] = core.ClientState{ID: int32(i), Cache: c}
+		p.states[i] = core.ClientState{ID: int32(i), Cache: &p.caches[i]}
 		p.srcs[i] = *root.Split(1000 + uint64(i))
 		p.ge[i] = faults.NewGE(dl, &p.srcs[i])
 		p.handles[i] = Handle{p: p, i: int32(i)}
