@@ -50,9 +50,9 @@ fuzz-smoke:
 # capacity under the full degradation layer), ext-delivery (jitter,
 # reordering, duplication, partitions, clock skew) and ext-churn (storms,
 # crash/restart with snapshot faults, paced resync). Every run is gated by
-# the sweeps' shared check: engine.Audit (zero stale reads, every
-# accounting identity, queue peaks within their caps) plus a collapse
-# guard. CSV artifacts land in results-adversary/.
+# its own audit (zero stale reads, every accounting identity, queue peaks
+# within their caps) plus the sweeps' collapse guard. CSV artifacts land
+# in results-adversary/.
 adversary-smoke:
 	$(GO) run ./cmd/experiments -figure ext-chaos-thr -simtime 4000 -out results-adversary
 	$(GO) run ./cmd/experiments -figure ext-overload-thr -simtime 4000 -out results-adversary
@@ -71,16 +71,17 @@ obs-smoke:
 	$(GO) run ./cmd/mobisim -from-manifest results-obs/run.json | grep -q 'replay verified'
 
 # Span/AoI smoke: one chaos run exporting per-query causal spans, the
-# file re-validated as Perfetto-loadable trace-event JSON, then the
-# ext-aoi sweep (all seven schemes, four fault levels) at a short
-# horizon. The sweep's check (engine.Audit) fails the run on any stale
-# read or a span accounting identity that does not reconcile with the
-# query counters.
+# file re-validated as Perfetto-loadable trace-event JSON, the run's
+# manifest replayed and verified by digest, then the ext-aoi sweep (all
+# seven schemes, four fault levels) at a short horizon. Every run audits
+# itself, which fails it on any stale read or a span accounting identity
+# that does not reconcile with the query counters.
 spans-smoke:
 	rm -rf results-spans && mkdir -p results-spans
 	$(GO) run ./cmd/mobisim -scheme aaw -chaos 3 -simtime 4000 \
 		-spans results-spans/spans.json -manifest results-spans/run.json
 	$(GO) run ./cmd/mobisim -validate-spans results-spans/spans.json
+	$(GO) run ./cmd/mobisim -from-manifest results-spans/run.json | grep -q 'replay verified'
 	$(GO) run ./cmd/experiments -figure ext-aoi -simtime 4000 -out results-spans
 
 # Population pass: the digest oracle (all seven schemes × every

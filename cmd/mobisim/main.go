@@ -164,11 +164,14 @@ func run(args []string, out *os.File) error {
 			return err
 		}
 	}
-	// -spans arms the assembly layer (in Keep mode, so the file has every
-	// span and phase segment); on a manifest replay the layer is already
-	// re-armed and this only upgrades it to Keep.
+	// -spans arms the assembly layer in Keep mode, so the file has every
+	// span and phase segment. On a replay it may only upgrade a recorded
+	// layer to Keep: the digest covers the span fields.
 	if *spansOut != "" {
 		if c.Spans == nil {
+			if replay != nil {
+				return fmt.Errorf("-spans: %s was recorded without spans", *fromManifest)
+			}
 			c.Spans = &engine.SpanOptions{}
 		}
 		c.Spans.Keep = true
@@ -240,10 +243,10 @@ func run(args []string, out *os.File) error {
 	}
 
 	start := time.Now()
-	r, err := engine.Run(c)
+	r, runErr := engine.Run(c)
 	wall := time.Since(start)
-	if err != nil {
-		return err
+	if r == nil {
+		return runErr
 	}
 
 	if jsonlBuf != nil {
@@ -332,11 +335,11 @@ func run(args []string, out *os.File) error {
 			return err
 		}
 	}
-	return engine.Audit(r)
+	return runErr // a failed audit, reported after the results it judged
 }
 
-// jsonResults is the flat, marshalable view of a run (Config holds
-// function-valued workload fields, so Results itself is not marshaled).
+// jsonResults is the -json view of a run: Results marshals too, but this
+// type gives mobisim's output names and the identifying config scalars.
 // Every exported engine.Results field must appear here under its own
 // name — TestJSONCoversAllResultFields enforces it, so new metrics
 // cannot be silently dropped from -json output.
@@ -567,14 +570,15 @@ func toJSONResults(r *engine.Results) jsonResults {
 // worker count. With -json it emits an array of per-seed result objects.
 func runMulti(out *os.File, c engine.Config, count, workers int, root uint64, jsonOut bool) error {
 	results := make([]*engine.Results, count)
+	audits := make([]error, count) // a failed audit is reported after the summaries
 	err := parallel.ForEach(count, workers, func(i int) error {
 		rc := c
 		rc.Seed = rng.DeriveSeed(root, uint64(i))
 		r, err := engine.Run(rc)
-		if err != nil {
+		if r == nil {
 			return fmt.Errorf("replication %d (seed %d): %w", i, rc.Seed, err)
 		}
-		results[i] = r
+		results[i], audits[i] = r, err
 		return nil
 	})
 	if err != nil {
@@ -610,9 +614,9 @@ func runMulti(out *os.File, c engine.Config, count, workers int, root uint64, js
 		fmt.Fprintf(out, "mean response time:      %.1f s (std %.1f)\n", resp.Mean(), resp.Std())
 	}
 
-	for _, r := range results {
-		if err := engine.Audit(r); err != nil {
-			return fmt.Errorf("seed %d: %w", r.Config.Seed, err)
+	for i, err := range audits {
+		if err != nil {
+			return fmt.Errorf("seed %d: %w", results[i].Config.Seed, err)
 		}
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 
 	"mobicache/internal/core"
 	"mobicache/internal/engine"
+	"mobicache/internal/report"
 )
 
 func runCapture(t *testing.T, args ...string) (string, error) {
@@ -230,6 +231,47 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 	if !strings.Contains(out, "replay verified") {
 		t.Fatalf("no replay verification in output:\n%s", out)
+	}
+	// Spans would add fields the recorded digest does not have.
+	if _, err := runCapture(t, "-from-manifest", man, "-spans", filepath.Join(dir, "s.json")); err == nil {
+		t.Fatal("-spans armed on the replay of a run recorded without spans")
+	}
+}
+
+// blindClient marks the cache validated through every report without
+// reading it, so a run on it serves stale items and fails its audit.
+type blindClient struct{}
+
+func (blindClient) HandleReport(st *core.ClientState, r report.Report, _ float64) core.Outcome {
+	st.Tlb = r.Time()
+	return core.Outcome{Ready: true}
+}
+
+func (blindClient) HandleValidity(*core.ClientState, *report.ValidityReport, float64) core.Outcome {
+	panic("blind client: no validity exchange")
+}
+
+type blindScheme struct{ core.Scheme }
+
+func (blindScheme) Name() string                          { return "blind" }
+func (blindScheme) NewClient(core.Params) core.ClientSide { return blindClient{} }
+
+// TestFailedAuditPrintsResults: a run that fails its audit still prints
+// its results, then exits with the audit's error, single-seed and
+// multi-seed alike.
+func TestFailedAuditPrintsResults(t *testing.T) {
+	core.Registry["blind"] = blindScheme{core.Registry["ts"]}
+	defer delete(core.Registry, "blind")
+	for _, extra := range [][]string{nil, {"-seeds", "2"}} {
+		args := append([]string{"-scheme", "blind", "-check", "-v", "-workload", "hotcold",
+			"-update", "10", "-simtime", "4000"}, extra...)
+		out, err := runCapture(t, args...)
+		if err == nil || !strings.Contains(err.Error(), "stale read") {
+			t.Fatalf("%v: a stale run exited with %v", extra, err)
+		}
+		if !strings.Contains(out, "queries answered:") {
+			t.Fatalf("%v: the failed run printed no results:\n%s", extra, out)
+		}
 	}
 }
 

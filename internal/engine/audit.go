@@ -1,12 +1,18 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+)
 
-// Audit checks a completed run against the stale-read checker's verdict
+// audit checks a completed run against the stale-read checker's verdict
 // and every accounting identity the engine promises, returning an error
 // that names the first one broken (nil for a healthy run):
 //
 //   - no stale reads (meaningful when Config.ConsistencyCheck is set);
+//   - every numeric Results field and map entry finite and non-negative;
 //   - issued == answered + timed_out + shed + in_flight;
 //   - Disconnections == StormDisconnects + SoloDisconnects;
 //   - ClientCrashes == RestartsWarm + RestartsCold + CrashedAtEnd, with
@@ -17,9 +23,9 @@ import "fmt"
 //     and every phase decomposition sums to its total within 1e-6 s;
 //   - no handoffs with a single cell.
 //
-// Sweeps, tests and the commands call it, so the identities are checked
+// Run calls it on every run it completes, so the identities are checked
 // in one place.
-func Audit(r *Results) error {
+func audit(r *Results) error {
 	s, o := r.Config.Scheme, r.Config.Overload
 	switch {
 	case r.ConsistencyViolations > 0:
@@ -46,6 +52,9 @@ func Audit(r *Results) error {
 	case r.Config.Cells <= 1 && r.Handoffs != 0:
 		return fmt.Errorf("%s: %d handoffs in a single cell", s, r.Handoffs)
 	}
+	if err := checkNonNegative(r); err != nil {
+		return fmt.Errorf("%s: %w", s, err)
+	}
 	if r.Spans != nil {
 		if err := r.Spans.Identity(r.QueriesIssued, r.QueriesAnswered,
 			r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight); err != nil {
@@ -56,4 +65,40 @@ func Audit(r *Results) error {
 		}
 	}
 	return nil
+}
+
+// checkNonNegative names the first numeric field of Results, or entry of
+// one of its maps in key order, that is negative or not finite.
+// Reflection keeps the check total: a counter added to Results later is
+// covered the day it appears.
+func checkNonNegative(r *Results) error {
+	v := reflect.ValueOf(r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		if bad(f) {
+			return fmt.Errorf("Results.%s = %v, want finite and >= 0", name, f)
+		}
+		if f.Kind() == reflect.Map {
+			keys := f.MapKeys()
+			sort.Slice(keys, func(a, b int) bool { return keys[a].String() < keys[b].String() })
+			for _, k := range keys {
+				if e := f.MapIndex(k); bad(e) {
+					return fmt.Errorf("Results.%s[%v] = %v, want finite and >= 0", name, k, e)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// bad reports whether v is a negative integer or a float that is
+// negative, NaN or +Inf; other kinds are never bad.
+func bad(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		return v.Int() < 0
+	case reflect.Float64:
+		return !(v.Float() >= 0) || math.IsInf(v.Float(), 1)
+	}
+	return false
 }

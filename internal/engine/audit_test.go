@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"mobicache/internal/core"
 	"mobicache/internal/overload"
+	"mobicache/internal/report"
 	"mobicache/internal/span"
+	"mobicache/internal/workload"
 )
 
-// auditedResults is a healthy run in miniature: every identity Audit
+// auditedResults is a healthy run in miniature: every identity audit
 // checks holds with equality or at its bound, so breaking any one by one
 // fails it.
 func auditedResults() *Results {
@@ -20,12 +24,13 @@ func auditedResults() *Results {
 		ClientCrashes: 4, RestartsWarm: 2, RestartsCold: 1, CrashedAtEnd: 1,
 		SnapshotRejects: 1, Salvages: 2, Drops: 1,
 		UpPeakQueue: 5, DownPeakQueue: 5,
-		Spans: &span.Summary{Answered: 6, TimedOut: 2, Shed: 1, Open: 1, MaxResidual: 1e-6},
+		ReportBits: map[string]float64{"TS": 64},
+		Spans:      &span.Summary{Answered: 6, TimedOut: 2, Shed: 1, Open: 1, MaxResidual: 1e-6},
 	}
 }
 
 func TestAuditNamesEachIdentity(t *testing.T) {
-	if err := Audit(auditedResults()); err != nil {
+	if err := audit(auditedResults()); err != nil {
 		t.Fatalf("healthy results rejected: %v", err)
 	}
 	for _, tc := range []struct {
@@ -42,15 +47,20 @@ func TestAuditNamesEachIdentity(t *testing.T) {
 		{"uplink peak queue", func(r *Results) { r.UpPeakQueue++ }},
 		{"downlink peak queue", func(r *Results) { r.DownPeakQueue++ }},
 		{"handoffs in a single cell", func(r *Results) { r.Handoffs++ }},
+		{"Results.Retries = -1", func(r *Results) { r.Retries = -1 }},
+		{"Results.PeakEventQueue = -1", func(r *Results) { r.PeakEventQueue = -1 }},
+		{"Results.HitRatio = NaN", func(r *Results) { r.HitRatio = math.NaN() }},
+		{"Results.MaxResponse = +Inf", func(r *Results) { r.MaxResponse = math.Inf(1) }},
+		{"Results.ReportBits[TS] = -1", func(r *Results) { r.ReportBits["TS"] = -1 }},
 		{"outcome counts", func(r *Results) { r.Spans.Answered++ }},
 		{"anomalous", func(r *Results) { r.Spans.Anomalies++ }},
 		{"residual", func(r *Results) { r.Spans.MaxResidual *= 2 }},
 	} {
 		r := auditedResults()
 		tc.perturb(r)
-		err := Audit(r)
+		err := audit(r)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s broken: Audit returned %v", tc.want, err)
+			t.Errorf("%s broken: audit returned %v", tc.want, err)
 		}
 	}
 	// The conditional checks stay quiet when their condition is off.
@@ -67,8 +77,46 @@ func TestAuditNamesEachIdentity(t *testing.T) {
 	} {
 		r := auditedResults()
 		tc.relax(r)
-		if err := Audit(r); err != nil {
+		if err := audit(r); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
+	}
+}
+
+// blindClient marks the cache validated through every report without
+// reading it, so a cached item goes stale as soon as the server updates
+// it.
+type blindClient struct{}
+
+func (blindClient) HandleReport(st *core.ClientState, r report.Report, _ float64) core.Outcome {
+	st.Tlb = r.Time()
+	return core.Outcome{Ready: true}
+}
+
+func (blindClient) HandleValidity(*core.ClientState, *report.ValidityReport, float64) core.Outcome {
+	panic("blind client: no validity exchange")
+}
+
+// blindScheme is ts with a blindClient.
+type blindScheme struct{ core.Scheme }
+
+func (blindScheme) Name() string                          { return "blind" }
+func (blindScheme) NewClient(core.Params) core.ClientSide { return blindClient{} }
+
+// TestRunReturnsFailedAudit: Run audits every run, and a run that fails
+// its audit comes back with its Results, so the caller can show them.
+func TestRunReturnsFailedAudit(t *testing.T) {
+	core.Registry["blind"] = blindScheme{core.Registry["ts"]}
+	defer delete(core.Registry, "blind")
+	c := equivBase(1)
+	c.Scheme = "blind"
+	c.Workload = workload.HotCold(c.DBSize)
+	c.MeanUpdate = 10
+	r, err := Run(c)
+	if err == nil || !strings.Contains(err.Error(), "stale read") {
+		t.Fatalf("a blind client passed the audit: %v", err)
+	}
+	if r == nil || r.ConsistencyViolations == 0 || r.QueriesAnswered == 0 {
+		t.Fatalf("the failed run came back without its results: %+v", r)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -149,18 +150,40 @@ func TestAggregateDeterminism(t *testing.T) {
 	runCell(t, c)
 }
 
-// resultDigest is the canonical hash of a run: SHA-256 over the JSON
-// encoding of every Results field except Config, which is zeroed because
-// the workload holds funcs. It is the definition cmd/mobibench's digest
-// uses.
-func resultDigest(t testing.TB, r *Results) string {
+// zeroConfig is json.Marshal(Config{}) as it encoded when the digest
+// tables were recorded, before Config carried json tags and when Results
+// still encoded its Config. It was generated from that Config, not
+// written by hand.
+func zeroConfig(t testing.TB) json.RawMessage {
 	t.Helper()
-	cp := *r
-	cp.Config = Config{}
-	b, err := json.Marshal(&cp)
+	b, err := os.ReadFile("testdata/zero_config.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// mustDigest is Digest, failing the test on an error.
+func mustDigest(t testing.TB, r *Results) string {
+	t.Helper()
+	d, err := Digest(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// frozenDigest is the digest the tables recorded: SHA-256 over the JSON
+// encoding of r with its Config zeroed and encoded first, as Results
+// encoded before Config was left out of it. Every other byte is the
+// encoding Digest hashes.
+func frozenDigest(t testing.TB, r *Results) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(append(append([]byte(`{"Config":`), zeroConfig(t)...), ','), b[1:]...)
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
@@ -198,12 +221,89 @@ func loadDigests(t testing.TB, path string) map[string]string {
 // oracle, recorded from the process-per-client path.
 func checkDigest(t testing.TB, cell string, r *Results) {
 	t.Helper()
-	got := resultDigest(t, r)
+	got := frozenDigest(t, r)
 	want, ok := loadDigests(t, "testdata/equiv_digests.txt")[cell]
 	if !ok {
 		t.Fatalf("cell %s: no recorded digest (got %s)", cell, got)
 	}
 	if got != want {
 		t.Fatalf("cell %s: digest %s, recorded %s", cell, got, want)
+	}
+}
+
+// TestDigestCoversEveryField adds one, in place, to every numeric value
+// Results encodes: each top-level counter and float, each map entry, and
+// each number inside Spans, PerCell and FirstViolation. Every bump must
+// move the digest, and changing the Config must not.
+func TestDigestCoversEveryField(t *testing.T) {
+	c := multicellConfig()
+	c.Cells = 2
+	c.Spans = &SpanOptions{}
+	r := mustRun(t, c)
+	r.FirstViolation = &Violation{Client: 1, Item: 2, Served: 3, Correct: 4, Tlb: 5}
+	base := mustDigest(t, r)
+	bumped := 0
+	bumpEach(reflect.ValueOf(r).Elem(), "Results", func(path string) {
+		bumped++
+		if mustDigest(t, r) == base {
+			t.Errorf("%s + 1 left the digest unchanged", path)
+		}
+	})
+	if mustDigest(t, r) != base {
+		t.Fatal("the walk did not restore the results")
+	}
+	if bumped < 100 || len(r.ReportsSent) == 0 || len(r.PerCell) != 2 {
+		t.Fatalf("walk bumped %d values over %d report kinds and %d cells; the table is thin",
+			bumped, len(r.ReportsSent), len(r.PerCell))
+	}
+	r.Config.Seed++
+	if mustDigest(t, r) != base {
+		t.Fatal("the digest depends on the Config")
+	}
+}
+
+// bumpEach calls check once per numeric value reachable from v through
+// encoded struct fields, pointers, slices, arrays and maps, with that
+// value increased by one, and restores it afterwards.
+func bumpEach(v reflect.Value, path string, check func(path string)) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+		check(path)
+		v.SetInt(v.Int() - 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+		check(path)
+		v.SetUint(v.Uint() - 1)
+	case reflect.Float64:
+		old := v.Float()
+		v.SetFloat(old + 1)
+		check(path)
+		v.SetFloat(old)
+	case reflect.Pointer:
+		if !v.IsNil() {
+			bumpEach(v.Elem(), path, check)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() && f.Tag.Get("json") != "-" {
+				bumpEach(v.Field(i), path+"."+f.Name, check)
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			bumpEach(v.Index(i), fmt.Sprintf("%s[%d]", path, i), check)
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			old := v.MapIndex(k)
+			e := reflect.New(old.Type()).Elem()
+			e.Set(old)
+			bumpEach(e, fmt.Sprintf("%s[%v]", path, k), func(p string) {
+				v.SetMapIndex(k, e)
+				check(p)
+				v.SetMapIndex(k, old)
+			})
+		}
 	}
 }

@@ -3,7 +3,7 @@
 // over the shared database, cell 0's carrying the update stream), and
 // the population of mobile clients — the system of paper §4, extended to
 // §2's several cells. Config mirrors Table 1; Run executes the simulation
-// and gathers Results; Audit checks them.
+// and audits its Results; Manifest records a run for replay.
 package engine
 
 import (
@@ -31,80 +31,81 @@ import (
 
 // Config is one simulation setup. The zero value is not runnable; start
 // from Default and override.
+//
+// Each field's json tag is its key in the run manifest, which embeds
+// Config; the five tagged "-" are runtime wiring the manifest leaves out.
 type Config struct {
 	// Scheme names the invalidation method (core registry: "ts",
 	// "ts-check", "at", "bs", "afw", "aaw").
-	Scheme string
+	Scheme string `json:"scheme"`
 	// Clients is the number of mobile hosts, placed round-robin over the
 	// cells (client i starts in cell i mod Cells).
-	Clients int
+	Clients int `json:"clients"`
 	// Cells is the number of cells, each covered by its own mobile
 	// support station: a downlink, an uplink and a server broadcasting on
 	// the common schedule from the replicated database (paper §2). One
 	// cell is the paper's evaluated model. With more, the layers that
 	// wire one channel or one server are rejected by Validate.
-	Cells int `json:",omitempty"`
+	Cells int `json:"cells"`
 	// MoveProb is the probability that a host wakes from a disconnection
 	// in a uniformly chosen different cell — a handoff, made while no
 	// fetch or validity exchange is in flight. Ignored with one cell.
-	// Both tags keep the JSON of a zeroed Config, which every recorded
-	// result digest hashes, as it was before the fields existed.
-	MoveProb float64 `json:",omitempty"`
+	MoveProb float64 `json:"move_prob"`
 	// DBSize is the number of database items.
-	DBSize int
+	DBSize int `json:"db_size"`
 	// ItemBits is the downlink size of one data item. Table 1 says
 	// "8192 bytes", which is inconsistent with the paper's own throughput
 	// magnitudes on a 10 kbit/s downlink; we use 8192 bits (see
 	// DESIGN.md §3).
-	ItemBits float64
+	ItemBits float64 `json:"item_bits"`
 	// BufferPct is the client cache size as a fraction of DBSize.
-	BufferPct float64
+	BufferPct float64 `json:"buffer_pct"`
 	// Period is the broadcast period L in seconds.
-	Period float64
+	Period float64 `json:"period"`
 	// WindowIntervals is the invalidation window w in periods.
-	WindowIntervals int
+	WindowIntervals int `json:"window_intervals"`
 	// DownlinkBps and UplinkBps are channel bandwidths in bits/second.
-	DownlinkBps float64
-	UplinkBps   float64
+	DownlinkBps float64 `json:"downlink_bps"`
+	UplinkBps   float64 `json:"uplink_bps"`
 	// ControlMsgBits is the fixed size of a data-fetch request (Table 1's
 	// 512-byte control message).
-	ControlMsgBits float64
+	ControlMsgBits float64 `json:"control_msg_bits"`
 	// MeanThink is the expected think time between queries.
-	MeanThink float64
+	MeanThink float64 `json:"mean_think"`
 	// MeanUpdate is the expected update-transaction interarrival time.
-	MeanUpdate float64
+	MeanUpdate float64 `json:"mean_update"`
 	// MeanDisc and ProbDisc model disconnection: each inter-query gap is
 	// a disconnection of mean MeanDisc with probability ProbDisc,
 	// otherwise a think (see population.Config.DiscPerInterval for the
 	// alternative per-boundary model).
-	MeanDisc float64
-	ProbDisc float64
+	MeanDisc float64 `json:"mean_disc"`
+	ProbDisc float64 `json:"prob_disc"`
 	// DiscPerInterval switches to the per-broadcast-boundary
 	// disconnection model (ablation).
-	DiscPerInterval bool
+	DiscPerInterval bool `json:"disc_per_interval"`
 	// SimTime is the simulated horizon in seconds.
-	SimTime float64
+	SimTime float64 `json:"sim_time"`
 	// Warmup discards all statistics gathered before this simulated time,
 	// so measurements cover only the steady state (0 = measure the whole
 	// run, like the paper).
-	Warmup float64
+	Warmup float64 `json:"warmup"`
 	// Seed feeds every random stream; identical configs with identical
 	// seeds produce identical results.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Workload supplies access patterns and operation sizes; nil Query
 	// means Uniform(DBSize).
-	Workload workload.Workload
+	Workload workload.Workload `json:"-"`
 	// TSBits and HeaderBits tune the message size model.
-	TSBits     int
-	HeaderBits int
+	TSBits     int `json:"ts_bits"`
+	HeaderBits int `json:"header_bits"`
 	// ConsistencyCheck enables the stale-read detector: every cache-served
 	// item is compared against the version that was current at the
 	// client's validation timestamp. Costs memory proportional to the
 	// update count.
-	ConsistencyCheck bool
+	ConsistencyCheck bool `json:"consistency_check"`
 	// Trace, when non-nil, records protocol events from the server and
 	// every client into the given ring buffer.
-	Trace *trace.Tracer
+	Trace *trace.Tracer `json:"-"`
 	// Metrics, when non-nil, receives a time series sampled once per
 	// broadcast period: throughput, hit ratio, report kind and size,
 	// adjusted window, channel utilization, retries and fault/recovery
@@ -112,19 +113,19 @@ type Config struct {
 	// per-period sampler, so enabling it schedules no additional events
 	// and consumes no randomness; a nil registry leaves the run
 	// bit-identical to an uninstrumented build.
-	Metrics *metrics.Registry
+	Metrics *metrics.Registry `json:"-"`
 	// ReportLossProb injects per-client report reception failures
 	// (failure-injection extension; the paper assumes perfect reception).
 	// It is the degenerate single-state case of Faults.DownLoss; setting
 	// both is a configuration error.
-	ReportLossProb float64
+	ReportLossProb float64 `json:"report_loss_prob"`
 	// Faults configures the deterministic fault-injection layer: bursty
 	// (Gilbert–Elliott) downlink and uplink loss/corruption, server
 	// crash/restart, and the client uplink timeout/backoff policy. The
 	// zero value injects nothing, schedules nothing, and consumes no
 	// randomness, keeping seeded results bit-identical to fault-free
 	// builds.
-	Faults faults.Config
+	Faults faults.Config `json:"faults"`
 	// Overload configures the graceful-degradation layer: bounded channel
 	// queues, client query deadlines, and server admission control with
 	// request coalescing. The zero value disables everything — no events,
@@ -132,7 +133,7 @@ type Config struct {
 	// (pinned by TestOverloadFreeResultsUnchanged). Bounded queues or
 	// admission control require a recovery path (Overload.QueryDeadline or
 	// Faults.Retry); Validate enforces it.
-	Overload overload.Config
+	Overload overload.Config `json:"overload"`
 	// Delivery configures the adversarial-delivery layer: per-link delay
 	// jitter, bounded reordering, duplication, asymmetric partitions, and
 	// per-client clock skew/drift. Enabling it arms the clients' broadcast
@@ -143,7 +144,7 @@ type Config struct {
 	// TestDeliveryFreeResultsUnchanged). Any enabled adversary requires a
 	// recovery path (Faults.Retry or Overload.QueryDeadline); Validate
 	// enforces it.
-	Delivery delivery.Config
+	Delivery delivery.Config `json:"delivery"`
 	// Churn configures the population adversary: correlated mass-
 	// disconnect storms with paced resync, and client crash/restart with
 	// a persisted-snapshot trust contract (warm restores come from a
@@ -155,11 +156,11 @@ type Config struct {
 	// recovery path (Faults.Retry or Overload.QueryDeadline); Validate
 	// enforces it, and bounds Churn.SnapshotTTL by the invalidation
 	// window w·L.
-	Churn churn.Config
+	Churn churn.Config `json:"churn"`
 	// Aggregate has no effect: every run uses the struct-of-arrays client
 	// population (internal/population). The field remains only because
 	// existing callers still set it.
-	Aggregate bool
+	Aggregate bool `json:"-"`
 	// Spans arms the causal-span and age-of-information observability
 	// layer: a span.Assembler rides the trace stream as a sink (created
 	// internally, chained behind any user-supplied sink), folding each
@@ -168,9 +169,9 @@ type Config struct {
 	// (answer instant minus the item's last server update). Assembly is
 	// a pure fold — no kernel events, no randomness — so nil (disabled)
 	// leaves results bit-identical to builds without the layer (pinned
-	// by TestSpanFreeResultsUnchanged), and an enabled run's digest
-	// equals its own disabled twin's.
-	Spans *SpanOptions
+	// by TestSpanFreeResultsUnchanged), and an enabled run's Results
+	// equal its disabled twin's apart from the span and AoI fields.
+	Spans *SpanOptions `json:"-"`
 }
 
 // SpanOptions configures the span/AoI layer (Config.Spans).
@@ -327,7 +328,9 @@ type CellStats struct {
 // Results aggregates one run. Channel and server counters are summed over
 // the cells, and the utilizations are the mean over the cells.
 type Results struct {
-	Config Config
+	// Config is the configuration that ran. It is left out of the JSON
+	// encoding, and so out of Digest: the manifest records it instead.
+	Config Config `json:"-"`
 
 	// Headline metrics (the paper's two evaluation axes).
 	QueriesAnswered      int64
@@ -472,7 +475,10 @@ type cell struct {
 	srv      *server.Server
 }
 
-// Run executes the simulation described by c.
+// Run executes the simulation described by c and audits the results. A
+// run that fails its audit returns its Results together with the error,
+// so the caller can still show what went wrong; a config error returns
+// nil Results.
 func Run(c Config) (*Results, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -896,5 +902,5 @@ func Run(c Config) (*Results, error) {
 	}
 	res.Events = k.Executed()
 	res.PeakEventQueue = k.MaxPending()
-	return res, nil
+	return res, audit(res)
 }

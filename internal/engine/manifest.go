@@ -1,15 +1,13 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 
-	"mobicache/internal/churn"
-	"mobicache/internal/delivery"
-	"mobicache/internal/faults"
-	"mobicache/internal/overload"
 	"mobicache/internal/workload"
 )
 
@@ -30,13 +28,14 @@ import (
 // longer written; encoding/json skips the key when a v6 file that
 // carries it is read, and the file replays unchanged; 7 = added cells
 // and move_prob (a file without them is a single-cell run and replays as
-// one).
-const ManifestSchemaVersion = 7
+// one); 8 = embeds Config, whose json tags are the keys every earlier
+// schema wrote (so v1-v7 files decode unchanged), and adds the digest.
+const ManifestSchemaVersion = 8
 
-// Manifest is the reproducibility record of one run: every knob needed
-// to re-execute it bit-identically (scheme, workload, seed, all Config
-// scalars, the fault plan), a digest of the headline results to verify a
-// replay against, and the kernel's self-profile. The engine fills
+// Manifest is the reproducibility record of one run: the Config that ran
+// (embedded, so every knob is recorded under its json tag), the workload
+// by name, the Digest of its Results to verify a replay against, a few
+// headline numbers, and the kernel's self-profile. The engine fills
 // everything except the wall-clock fields, which the command layer
 // stamps after the run — simulator packages never read the wall clock
 // (DESIGN.md §7).
@@ -44,50 +43,28 @@ type Manifest struct {
 	SchemaVersion int    `json:"schema_version"`
 	GoVersion     string `json:"go_version"`
 
-	// Reproduction inputs.
-	Scheme           string          `json:"scheme"`
-	Workload         string          `json:"workload"`
-	Seed             uint64          `json:"seed"`
-	Clients          int             `json:"clients"`
-	Cells            int             `json:"cells"`
-	MoveProb         float64         `json:"move_prob"`
-	DBSize           int             `json:"db_size"`
-	ItemBits         float64         `json:"item_bits"`
-	BufferPct        float64         `json:"buffer_pct"`
-	Period           float64         `json:"period"`
-	WindowIntervals  int             `json:"window_intervals"`
-	DownlinkBps      float64         `json:"downlink_bps"`
-	UplinkBps        float64         `json:"uplink_bps"`
-	ControlMsgBits   float64         `json:"control_msg_bits"`
-	MeanThink        float64         `json:"mean_think"`
-	MeanUpdate       float64         `json:"mean_update"`
-	MeanDisc         float64         `json:"mean_disc"`
-	ProbDisc         float64         `json:"prob_disc"`
-	DiscPerInterval  bool            `json:"disc_per_interval"`
-	SimTime          float64         `json:"sim_time"`
-	Warmup           float64         `json:"warmup"`
-	TSBits           int             `json:"ts_bits"`
-	HeaderBits       int             `json:"header_bits"`
-	ConsistencyCheck bool            `json:"consistency_check"`
-	ReportLossProb   float64         `json:"report_loss_prob"`
-	Faults           faults.Config   `json:"faults"`
-	Overload         overload.Config `json:"overload"`
-	Delivery         delivery.Config `json:"delivery"`
-	Churn            churn.Config    `json:"churn"`
+	// Reproduction inputs. Config's runtime fields are zero here (they
+	// are tagged "-"); Workload and SpansEnabled stand in for two of them.
+	Config
+	Workload string `json:"workload"`
 	// SpansEnabled records whether the span/AoI observability layer was
-	// armed (Config.Spans != nil). Replay re-arms it so the span digest
-	// fields below can be verified; assembly draws no randomness, so the
-	// core digest is identical either way.
+	// armed (Config.Spans != nil). Replay re-arms it so the span fields
+	// of Results can be verified; assembly draws no randomness, so the
+	// rest of Results is identical either way.
 	SpansEnabled bool `json:"spans_enabled,omitempty"`
 
-	// Result digest: enough to verify that a replay reproduced the run.
+	// Digest is Digest(Results) of the recorded run (schema 8 on). A
+	// replay verifies by it, so a divergence in any Results field is
+	// caught.
+	Digest string `json:"digest,omitempty"`
+	// Headline results. Files before schema 8 carry no digest and are
+	// verified by these alone.
 	QueriesAnswered    int64   `json:"queries_answered"`
 	HitRatio           float64 `json:"hit_ratio"`
 	UplinkBitsPerQuery float64 `json:"uplink_bits_per_query"`
 	Events             uint64  `json:"events"`
-	// Span digest (zero unless SpansEnabled): terminal span count and the
-	// AoI 95th percentile, enough to catch a replay whose observability
-	// layer diverged even when the core counters agree.
+	// Span headline (zero unless SpansEnabled): terminal span count and
+	// the AoI 95th percentile.
 	SpanTerminal int64   `json:"span_terminal,omitempty"`
 	AoIP95       float64 `json:"aoi_p95,omitempty"`
 
@@ -100,6 +77,21 @@ type Manifest struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 }
 
+// Digest is the canonical hash of a run: SHA-256, in hex, over the JSON
+// encoding of r. Results.Config is left out of the encoding, and
+// encoding/json writes map keys sorted and floats in shortest round-trip
+// form, so two runs share a digest exactly when every result field is
+// bit-identical. It fails only on a non-finite float, which the audit
+// Run applies rejects.
+func Digest(r *Results) (string, error) {
+	b, err := json.Marshal(r)
+	if err != nil {
+		return "", fmt.Errorf("engine: digest: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
 // NewManifest builds the manifest of a completed run. Wall-clock fields
 // are left zero for the command layer to stamp.
 func NewManifest(r *Results) *Manifest {
@@ -107,43 +99,21 @@ func NewManifest(r *Results) *Manifest {
 	m := &Manifest{
 		SchemaVersion:      ManifestSchemaVersion,
 		GoVersion:          runtime.Version(),
-		Scheme:             c.Scheme,
+		Config:             c,
 		Workload:           c.Workload.Name,
-		Seed:               c.Seed,
-		Clients:            c.Clients,
-		Cells:              c.Cells,
-		MoveProb:           c.MoveProb,
-		DBSize:             c.DBSize,
-		ItemBits:           c.ItemBits,
-		BufferPct:          c.BufferPct,
-		Period:             c.Period,
-		WindowIntervals:    c.WindowIntervals,
-		DownlinkBps:        c.DownlinkBps,
-		UplinkBps:          c.UplinkBps,
-		ControlMsgBits:     c.ControlMsgBits,
-		MeanThink:          c.MeanThink,
-		MeanUpdate:         c.MeanUpdate,
-		MeanDisc:           c.MeanDisc,
-		ProbDisc:           c.ProbDisc,
-		DiscPerInterval:    c.DiscPerInterval,
-		SimTime:            c.SimTime,
-		Warmup:             c.Warmup,
-		TSBits:             c.TSBits,
-		HeaderBits:         c.HeaderBits,
-		ConsistencyCheck:   c.ConsistencyCheck,
-		ReportLossProb:     c.ReportLossProb,
-		Faults:             c.Faults,
-		Overload:           c.Overload,
-		Delivery:           c.Delivery,
-		Churn:              c.Churn,
+		SpansEnabled:       c.Spans != nil && r.Spans != nil,
 		QueriesAnswered:    r.QueriesAnswered,
 		HitRatio:           r.HitRatio,
 		UplinkBitsPerQuery: r.UplinkBitsPerQuery,
 		Events:             r.Events,
 		PeakEventQueue:     r.PeakEventQueue,
 	}
-	if c.Spans != nil && r.Spans != nil {
-		m.SpansEnabled = true
+	// The runtime fields would otherwise carry the recorded run's
+	// tracer, registry and span sink into its replay.
+	m.Config.Workload = workload.Workload{}
+	m.Config.Trace, m.Config.Metrics, m.Config.Aggregate, m.Config.Spans = nil, nil, false, nil
+	m.Digest, _ = Digest(r) // empty only for a run that failed its audit
+	if m.SpansEnabled {
 		m.SpanTerminal = r.Spans.Terminal()
 		m.AoIP95 = r.AoIP95
 	}
@@ -167,81 +137,53 @@ func (m *Manifest) EngineConfig() (Config, error) {
 		return Config{}, fmt.Errorf("engine: manifest schema %d, want 1..%d",
 			m.SchemaVersion, ManifestSchemaVersion)
 	}
-	wl, err := workload.Parse(m.Workload, m.DBSize)
-	if err != nil {
+	c := m.Config
+	var err error
+	if c.Workload, err = workload.Parse(m.Workload, c.DBSize); err != nil {
 		return Config{}, err
 	}
-	var spans *SpanOptions
 	if m.SpansEnabled {
-		spans = &SpanOptions{}
+		c.Spans = &SpanOptions{}
 	}
-	cells := m.Cells
-	if cells == 0 { // written before schema 7: one cell
-		cells = 1
+	if c.Cells == 0 { // written before schema 7: one cell
+		c.Cells = 1
 	}
-	return Config{
-		Spans:            spans,
-		Scheme:           m.Scheme,
-		Clients:          m.Clients,
-		Cells:            cells,
-		MoveProb:         m.MoveProb,
-		DBSize:           m.DBSize,
-		ItemBits:         m.ItemBits,
-		BufferPct:        m.BufferPct,
-		Period:           m.Period,
-		WindowIntervals:  m.WindowIntervals,
-		DownlinkBps:      m.DownlinkBps,
-		UplinkBps:        m.UplinkBps,
-		ControlMsgBits:   m.ControlMsgBits,
-		MeanThink:        m.MeanThink,
-		MeanUpdate:       m.MeanUpdate,
-		MeanDisc:         m.MeanDisc,
-		ProbDisc:         m.ProbDisc,
-		DiscPerInterval:  m.DiscPerInterval,
-		SimTime:          m.SimTime,
-		Warmup:           m.Warmup,
-		Seed:             m.Seed,
-		Workload:         wl,
-		TSBits:           m.TSBits,
-		HeaderBits:       m.HeaderBits,
-		ConsistencyCheck: m.ConsistencyCheck,
-		ReportLossProb:   m.ReportLossProb,
-		Faults:           m.Faults,
-		Overload:         m.Overload,
-		Delivery:         m.Delivery,
-		Churn:            m.Churn,
-	}, nil
+	return c, nil
 }
 
-// VerifyReplay checks a replayed run's digest against the recorded one,
-// returning a descriptive error on the first mismatch.
+// VerifyReplay checks a replayed run against the recorded one, returning
+// a descriptive error on a mismatch. From schema 8 it compares the whole
+// digest; older files compare the headline numbers they carry.
 func (m *Manifest) VerifyReplay(r *Results) error {
-	switch {
-	case r.QueriesAnswered != m.QueriesAnswered:
-		return fmt.Errorf("engine: replay answered %d queries, manifest records %d",
-			r.QueriesAnswered, m.QueriesAnswered)
-	case r.Events != m.Events:
-		return fmt.Errorf("engine: replay executed %d events, manifest records %d",
-			r.Events, m.Events)
-	case r.HitRatio != m.HitRatio:
-		return fmt.Errorf("engine: replay hit ratio %v, manifest records %v",
-			r.HitRatio, m.HitRatio)
-	case r.UplinkBitsPerQuery != m.UplinkBitsPerQuery:
-		return fmt.Errorf("engine: replay uplink bits/query %v, manifest records %v",
-			r.UplinkBitsPerQuery, m.UplinkBitsPerQuery)
+	if m.SchemaVersion >= 8 {
+		d, err := Digest(r)
+		if err == nil && d != m.Digest {
+			err = fmt.Errorf("engine: replay digest %s, manifest records %s (answered %d/%d, events %d/%d)",
+				d, m.Digest, r.QueriesAnswered, m.QueriesAnswered, r.Events, m.Events)
+		}
+		return err
 	}
+	var terminal int64
+	var aoi float64
 	if m.SpansEnabled {
-		var terminal int64
+		aoi = r.AoIP95
 		if r.Spans != nil {
 			terminal = r.Spans.Terminal()
 		}
-		if terminal != m.SpanTerminal {
-			return fmt.Errorf("engine: replay assembled %d terminal spans, manifest records %d",
-				terminal, m.SpanTerminal)
-		}
-		if r.AoIP95 != m.AoIP95 {
-			return fmt.Errorf("engine: replay AoI p95 %v, manifest records %v",
-				r.AoIP95, m.AoIP95)
+	}
+	for _, h := range []struct {
+		what      string
+		got, want any
+	}{
+		{"queries answered", r.QueriesAnswered, m.QueriesAnswered},
+		{"events", r.Events, m.Events},
+		{"hit ratio", r.HitRatio, m.HitRatio},
+		{"uplink bits/query", r.UplinkBitsPerQuery, m.UplinkBitsPerQuery},
+		{"terminal spans", terminal, m.SpanTerminal},
+		{"AoI p95", aoi, m.AoIP95},
+	} {
+		if h.got != h.want {
+			return fmt.Errorf("engine: replay %s %v, manifest records %v", h.what, h.got, h.want)
 		}
 	}
 	return nil

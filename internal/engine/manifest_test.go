@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"mobicache/internal/faults"
+	"mobicache/internal/metrics"
+	"mobicache/internal/trace"
 	"mobicache/internal/workload"
 )
 
@@ -40,6 +43,9 @@ func TestManifestReplay(t *testing.T) {
 	}
 	if m.GoVersion == "" || m.SchemaVersion != ManifestSchemaVersion {
 		t.Fatalf("manifest build fields wrong: version %q schema %d", m.GoVersion, m.SchemaVersion)
+	}
+	if m.Digest != mustDigest(t, r) {
+		t.Fatalf("manifest digest %q, run digest %q", m.Digest, mustDigest(t, r))
 	}
 	if m.Events != r.Events || m.PeakEventQueue != r.PeakEventQueue || m.PeakEventQueue <= 0 {
 		t.Fatalf("manifest profile wrong: events %d/%d peak %d/%d",
@@ -92,20 +98,24 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\nwrote %+v\nread  %+v", m, got)
 	}
 
-	// Every exported Manifest field must carry a json tag so nothing can
-	// silently vanish from the file.
-	mt := reflect.TypeOf(Manifest{})
-	for i := 0; i < mt.NumField(); i++ {
-		f := mt.Field(i)
-		if tag := f.Tag.Get("json"); tag == "" || tag == "-" {
-			t.Fatalf("Manifest field %s has no json tag", f.Name)
+	// The manifest records Config through its json tags: every field must
+	// carry one, so a new knob cannot silently drop out of the file, and
+	// only the five runtime fields are left out.
+	runtimeFields := map[string]bool{"Workload": true, "Trace": true, "Metrics": true, "Aggregate": true, "Spans": true}
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		tag := f.Tag.Get("json")
+		if tag == "" || (tag == "-") != runtimeFields[f.Name] {
+			t.Errorf("Config field %s has json tag %q", f.Name, tag)
 		}
 	}
 }
 
-// asV6 renders m the way schema 6 wrote it: version 6 and no cells or
-// move_prob keys (added in 7), with extra keys merged in.
-func asV6(t *testing.T, m *Manifest, extra map[string]json.RawMessage) string {
+// asSchema renders m the way schema v wrote it: no digest key (added in
+// 8), before 7 no cells or move_prob keys either, with extra keys merged
+// in.
+func asSchema(t *testing.T, m *Manifest, v int, extra map[string]json.RawMessage) string {
 	t.Helper()
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -115,11 +125,14 @@ func asV6(t *testing.T, m *Manifest, extra map[string]json.RawMessage) string {
 	if err := json.Unmarshal(b, &kv); err != nil {
 		t.Fatal(err)
 	}
-	delete(kv, "cells")
-	delete(kv, "move_prob")
-	kv["schema_version"] = json.RawMessage("6")
-	for k, v := range extra {
-		kv[k] = v
+	delete(kv, "digest")
+	if v < 7 {
+		delete(kv, "cells")
+		delete(kv, "move_prob")
+	}
+	kv["schema_version"] = json.RawMessage(strconv.Itoa(v))
+	for k, raw := range extra {
+		kv[k] = raw
 	}
 	if b, err = json.Marshal(kv); err != nil {
 		t.Fatal(err)
@@ -127,10 +140,10 @@ func asV6(t *testing.T, m *Manifest, extra map[string]json.RawMessage) string {
 	return string(b)
 }
 
-// replayV6 reads a schema-6 file, replays it, and verifies the digest.
-func replayV6(t *testing.T, v6 string) Config {
+// replayFile reads a manifest file, replays it, and verifies the replay.
+func replayFile(t *testing.T, file string) Config {
 	t.Helper()
-	m, err := ReadManifest(strings.NewReader(v6))
+	m, err := ReadManifest(strings.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +156,7 @@ func replayV6(t *testing.T, v6 string) Config {
 		t.Fatal(err)
 	}
 	if err := m.VerifyReplay(r); err != nil {
-		t.Fatalf("v6 manifest did not replay: %v", err)
+		t.Fatalf("schema %d manifest did not replay: %v", m.SchemaVersion, err)
 	}
 	return c
 }
@@ -156,11 +169,11 @@ func TestManifestV6AggregateKeyDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v6 := asV6(t, NewManifest(r), map[string]json.RawMessage{"aggregate": json.RawMessage("true")})
+	v6 := asSchema(t, NewManifest(r), 6, map[string]json.RawMessage{"aggregate": json.RawMessage("true")})
 	if !strings.Contains(v6, `"aggregate":true`) || !strings.Contains(v6, `"schema_version":6`) {
 		t.Fatalf("fixture is not a v6 manifest with the aggregate key:\n%s", v6)
 	}
-	replayV6(t, v6)
+	replayFile(t, v6)
 }
 
 // TestManifestV6ReplaysAsOneCell: a file written before the cell count
@@ -170,12 +183,71 @@ func TestManifestV6ReplaysAsOneCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v6 := asV6(t, NewManifest(r), nil)
+	v6 := asSchema(t, NewManifest(r), 6, nil)
 	if strings.Contains(v6, `"cells"`) || strings.Contains(v6, `"move_prob"`) {
 		t.Fatalf("fixture carries schema-7 keys:\n%s", v6)
 	}
-	if c := replayV6(t, v6); c.Cells != 1 || c.MoveProb != 0 {
+	if c := replayFile(t, v6); c.Cells != 1 || c.MoveProb != 0 {
 		t.Fatalf("v6 manifest replayed as %d cells, move prob %v", c.Cells, c.MoveProb)
+	}
+}
+
+// TestManifestV7Replays: a schema-7 file carries no digest and replays
+// by its headline numbers, which still catch a different seed.
+func TestManifestV7Replays(t *testing.T) {
+	r, err := Run(manifestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v7 := asSchema(t, NewManifest(r), 7, nil)
+	if strings.Contains(v7, `"digest"`) || !strings.Contains(v7, `"cells":1`) {
+		t.Fatalf("fixture is not a v7 manifest:\n%s", v7)
+	}
+	replayFile(t, v7)
+	m, err := ReadManifest(strings.NewReader(v7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := manifestConfig()
+	c.Seed = 8
+	if err := m.VerifyReplay(mustRun(t, c)); err == nil {
+		t.Fatal("v7 VerifyReplay accepted a divergent run")
+	}
+}
+
+// TestManifestVerifiesEveryField: a schema-8 manifest verifies the whole
+// digest, so a replay that differs only in a counter the headline
+// numbers do not cover is rejected.
+func TestManifestVerifiesEveryField(t *testing.T) {
+	r := mustRun(t, manifestConfig())
+	m := NewManifest(r)
+	replay := *r
+	replay.Retries++
+	if err := m.VerifyReplay(&replay); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("a replay with one more retry verified: %v", err)
+	}
+}
+
+// TestManifestReplaysInstrumentedRun: the manifest of a run with a
+// tracer, a metrics registry and kept spans holds none of them, even
+// before it is written out, so its replay builds fresh ones (re-arming
+// spans) and verifies by digest.
+func TestManifestReplaysInstrumentedRun(t *testing.T) {
+	c := manifestConfig()
+	c.Trace = trace.New(1000)
+	c.Metrics = metrics.New()
+	c.Spans = &SpanOptions{Keep: true}
+	m := NewManifest(mustRun(t, c))
+	rc, err := m.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Trace != nil || rc.Metrics != nil || rc.Spans == nil || rc.Spans.Keep {
+		t.Fatalf("replay config carries runtime wiring: trace %t, metrics %t, spans %+v",
+			rc.Trace != nil, rc.Metrics != nil, rc.Spans)
+	}
+	if err := m.VerifyReplay(mustRun(t, rc)); err != nil {
+		t.Fatal(err)
 	}
 }
 

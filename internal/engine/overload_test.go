@@ -30,15 +30,13 @@ func guardrails(c *Config) {
 	}
 }
 
-// checkAccounting asserts Audit's identities (every issued query
-// answered, timed out, shed or still open; queue peaks within their caps;
-// the churn reconciliations) plus two per-client bounds: at most one open
-// query and one crashed process per client.
+// checkAccounting asserts two per-client bounds on top of the identities
+// Run's audit already enforced (every issued query answered, timed out,
+// shed or still open; queue peaks within their caps; the churn
+// reconciliations): at most one open query and one crashed process per
+// client.
 func checkAccounting(t *testing.T, scheme string, r *Results) {
 	t.Helper()
-	if err := Audit(r); err != nil {
-		t.Fatal(err)
-	}
 	if r.QueriesInFlight < 0 || r.QueriesInFlight > int64(r.Config.Clients) {
 		t.Fatalf("%s: %d queries in flight with %d clients", scheme, r.QueriesInFlight, r.Config.Clients)
 	}

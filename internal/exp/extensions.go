@@ -126,15 +126,11 @@ var adversaryRetry = faults.RetryPolicy{
 	MaxAttempts: 6,
 }
 
-// auditCheck is the acceptance bar of the adversary sweeps (ext-chaos,
-// ext-overload, ext-delivery, ext-churn and ext-aoi), applied to every
-// run at every level: engine.Audit — zero stale reads and every
-// accounting identity — plus a collapse guard, since work must still
-// complete however hard the adversary hits.
-func auditCheck(r *engine.Results) error {
-	if err := engine.Audit(r); err != nil {
-		return err
-	}
+// collapseCheck is the acceptance bar the adversary sweeps (ext-chaos,
+// ext-overload, ext-delivery, ext-churn and ext-aoi) add to the audit
+// engine.Run applies to every run (zero stale reads and every accounting
+// identity): work must still complete however hard the adversary hits.
+func collapseCheck(r *engine.Results) error {
 	if r.QueriesAnswered == 0 {
 		return fmt.Errorf("%s collapsed (nothing answered)", r.Config.Scheme)
 	}
@@ -156,8 +152,8 @@ func OverloadGuardrails(c *engine.Config) {
 
 // adversarySweeps are the audited robustness families that share one
 // base: all seven schemes, occasional disconnections (ProbDisc 0.1,
-// MeanDisc 400), the stale-read checker armed, and auditCheck on every
-// run. Each row layers one adversary onto that base, scaled by x.
+// MeanDisc 400), the stale-read checker armed, and collapseCheck on
+// every run. Each row layers one adversary onto that base, scaled by x.
 var adversarySweeps = []struct {
 	id, label string
 	xs        []float64
@@ -212,7 +208,7 @@ func init() {
 				a.apply(&c, x)
 				return c
 			},
-			Check: auditCheck,
+			Check: collapseCheck,
 		}
 	}
 	// Overload/soak sweep: offered query load at 1x..8x the uplink's
@@ -237,7 +233,7 @@ func init() {
 			OverloadGuardrails(&c)
 			return c
 		},
-		Check: auditCheck,
+		Check: collapseCheck,
 	}
 	Extensions = append(Extensions,
 		Figure{ID: "ext-aoi", Title: "OBSERVABILITY: answer AoI p95 vs compound fault intensity", Sweep: ExtensionSweeps["ext-aoi"], Metric: AoIP95},

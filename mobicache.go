@@ -52,7 +52,8 @@ type Workload = workload.Workload
 // DefaultConfig returns Table 1's configuration with the UNIFORM workload.
 func DefaultConfig() Config { return engine.Default() }
 
-// Run executes one simulation.
+// Run executes one simulation and audits it; a run that fails its audit
+// returns its Results together with the error.
 func Run(c Config) (*Results, error) { return engine.Run(c) }
 
 // Uniform is the paper's UNIFORM workload over an n-item database.
@@ -171,8 +172,9 @@ type SpanSummary = span.Summary
 // schema Perfetto requires, returning the event count.
 func ValidateSpanTrace(r io.Reader) (int, error) { return span.ValidateTrace(r) }
 
-// Manifest is the reproducibility record of one run: config, seed,
-// result digest, and the kernel's self-profile (see engine.Manifest).
+// Manifest is the reproducibility record of one run: its config, the
+// digest of its results, and the kernel's self-profile (see
+// engine.Manifest).
 type Manifest = engine.Manifest
 
 // NewManifest builds the manifest of a completed run.
