@@ -59,14 +59,19 @@ adversary-smoke:
 	$(GO) run ./cmd/experiments -figure ext-delivery-thr -simtime 4000 -out results-adversary
 	$(GO) run ./cmd/experiments -figure ext-churn-thr -simtime 4000 -out results-adversary
 
-# Observability smoke: one instrumented run emitting all three artifacts
-# (metrics timeline, lossless JSONL event stream, run manifest), each
-# validated, then the manifest fed back to verify the replay digest.
+# Observability smoke: one instrumented ts-check run under chaos level 4
+# emitting all three artifacts (metrics timeline, lossless JSONL event
+# stream, run manifest), each validated, then the manifest fed back to
+# verify the replay digest. ts-check under chaos exercises fetch retries
+# and validity-path salvages, so their timeline columns must be non-zero.
 obs-smoke:
 	rm -rf results-obs && mkdir -p results-obs
-	$(GO) run ./cmd/mobisim -simtime 4000 -timeline results-obs/timeline.csv \
+	$(GO) run ./cmd/mobisim -scheme ts-check -chaos 4 -simtime 4000 -timeline results-obs/timeline.csv \
 		-trace-jsonl results-obs/events.jsonl -manifest results-obs/run.json
 	head -1 results-obs/timeline.csv | grep -q '^t,' || (echo "bad timeline header" && exit 1)
+	awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) col[$$i] = i; next } \
+		{ r += $$col["retries"]; s += $$col["salvages"] } END { exit !(r > 0 && s > 0) }' \
+		results-obs/timeline.csv || (echo "retries or salvages column is all zero" && exit 1)
 	test -s results-obs/events.jsonl || (echo "empty JSONL stream" && exit 1)
 	$(GO) run ./cmd/mobisim -from-manifest results-obs/run.json | grep -q 'replay verified'
 

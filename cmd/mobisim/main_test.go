@@ -275,6 +275,21 @@ func TestFailedAuditPrintsResults(t *testing.T) {
 	}
 }
 
+// TestLegacyLossManifestReplays: testdata/report-loss-v8.json is a
+// schema-8 manifest of a 20-client run with the since-retired
+// report_loss_prob knob at 0.2, written by a mobisim that still had it.
+// Its key now maps onto Faults.DownLoss = Bernoulli(0.2), and the replay
+// must match the recorded digest.
+func TestLegacyLossManifestReplays(t *testing.T) {
+	out, err := runCapture(t, "-from-manifest", filepath.Join("testdata", "report-loss-v8.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "replay verified") {
+		t.Fatalf("legacy lossy manifest did not replay:\n%s", out)
+	}
+}
+
 func TestFromManifestErrors(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")

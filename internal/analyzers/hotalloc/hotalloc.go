@@ -43,9 +43,7 @@ var knownHot = map[string][]string{
 	"internal/sim":      {"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step"},
 	"internal/netsim":   {"Channel.Send"},
 	"internal/delivery": {"Link.Deliver"},
-	"internal/metrics": {
-		"Counter.Add", "Counter.Inc", "Gauge.Set", "Histogram.Observe",
-	},
+	"internal/metrics":  {"Histogram.Observe"},
 	"internal/bitio": {
 		"Writer.WriteBits", "Writer.WriteBool", "Writer.WriteFloat",
 		"Reader.ReadBits", "Reader.ReadBool", "Reader.ReadFloat",

@@ -114,11 +114,6 @@ type Config struct {
 	// and consumes no randomness; a nil registry leaves the run
 	// bit-identical to an uninstrumented build.
 	Metrics *metrics.Registry `json:"-"`
-	// ReportLossProb injects per-client report reception failures
-	// (failure-injection extension; the paper assumes perfect reception).
-	// It is the degenerate single-state case of Faults.DownLoss; setting
-	// both is a configuration error.
-	ReportLossProb float64 `json:"report_loss_prob"`
 	// Faults configures the deterministic fault-injection layer: bursty
 	// (Gilbert–Elliott) downlink and uplink loss/corruption, server
 	// crash/restart, and the client uplink timeout/backoff policy. The
@@ -212,13 +207,6 @@ func Default() Config {
 	}
 }
 
-// WithWorkload returns the config with the workload swapped and DBSize
-// kept consistent.
-func (c Config) WithWorkload(w workload.Workload) Config {
-	c.Workload = w
-	return c
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
@@ -245,10 +233,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: invalid time constants")
 	case c.ProbDisc < 0 || c.ProbDisc > 1:
 		return fmt.Errorf("engine: invalid disconnection probability")
-	case c.ReportLossProb < 0 || c.ReportLossProb > 1:
-		return fmt.Errorf("engine: invalid report loss probability")
-	case c.ReportLossProb > 0 && c.Faults.DownLoss.Enabled():
-		return fmt.Errorf("engine: ReportLossProb and Faults.DownLoss both set; use one loss model")
 	case c.Workload.Query == nil || c.Workload.Update == nil:
 		return fmt.Errorf("engine: workload not set")
 	}
@@ -630,6 +614,11 @@ func Run(c Config) (*Results, error) {
 
 	respHist := stats.NewHistogram(0, 4*c.MeanThink+40*c.Period, 512)
 
+	// tot is the population fold the sample tick refreshes; the timeline's
+	// client columns poll it.
+	var tot population.Totals
+	respTimeline, aoiTimeline := wireMetrics(c, k, srv, down, up, &tot)
+
 	// Mobility: a waking host moves to a uniformly chosen other cell with
 	// probability MoveProb, drawn from its own stream (no draw with one
 	// cell). where maps client id to its current cell.
@@ -651,9 +640,9 @@ func Run(c Config) (*Results, error) {
 		ConsistencyHook:  hook,
 		RespHist:         respHist,
 		AoIHist:          aoiHist,
+		RespTimeline:     respTimeline,
+		AoITimeline:      aoiTimeline,
 		Tracer:           c.Trace,
-		Metrics:          newClientMetrics(c.Metrics, c),
-		ReportLossProb:   c.ReportLossProb,
 		DownLoss:         c.Faults.DownLoss,
 		Retry:            c.Faults.Retry,
 		QueryDeadline:    c.Overload.QueryDeadline,
@@ -714,8 +703,6 @@ func Run(c Config) (*Results, error) {
 	for _, ce := range cells[1:] {
 		ce.srv.StartBroadcast()
 	}
-	wireSystemMetrics(c, k, srv, down, up, pop)
-
 	// Batch-means sampler: per-interval query completions, batched into
 	// 50-interval groups for an (approximately independent) CI. The
 	// metrics registry samples on the same tick, so observability adds
@@ -724,9 +711,9 @@ func Run(c Config) (*Results, error) {
 	var prevCompleted int64
 	var sampleTick func()
 	sampleTick = func() {
-		total := pop.TotalAnswered()
-		batch.Observe(float64(total - prevCompleted))
-		prevCompleted = total
+		tot = pop.Totals(c.Metrics != nil)
+		batch.Observe(float64(tot.QueriesAnswered - prevCompleted))
+		prevCompleted = tot.QueriesAnswered
 		c.Metrics.Sample(float64(k.Now()))
 		if k.Now()+c.Period <= c.SimTime {
 			k.Schedule(c.Period, sampleTick)
@@ -744,9 +731,9 @@ func Run(c Config) (*Results, error) {
 			}
 			adv.ResetStats()
 			churnAdv.ResetStats()
-			*respHist = *stats.NewHistogram(respHist.Lo, respHist.Hi, respHist.Bins())
+			respHist.Reset()
 			if aoiHist != nil {
-				*aoiHist = *stats.NewHistogram(aoiHist.Lo, aoiHist.Hi, aoiHist.Bins())
+				aoiHist.Reset()
 			}
 			res.UplinkMsgsLost = 0
 			res.UplinkMsgsCorrupted = 0

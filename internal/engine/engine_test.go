@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"mobicache/internal/faults"
 	"mobicache/internal/trace"
 	"mobicache/internal/workload"
 )
@@ -143,7 +144,8 @@ func TestHotColdImprovesHitRatio(t *testing.T) {
 	cu := short()
 	cu.ConsistencyCheck = false
 	uniform := mustRun(t, cu)
-	ch := cu.WithWorkload(workload.HotCold(cu.DBSize))
+	ch := cu
+	ch.Workload = workload.HotCold(cu.DBSize)
 	hot := mustRun(t, ch)
 	if hot.HitRatio < uniform.HitRatio*5 {
 		t.Fatalf("hotcold hit ratio %v vs uniform %v: locality not exploited",
@@ -428,7 +430,7 @@ func TestReportLossInjection(t *testing.T) {
 	for _, scheme := range []string{"ts", "ts-check", "bs", "afw", "aaw", "sig", "at"} {
 		c := short()
 		c.Scheme = scheme
-		c.ReportLossProb = 0.2
+		c.Faults.DownLoss = faults.Bernoulli(0.2)
 		r := mustRun(t, c)
 		if r.ReportsLost == 0 {
 			t.Fatalf("%s: no reports lost at 20%% loss", scheme)
@@ -447,7 +449,7 @@ func TestReportLossInjection(t *testing.T) {
 
 func TestReportLossValidation(t *testing.T) {
 	c := Default()
-	c.ReportLossProb = 1.5
+	c.Faults.DownLoss = faults.Bernoulli(1.5)
 	if err := c.Validate(); err == nil {
 		t.Fatal("bad loss probability accepted")
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -144,20 +145,35 @@ func TestCompoundChaosStarvedUplink(t *testing.T) {
 }
 
 func TestLegacyLossIsDegenerateGE(t *testing.T) {
-	// ReportLossProb and Faults.DownLoss=Bernoulli(p) are one code path:
-	// seeded results must be identical draw for draw.
-	legacy := short()
-	legacy.ReportLossProb = 0.2
-	ge := short()
-	ge.Faults.DownLoss = faults.Bernoulli(0.2)
-	a := mustRun(t, legacy)
-	b := mustRun(t, ge)
-	if a.QueriesAnswered != b.QueriesAnswered || a.Events != b.Events ||
-		a.ReportsLost != b.ReportsLost || a.CacheHits != b.CacheHits ||
-		a.UplinkValidationBits != b.UplinkValidationBits {
-		t.Fatalf("legacy loss diverged from degenerate GE:\n%d/%d/%d vs %d/%d/%d",
-			a.QueriesAnswered, a.Events, a.ReportsLost,
-			b.QueriesAnswered, b.Events, b.ReportsLost)
+	// The retired report_loss_prob knob survives as a manifest key only.
+	// A file carrying it replays with Faults.DownLoss = Bernoulli(p), the
+	// chain it always ran as, so the replay matches draw for draw.
+	c := short()
+	c.Faults.DownLoss = faults.Bernoulli(0.2)
+	m := NewManifest(mustRun(t, c))
+	m.Faults.DownLoss = faults.GEParams{}
+	m.ReportLossProb = 0.2
+	var buf bytes.Buffer
+	if err := m.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := ReadManifest(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := legacy.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Faults.DownLoss != faults.Bernoulli(0.2) {
+		t.Fatalf("report_loss_prob 0.2 replays as DownLoss %+v", rc.Faults.DownLoss)
+	}
+	if err := legacy.VerifyReplay(mustRun(t, rc)); err != nil {
+		t.Fatal(err)
+	}
+	legacy.Faults.DownLoss = faults.Bernoulli(0.1)
+	if _, err := legacy.EngineConfig(); err == nil {
+		t.Fatal("manifest with both loss models accepted")
 	}
 }
 
@@ -208,10 +224,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"retry-maxdelay", func(c *Config) { c.Faults.Retry = faults.RetryPolicy{Timeout: 10, Backoff: 2, MaxDelay: 5} }, "Faults.Retry.MaxDelay"},
 		{"retry-jitter", func(c *Config) { c.Faults.Retry = faults.RetryPolicy{Timeout: 10, Backoff: 2, Jitter: 1.5} }, "Faults.Retry.Jitter"},
 		{"retry-attempts", func(c *Config) { c.Faults.Retry = faults.RetryPolicy{Timeout: 10, Backoff: 2, MaxAttempts: -1} }, "Faults.Retry.MaxAttempts"},
-		{"both-loss-models", func(c *Config) {
-			c.ReportLossProb = 0.1
-			c.Faults.DownLoss = faults.Bernoulli(0.2)
-		}, "one loss model"},
 	}
 	for _, tc := range cases {
 		c := Default()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 
+	"mobicache/internal/faults"
 	"mobicache/internal/workload"
 )
 
@@ -52,6 +53,10 @@ type Manifest struct {
 	// of Results can be verified; assembly draws no randomness, so the
 	// rest of Results is identical either way.
 	SpansEnabled bool `json:"spans_enabled,omitempty"`
+	// ReportLossProb is the retired Bernoulli report-loss knob, still
+	// read from files that carry it: replay maps it onto Faults.DownLoss
+	// = faults.Bernoulli(p), the degenerate chain it always ran as.
+	ReportLossProb float64 `json:"report_loss_prob,omitempty"`
 
 	// Digest is Digest(Results) of the recorded run (schema 8 on). A
 	// replay verifies by it, so a divergence in any Results field is
@@ -147,6 +152,12 @@ func (m *Manifest) EngineConfig() (Config, error) {
 	}
 	if c.Cells == 0 { // written before schema 7: one cell
 		c.Cells = 1
+	}
+	if m.ReportLossProb > 0 {
+		if c.Faults.DownLoss.Enabled() {
+			return Config{}, fmt.Errorf("engine: manifest sets both report_loss_prob and Faults.DownLoss")
+		}
+		c.Faults.DownLoss = faults.Bernoulli(m.ReportLossProb)
 	}
 	return c, nil
 }

@@ -287,7 +287,7 @@ func TestMulticellClientSettings(t *testing.T) {
 	c := multicellConfig()
 	c.Cells = 3
 	c.MoveProb = 0.5
-	c.ReportLossProb = 0.1
+	c.Faults.DownLoss = faults.Bernoulli(0.1)
 	c.Faults.Retry = chaosRetry()
 	c.Warmup = 1000
 	c.Spans = &SpanOptions{}

@@ -1,5 +1,5 @@
 // Observability wiring: connects the run's metrics registry (Config.
-// Metrics) to the server, the client population, the two channels, and
+// Metrics) to the client population, the server, the two channels, and
 // the kernel itself. Everything here is registration-time work — the
 // per-sample cost is polling closures from the engine's existing
 // per-period tick, so an instrumented run schedules exactly the same
@@ -14,56 +14,59 @@ import (
 	"mobicache/internal/sim"
 )
 
-// newClientMetrics builds the instrument group shared by every client in
-// the cell. Returns nil (all hooks become no-ops) when the registry is
-// nil. The response-time histogram covers the same range as the run's
-// percentile histogram and resets every interval, so resp_p50/resp_p95
-// describe each interval alone.
-func newClientMetrics(reg *metrics.Registry, c Config) *population.Metrics {
+// wireMetrics registers every timeline column outside the span layer's,
+// in CSV order, and returns the two per-interval histograms the clients
+// feed: response time, over the same range as the run's percentile
+// histogram, and age of information (nil unless spans are armed). Both
+// are nil when metrics are disabled.
+//
+// Every client counter column is the per-interval delta of a field of
+// tot, which the sample tick refolds from the population just before
+// sampling. Those fields are the counters Results is built from, so
+// with no warmup a column sums to its Results field; a warmup reset
+// clamps the interval that spans it to zero, as for the server and
+// channel columns.
+func wireMetrics(c Config, k *sim.Kernel, srv *server.Server,
+	down, up *netsim.Channel, tot *population.Totals) (resp, aoi *metrics.Histogram) {
+	reg := c.Metrics
 	if reg == nil {
-		return nil
+		return nil, nil
 	}
-	// The AoI timeline column exists only when the span/AoI layer is armed:
-	// without it, clients never observe answer ages, and registering the
+	delta := func(name string, v *int64) {
+		reg.DeltaFunc(name, func() float64 { return float64(*v) })
+	}
+	// The AoI columns exist only when the span/AoI layer is armed: without
+	// it, clients never observe answer ages, and registering the
 	// histogram would add empty aoi_p* columns to every CSV.
-	var aoi *metrics.Histogram
 	if c.Spans != nil {
 		aoi = reg.Histogram("aoi", 0, c.SimTime, 512, 0.50, 0.95)
 	}
-	return &population.Metrics{
-		AoI:              aoi,
-		Queries:          reg.Counter("queries"),
-		Resp:             reg.Histogram("resp", 0, 4*c.MeanThink+40*c.Period, 512, 0.50, 0.95),
-		Retries:          reg.Counter("retries"),
-		ReportsLost:      reg.Counter("reports_lost"),
-		ReportsCorrupted: reg.Counter("reports_corrupt"),
-		EpochDegrades:    reg.Counter("epoch_degrades"),
-		Disconnects:      reg.Counter("disconnects"),
-		Salvages:         reg.Counter("salvages"),
-		Drops:            reg.Counter("drops"),
-		DeadlineMisses:   reg.Counter("deadline_miss"),
-		QueriesShed:      reg.Counter("queries_shed"),
-		IRGaps:           reg.Counter("ir_gaps"),
-		IRDuplicates:     reg.Counter("ir_dups"),
-		IRReorders:       reg.Counter("ir_reorders"),
-	}
-}
-
-// wireSystemMetrics registers the system-level timeline columns: the
-// per-interval cache hit ratio across the population, the server's
-// report choice and crash state, both channels, and the kernel's own
-// event accounting. No-op when metrics are disabled.
-func wireSystemMetrics(c Config, k *sim.Kernel, srv *server.Server,
-	down, up *netsim.Channel, pop *population.Population) {
-	reg := c.Metrics
-	if reg == nil {
-		return
+	delta("queries", &tot.QueriesAnswered)
+	resp = reg.Histogram("resp", 0, 4*c.MeanThink+40*c.Period, 512, 0.50, 0.95)
+	for _, col := range []struct {
+		name string
+		v    *int64
+	}{
+		{"retries", &tot.Retries},
+		{"reports_lost", &tot.ReportsLost},
+		{"reports_corrupt", &tot.ReportsCorrupted},
+		{"epoch_degrades", &tot.EpochDegrades},
+		{"disconnects", &tot.SoloDisconnects},
+		{"salvages", &tot.Salvages},
+		{"drops", &tot.Drops},
+		{"deadline_miss", &tot.QueriesTimedOut},
+		{"queries_shed", &tot.QueriesShed},
+		{"ir_gaps", &tot.IRGaps},
+		{"ir_dups", &tot.IRDuplicates},
+		{"ir_reorders", &tot.IRReorders},
+	} {
+		delta(col.name, col.v)
 	}
 	// Per-interval hit ratio: delta of summed hits over delta of summed
 	// accesses, clamped across warmup resets. Empty intervals report 0.
 	var prevHits, prevAccesses int64
 	reg.GaugeFunc("hit_ratio", func() float64 {
-		hits, accesses := pop.CacheTotals()
+		hits, accesses := tot.CacheHits, tot.CacheHits+tot.CacheMisses
 		dh, da := hits-prevHits, accesses-prevAccesses
 		prevHits, prevAccesses = hits, accesses
 		if da <= 0 || dh < 0 {
@@ -78,4 +81,5 @@ func wireSystemMetrics(c Config, k *sim.Kernel, srv *server.Server,
 	// depth at the sample instant.
 	reg.DeltaFunc("events", func() float64 { return float64(k.Executed()) })
 	reg.GaugeFunc("queue_depth", func() float64 { return float64(k.Pending()) })
+	return resp, aoi
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mobicache/internal/churn"
+	"mobicache/internal/delivery"
 	"mobicache/internal/engine"
 	"mobicache/internal/metrics"
 	"mobicache/internal/trace"
@@ -209,6 +211,79 @@ func TestAoISweepArmsSpans(t *testing.T) {
 		}
 		if c.Spans == nil || !c.ConsistencyCheck || c.Warmup != 0 {
 			t.Fatalf("level %v: spans %v, checker %v, warmup %v", x, c.Spans, c.ConsistencyCheck, c.Warmup)
+		}
+	}
+}
+
+// TestTimelineAgreesWithResults: every client counter column of the
+// timeline polls a tally Results is built from, so with no warmup each
+// column sums to its Results field exactly. It covers all seven schemes
+// under heavy chaos, and under every adversary layer at once with spans
+// (the mobibench adversarial mix), and requires each column to be
+// non-zero somewhere so no comparison passes vacuously. queries_shed is
+// the exception: a query is shed only when no retry policy is armed, and
+// both mixes arm one.
+func TestTimelineAgreesWithResults(t *testing.T) {
+	mixes := []struct {
+		name string
+		set  func(*engine.Config)
+	}{
+		{"chaos4", func(c *engine.Config) { c.Faults = ChaosFaults(4) }},
+		{"adversarial", func(c *engine.Config) {
+			c.Faults = ChaosFaults(2)
+			OverloadGuardrails(c)
+			c.Delivery = delivery.Severity(2)
+			c.Churn = churn.Severity(2)
+			c.Spans = &engine.SpanOptions{}
+		}},
+	}
+	seen := map[string]bool{}
+	for _, mix := range mixes {
+		for _, scheme := range AllSchemes {
+			c := engine.Default()
+			c.Scheme = scheme
+			c.SimTime = 20000
+			c.MeanDisc = 400
+			mix.set(&c)
+			reg := metrics.New()
+			c.Metrics = reg
+			r, err := engine.Run(c)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mix.name, scheme, err)
+			}
+			for _, col := range []struct {
+				name string
+				want int64
+			}{
+				{"queries", r.QueriesAnswered},
+				{"retries", r.Retries},
+				{"reports_lost", r.ReportsLost},
+				{"reports_corrupt", r.ReportsCorrupted},
+				{"epoch_degrades", r.EpochDegrades},
+				{"disconnects", r.SoloDisconnects},
+				{"salvages", r.Salvages},
+				{"drops", r.Drops},
+				{"deadline_miss", r.QueriesTimedOut},
+				{"queries_shed", r.QueriesShed},
+				{"ir_gaps", r.IRGaps},
+				{"ir_dups", r.IRDuplicates},
+				{"ir_reorders", r.IRReorders},
+			} {
+				var sum float64
+				for _, v := range reg.Column(col.name) {
+					sum += v
+				}
+				if sum != float64(col.want) {
+					t.Errorf("%s/%s: column %s sums to %v, Results has %d",
+						mix.name, scheme, col.name, sum, col.want)
+				}
+				seen[col.name] = seen[col.name] || sum > 0
+			}
+		}
+	}
+	for name, nonZero := range seen {
+		if !nonZero && name != "queries_shed" {
+			t.Errorf("column %s is zero in every run", name)
 		}
 	}
 }

@@ -7,8 +7,7 @@
 //   - a Gilbert–Elliott two-state (good/bad) channel whose per-message
 //     loss and corruption probabilities depend on the current state, so
 //     losses come in bursts the way real fading channels produce them
-//     (the single Bernoulli ReportLossProb knob is the degenerate
-//     one-state case);
+//     (independent Bernoulli loss is the degenerate one-state case);
 //   - server crash/restart timing (exponential MTBF and MTTR);
 //   - a capped-exponential-backoff retry policy with deterministic
 //     jitter for the client's uplink exchanges.
@@ -72,9 +71,9 @@ type GEParams struct {
 }
 
 // Bernoulli returns the degenerate single-state model losing each
-// message independently with probability p — exactly the legacy
-// ReportLossProb behaviour, including its randomness consumption (one
-// draw per message, none when p is 0).
+// message independently with probability p, consuming one draw per
+// message (none when p is 0). Manifests that carry the retired
+// report_loss_prob key replay through it.
 func Bernoulli(p float64) GEParams {
 	return GEParams{LossGood: p, LossBad: p}
 }

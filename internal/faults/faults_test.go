@@ -9,8 +9,8 @@ import (
 )
 
 func TestBernoulliMatchesLegacyDrawSequence(t *testing.T) {
-	// The degenerate model must consume exactly the draws the legacy
-	// ReportLossProb path consumed: one Bool(p) per message.
+	// The degenerate model must consume exactly the draws the retired
+	// per-report loss knob consumed: one Bool(p) per message.
 	p := 0.3
 	legacy := rng.New(42)
 	ge := NewGE(Bernoulli(p), rng.New(42))

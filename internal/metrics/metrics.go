@@ -1,17 +1,19 @@
 // Package metrics is the simulator's time-series instrumentation layer:
-// a registry of named counters, gauges and histograms that the engine
-// samples on every broadcast-interval boundary into a per-run timeline
-// (queries completed, hit ratio, the report kind and bits the server
-// chose, the adjusted window w', channel utilization, retries, fault and
-// recovery events).
+// a registry of named columns that the engine samples on every
+// broadcast-interval boundary into a per-run timeline (queries
+// completed, hit ratio, the report kind and bits the server chose, the
+// adjusted window w', channel utilization, retries, fault and recovery
+// events). Counts and levels are polled from the tallies the simulator
+// already keeps (GaugeFunc, DeltaFunc, LabelFunc); only distributions
+// are pushed, into a Histogram.
 //
 // The package obeys the repository's determinism contract (DESIGN.md §7
 // and §9): it never reads the wall clock, never draws randomness, and
 // never schedules kernel events — sampling rides the engine's existing
-// per-period tick. Every instrument and the registry itself are nil-safe,
-// exactly like trace.Tracer: model code calls Add/Set/Observe
-// unconditionally, and with observability disabled those calls are
-// allocation-free no-ops, so pinned golden results stay bit-identical.
+// per-period tick. Histogram and the registry itself are nil-safe,
+// exactly like trace.Tracer: model code calls Observe unconditionally,
+// and with observability disabled that call is an allocation-free no-op,
+// so pinned golden results stay bit-identical.
 package metrics
 
 import (
@@ -22,67 +24,12 @@ import (
 	"mobicache/internal/stats"
 )
 
-// Counter is a monotonically increasing instrument. Registered counters
-// are sampled as per-interval deltas. All methods are nil-safe no-ops.
-type Counter struct {
-	v float64
-}
-
-// Add records v occurrences (or units of weight).
-//
-//hot path: fires per simulated event; TestDisabledHotPathAllocs pins
-// 0 allocs/op.
-func (c *Counter) Add(v float64) {
-	if c == nil {
-		return
-	}
-	c.v += v
-}
-
-// Inc records one occurrence.
-//
-//hot path: same contract as Add.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value reports the cumulative total.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is an instantaneous-value instrument, sampled as-is at every
-// interval boundary. All methods are nil-safe no-ops.
-type Gauge struct {
-	v float64
-}
-
-// Set records the current value.
-//
-//hot path: fires per simulated event; 0 allocs/op.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value reports the last value set.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram is a per-interval distribution instrument: observations
 // accumulate within one sampling interval, the registered quantiles are
 // emitted at the boundary, and the histogram resets for the next
 // interval. All methods are nil-safe no-ops.
 type Histogram struct {
-	h  *stats.Histogram
-	qs []float64
+	h *stats.Histogram
 }
 
 // Observe records one value into the current interval.
@@ -100,12 +47,10 @@ func (h *Histogram) Observe(v float64) {
 type column struct {
 	name string
 	// Exactly one of the sources below is set.
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	q       float64 // quantile when hist != nil
-	poll    func() float64
-	label   func() string
+	hist  *Histogram
+	q     float64 // quantile when hist != nil
+	poll  func() float64
+	label func() string
 	// delta samples the source as the change since the previous sample,
 	// clamped at zero (stat resets, e.g. at a warmup boundary, must not
 	// produce negative rates).
@@ -116,7 +61,8 @@ type column struct {
 // Registry collects instruments and their sampled time series. Create one
 // with New, register columns before the run, and let the engine call
 // Sample at each broadcast-interval boundary. A nil *Registry is disabled:
-// every registration returns a nil instrument and Sample is a no-op.
+// Histogram returns a nil instrument, and every other registration and
+// Sample are no-ops.
 type Registry struct {
 	cols    []*column
 	times   []float64
@@ -145,27 +91,6 @@ func (r *Registry) add(c *column) {
 	} else {
 		r.nNum++
 	}
-}
-
-// Counter registers a counter column sampled as a per-interval delta.
-// Returns nil (a no-op instrument) on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.add(&column{name: name, counter: c, delta: true})
-	return c
-}
-
-// Gauge registers a gauge column sampled as its instantaneous value.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.add(&column{name: name, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a polled column: f is evaluated at each sample.
@@ -202,7 +127,7 @@ func (r *Registry) Histogram(name string, lo, hi float64, n int, quantiles ...fl
 	if r == nil {
 		return nil
 	}
-	h := &Histogram{h: stats.NewHistogram(lo, hi, n), qs: quantiles}
+	h := &Histogram{h: stats.NewHistogram(lo, hi, n)}
 	for _, q := range quantiles {
 		r.add(&column{
 			name: fmt.Sprintf("%s_p%g", name, q*100),
@@ -226,48 +151,30 @@ func (r *Registry) Sample(t float64) {
 	if r.nLab > 0 {
 		labs = make([]string, 0, r.nLab)
 	}
-	var resets []*Histogram
 	for _, c := range r.cols {
 		switch {
 		case c.label != nil:
 			labs = append(labs, c.label())
-			continue
 		case c.hist != nil:
 			row = append(row, c.hist.h.Quantile(c.q))
-			resets = append(resets, c.hist)
-			continue
-		}
-		var v float64
-		switch {
-		case c.counter != nil:
-			v = c.counter.v
-		case c.gauge != nil:
-			v = c.gauge.v
 		default:
-			v = c.poll()
-		}
-		if c.delta {
-			d := v - c.prev
-			c.prev = v
-			if d < 0 {
-				d = 0
+			v := c.poll()
+			if c.delta {
+				d := v - c.prev
+				c.prev = v
+				if d < 0 {
+					d = 0
+				}
+				v = d
 			}
-			v = d
+			row = append(row, v)
 		}
-		row = append(row, v)
 	}
-	// A histogram may back several quantile columns; reset it once, after
-	// the whole row is built.
-	for i, h := range resets {
-		dup := false
-		for _, seen := range resets[:i] {
-			if seen == h {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			*h.h = *stats.NewHistogram(h.h.Lo, h.h.Hi, h.h.Bins())
+	// A histogram may back several quantile columns, so resets wait until
+	// the whole row is built; a second in-place reset is a no-op.
+	for _, c := range r.cols {
+		if c.hist != nil {
+			c.hist.h.Reset()
 		}
 	}
 	r.times = append(r.times, t)

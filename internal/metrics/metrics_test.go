@@ -9,21 +9,13 @@ import (
 )
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
-	c.Add(3)
-	c.Inc()
-	g.Set(7)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("nil instruments reported values")
-	}
 }
 
 func TestNilRegistryDisabled(t *testing.T) {
 	var r *Registry
-	if r.Counter("a") != nil || r.Gauge("b") != nil || r.Histogram("c", 0, 1, 4, 0.5) != nil {
+	if r.Histogram("c", 0, 1, 4, 0.5) != nil {
 		t.Fatal("nil registry returned live instruments")
 	}
 	r.GaugeFunc("d", func() float64 { return 1 })
@@ -40,16 +32,11 @@ func TestNilRegistryDisabled(t *testing.T) {
 }
 
 // TestDisabledHotPathAllocs is the observability no-alloc guard: with
-// instrumentation off (nil instruments, as model code sees them when no
-// registry is configured), the hot-path calls must not allocate.
+// instrumentation off (a nil histogram, as model code sees it when no
+// registry is configured), the hot-path call must not allocate.
 func TestDisabledHotPathAllocs(t *testing.T) {
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
-		g.Set(1)
 		h.Observe(0.5)
 	})
 	if allocs != 0 {
@@ -57,12 +44,15 @@ func TestDisabledHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestCounterDeltaSampling: a polled cumulative counter is sampled as
+// per-interval deltas.
 func TestCounterDeltaSampling(t *testing.T) {
 	r := New()
-	c := r.Counter("queries")
-	c.Add(5)
+	var n int64
+	r.DeltaFunc("queries", func() float64 { return float64(n) })
+	n += 5
 	r.Sample(10)
-	c.Add(3)
+	n += 3
 	r.Sample(20)
 	r.Sample(30) // idle interval
 	got := r.Column("queries")
@@ -72,26 +62,17 @@ func TestCounterDeltaSampling(t *testing.T) {
 			t.Fatalf("queries = %v, want %v", got, want)
 		}
 	}
-	if c.Value() != 8 {
-		t.Fatalf("cumulative value = %v, want 8", c.Value())
-	}
 }
 
 func TestGaugeAndFuncs(t *testing.T) {
 	r := New()
-	g := r.Gauge("depth")
 	cum := 0.0
 	r.GaugeFunc("poll", func() float64 { return cum * 2 })
 	r.DeltaFunc("delta", func() float64 { return cum })
-	g.Set(4)
 	cum = 10
 	r.Sample(1)
-	g.Set(6)
 	cum = 4 // simulated stat reset: delta clamps at zero
 	r.Sample(2)
-	if got := r.Column("depth"); got[0] != 4 || got[1] != 6 {
-		t.Fatalf("depth = %v", got)
-	}
 	if got := r.Column("poll"); got[0] != 20 || got[1] != 8 {
 		t.Fatalf("poll = %v", got)
 	}
@@ -126,7 +107,7 @@ func TestLabelColumn(t *testing.T) {
 	r := New()
 	kind := "A"
 	r.LabelFunc("kind", func() string { return kind })
-	r.Counter("n")
+	r.DeltaFunc("n", func() float64 { return 0 })
 	r.Sample(1)
 	kind = "B"
 	r.Sample(2)
@@ -144,10 +125,11 @@ func TestLabelColumn(t *testing.T) {
 
 func TestRegistrationErrors(t *testing.T) {
 	r := New()
-	r.Counter("dup")
-	mustPanic(t, "duplicate name", func() { r.Gauge("dup") })
+	zero := func() float64 { return 0 }
+	r.DeltaFunc("dup", zero)
+	mustPanic(t, "duplicate name", func() { r.GaugeFunc("dup", zero) })
 	r.Sample(1)
-	mustPanic(t, "late registration", func() { r.Counter("late") })
+	mustPanic(t, "late registration", func() { r.DeltaFunc("late", zero) })
 }
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -162,13 +144,13 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestWriteCSVRoundTrip(t *testing.T) {
 	r := New()
-	c := r.Counter("n")
+	n := 0.0
+	r.DeltaFunc("n", func() float64 { return n })
 	r.LabelFunc("kind", func() string { return "IR(w)" })
-	g := r.Gauge("util")
-	c.Add(2)
-	g.Set(0.125)
+	r.GaugeFunc("util", func() float64 { return 0.125 })
+	n += 2
 	r.Sample(20)
-	c.Add(1)
+	n++
 	r.Sample(40)
 
 	var buf bytes.Buffer

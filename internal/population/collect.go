@@ -33,25 +33,56 @@ func (p *Population) InFlight(i int) int64 {
 // restarted, so the restart accounting identity closes at the horizon.
 func (p *Population) CrashedDown(i int) bool { return p.offlineCrash[i] }
 
-// TotalAnswered sums answered queries across the population for the
-// engine's batch-means sampler.
-func (p *Population) TotalAnswered() int64 {
-	var total int64
-	for i := range p.counts {
-		total += p.counts[i].QueriesAnswered
-	}
-	return total
+// Totals is one population-wide sum of the client tallies the engine
+// polls on every sample tick: the batch-means sampler, the timeline's
+// hit ratio and its client counter columns all read it. Each field is
+// the sum of the per-client counter Results is built from.
+type Totals struct {
+	QueriesAnswered  int64
+	QueriesTimedOut  int64
+	QueriesShed      int64
+	Retries          int64
+	ReportsLost      int64
+	ReportsCorrupted int64
+	EpochDegrades    int64
+	SoloDisconnects  int64
+	IRGaps           int64
+	IRDuplicates     int64
+	IRReorders       int64
+	Salvages         int64
+	Drops            int64
+	CacheHits        int64
+	CacheMisses      int64
 }
 
-// CacheTotals sums Lookup outcomes across the population for the
-// timeline hit-ratio gauge.
-func (p *Population) CacheTotals() (hits, accesses int64) {
-	for i := range p.caches {
-		h := p.caches[i].Hits()
-		hits += h
-		accesses += h + p.caches[i].Misses()
+// Totals sums the client tallies in one pass, in index order. Without
+// a timeline only QueriesAnswered, all the batch-means sampler reads, is
+// summed: the other tallies span several cache lines per client, and
+// the fan-out workloads sample thousands of clients every tick.
+func (p *Population) Totals(timeline bool) Totals {
+	var t Totals
+	for i := range p.counts {
+		cnt, st := &p.counts[i], &p.states[i]
+		t.QueriesAnswered += cnt.QueriesAnswered
+		if !timeline {
+			continue
+		}
+		t.QueriesTimedOut += cnt.QueriesTimedOut
+		t.QueriesShed += cnt.QueriesShed
+		t.Retries += cnt.Retries
+		t.ReportsLost += cnt.ReportsLost
+		t.ReportsCorrupted += cnt.ReportsCorrupted
+		t.EpochDegrades += cnt.EpochDegrades
+		t.SoloDisconnects += cnt.SoloDisconnects
+		t.IRGaps += cnt.IRGaps
+		t.IRDuplicates += cnt.IRDuplicates
+		t.IRReorders += cnt.IRReorders
+		t.Salvages += st.Salvages
+		t.Drops += st.Drops
+		t.CacheHits += p.caches[i].Hits()
+		t.CacheMisses += p.caches[i].Misses()
 	}
-	return hits, accesses
+	return t
 }
 
 // ResetStats zeroes every client's measurement counters at the warmup

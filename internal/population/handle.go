@@ -69,7 +69,6 @@ func (h *Handle) StormDown() {
 	cnt := &p.counts[i]
 	cnt.Disconnections++
 	cnt.StormDisconnects++
-	p.cfg.Metrics.stormDisconnect()
 }
 
 // StormUp implements churn.Host: the storm hold clears — at the heal
@@ -96,7 +95,6 @@ func (h *Handle) CrashDown() {
 	p.offlineCrash[i] = true
 	p.states[i].AbandonPending()
 	p.counts[i].Crashes++
-	p.cfg.Metrics.clientCrash()
 }
 
 // Restart implements churn.Host: warm reinstates the persisted cache,
@@ -116,17 +114,14 @@ func (h *Handle) Restart(snap *churn.Snapshot, rejected bool) {
 		st.Epoch = snap.Epoch
 		st.Salvages++
 		cnt.RestartsWarm++
-		p.cfg.Metrics.restartWarm()
 	} else {
 		st.Cache.DropAll()
 		st.Drops++
 		st.Tlb = 0
 		st.Epoch = 0
 		cnt.RestartsCold++
-		p.cfg.Metrics.restartCold()
 		if rejected {
 			cnt.SnapshotRejects++
-			p.cfg.Metrics.snapshotReject()
 		}
 	}
 	st.Ext = nil

@@ -27,6 +27,7 @@ import (
 	"mobicache/internal/core"
 	"mobicache/internal/delivery"
 	"mobicache/internal/faults"
+	"mobicache/internal/metrics"
 	"mobicache/internal/netsim"
 	"mobicache/internal/report"
 	"mobicache/internal/rng"
@@ -90,20 +91,18 @@ type Config struct {
 	// item a query answers: answer instant minus the server's last update
 	// of that item. Items never updated (version 0) carry no sample.
 	AoIHist *stats.Histogram
-	// Tracer records protocol events and Metrics drives the timeline
-	// instruments; both optional.
-	Tracer  *trace.Tracer
-	Metrics *Metrics
+	// RespTimeline and AoITimeline, if set, receive the same samples as
+	// RespHist and AoIHist for the metrics timeline's per-interval
+	// quantile columns.
+	RespTimeline *metrics.Histogram
+	AoITimeline  *metrics.Histogram
+	// Tracer, if set, records protocol events.
+	Tracer *trace.Tracer
 	// OnWake, if set, is invoked with the client's id when it finishes a
 	// disconnection, just before it reconnects. A multi-cell coordinator
 	// uses it to move the client to a different cell (Reattach) —
 	// mobility happens while powered off, when no exchange is in flight.
 	OnWake func(i int)
-	// ReportLossProb injects reception failures: each broadcast report is
-	// independently lost with this probability. It is the degenerate
-	// single-state case of DownLoss; setting both is an error upstream
-	// (engine.Config.Validate).
-	ReportLossProb float64
 	// DownLoss is the Gilbert–Elliott bursty loss/corruption model for
 	// report reception. Fading is per receiver, so each client steps its
 	// own chain, seeded from its own rng stream.
@@ -300,16 +299,10 @@ func New(k *sim.Kernel, up *netsim.Channel, server ServerAPI, cfg Config, root *
 		wakes:        make([]func(), n),
 		deadlineFns:  make([]func(), n),
 	}
-	// One loss path: the legacy Bernoulli knob is the degenerate
-	// single-state Gilbert–Elliott chain.
-	dl := cfg.DownLoss
-	if !dl.Enabled() {
-		dl = faults.Bernoulli(cfg.ReportLossProb)
-	}
 	for i := 0; i < n; i++ {
 		p.states[i] = core.ClientState{ID: int32(i), Cache: &p.caches[i]}
 		p.srcs[i] = *root.Split(1000 + uint64(i))
-		p.ge[i] = faults.NewGE(dl, &p.srcs[i])
+		p.ge[i] = faults.NewGE(cfg.DownLoss, &p.srcs[i])
 		p.handles[i] = Handle{p: p, i: int32(i)}
 		p.connected[i] = true
 		p.phase[i] = pcGapStart
@@ -466,7 +459,6 @@ func (p *Population) disconnect(i int32, ret uint8) {
 	p.connected[i] = false
 	p.states[i].AbandonPending()
 	d := p.srcs[i].Exp(p.cfg.MeanDisc)
-	p.cfg.Metrics.disconnected()
 	p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.Disconnect,
 		Client: p.states[i].ID, B: int64(d * 1e6)})
 	cnt := &p.counts[i]
@@ -594,7 +586,6 @@ func (p *Population) serveQuery(i int32) {
 			p.abandonFetch(i)
 			cnt.QueriesShed++
 			p.queryOpen[i] = false
-			p.cfg.Metrics.queryShed()
 			p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.QueryShed,
 				Client: st.ID, B: int64(len(miss))})
 			p.gapStart(i)
@@ -630,7 +621,7 @@ func (p *Population) finishQuery(i int32) {
 	cnt.QueriesAnswered++
 	resp := p.k.Now() - p.tq[i]
 	cnt.RespTime.Observe(resp)
-	p.cfg.Metrics.queryDone(resp)
+	p.cfg.RespTimeline.Observe(resp)
 	if p.cfg.RespHist != nil {
 		p.cfg.RespHist.Observe(resp)
 	}
@@ -653,7 +644,6 @@ func (p *Population) giveUp(i int32, validating bool) {
 	cnt := &p.counts[i]
 	cnt.QueriesTimedOut++
 	p.queryOpen[i] = false
-	p.cfg.Metrics.deadlineMiss()
 	p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.QueryDeadline,
 		Client: p.states[i].ID, B: int64((p.k.Now() - p.tq[i]) * 1e6)})
 	p.gapStart(i)
@@ -741,7 +731,6 @@ func (p *Population) scheduleCtrlTimeout(i int32, kindArg int64) {
 		}
 		p.ctrlTries[i]++
 		p.counts[i].Retries++
-		p.cfg.Metrics.retry()
 		p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.RetryAttempt,
 			Client: st.ID, A: kindArg, B: int64(p.ctrlTries[i])})
 		st.AbandonPending()
@@ -757,10 +746,8 @@ func (p *Population) handleOutcome(i int32, out core.Outcome, now sim.Time) {
 	cnt := &p.counts[i]
 	if out.EpochDegrade {
 		cnt.EpochDegrades++
-		p.cfg.Metrics.epochDegrade()
 	}
 	if out.DroppedAll {
-		p.cfg.Metrics.dropAll()
 		p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.CacheDrop,
 			Client: p.states[i].ID})
 	}
@@ -815,7 +802,7 @@ func (p *Population) observeAoI(i int32, age float64, version int32) {
 	cnt.AoISamples++
 	cnt.AoISum += age
 	p.cfg.AoIHist.Observe(age)
-	p.cfg.Metrics.aoi(age)
+	p.cfg.AoITimeline.Observe(age)
 }
 
 // fenceAdmit runs the broadcast sequence fence and the stale-by-skew
@@ -835,19 +822,16 @@ func (p *Population) fenceAdmit(i int32, r report.Report, now sim.Time) bool {
 		switch d := report.SeqDelta(seq, st.LastSeq); {
 		case d == 0:
 			cnt.IRDuplicates++
-			p.cfg.Metrics.irDuplicate()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.IRDuplicate,
 				Client: st.ID, A: int64(seq)})
 			return false
 		case d < 0:
 			cnt.IRReorders++
-			p.cfg.Metrics.irReorder()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.IRReorder,
 				Client: st.ID, A: int64(d)})
 			return false
 		case d > 1:
 			cnt.IRGaps++
-			p.cfg.Metrics.irGap()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.IRGap,
 				Client: st.ID, A: int64(d)})
 			st.SeqGap = true
@@ -874,7 +858,6 @@ func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 		switch g.Next() {
 		case faults.Lose:
 			cnt.ReportsLost++
-			p.cfg.Metrics.reportLost()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.FaultLoss,
 				Client: st.ID, A: int64(netsim.ClassReport)})
 			return
@@ -889,7 +872,6 @@ func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 				panic("population: corrupted report decoded cleanly")
 			}
 			cnt.ReportsCorrupted++
-			p.cfg.Metrics.reportCorrupted()
 			p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.FaultCorrupt,
 				Client: st.ID, A: int64(netsim.ClassReport)})
 			return
@@ -904,7 +886,6 @@ func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 	p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ReportDelivered,
 		Client: st.ID, A: int64(r.Kind())})
 	if st.Salvages > salvagesBefore {
-		p.cfg.Metrics.salvage()
 		p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.CacheSalvage, Client: st.ID})
 	}
 	p.handleOutcome(i, out, now)

@@ -144,6 +144,13 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, bins: make([]int64, n)}
 }
 
+// Reset zeroes every bin and the under/over/observed counts in place,
+// keeping the shape and the bin storage.
+func (h *Histogram) Reset() {
+	clear(h.bins)
+	h.under, h.over, h.observed = 0, 0, 0
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.observed++

@@ -140,6 +140,34 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestHistogramReset: a reset histogram is indistinguishable from a fresh
+// one of the same shape, both empty and after the same observations.
+func TestHistogramReset(t *testing.T) {
+	h, fresh := NewHistogram(0, 10, 10), NewHistogram(0, 10, 10)
+	for _, v := range []float64{-1, 0.5, 3.3, 3.4, 9.9, 99} {
+		h.Observe(v)
+	}
+	h.Reset()
+	same := func(when string) {
+		t.Helper()
+		if h.N() != fresh.N() || h.Under() != fresh.Under() || h.Over() != fresh.Over() {
+			t.Fatalf("%s: n/under/over %d/%d/%d, fresh %d/%d/%d", when,
+				h.N(), h.Under(), h.Over(), fresh.N(), fresh.Under(), fresh.Over())
+		}
+		for _, q := range []float64{0, 0.25, 0.5, 0.95, 1} {
+			if got, want := h.Quantile(q), fresh.Quantile(q); got != want {
+				t.Fatalf("%s: quantile(%v) = %v, fresh %v", when, q, got, want)
+			}
+		}
+	}
+	same("empty")
+	for _, v := range []float64{-2, 1.5, 7.25, 42} {
+		h.Observe(v)
+		fresh.Observe(v)
+	}
+	same("refilled")
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram(0, 100, 100)
 	for i := 0; i < 1000; i++ {

@@ -88,7 +88,7 @@ type GEParams = faults.GEParams
 type RetryPolicy = faults.RetryPolicy
 
 // Bernoulli is the degenerate single-state loss model: each message lost
-// independently with probability p (the legacy ReportLossProb behaviour).
+// independently with probability p.
 func Bernoulli(p float64) GEParams { return faults.Bernoulli(p) }
 
 // OverloadConfig configures the graceful-degradation layer
