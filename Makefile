@@ -114,9 +114,9 @@ bench-smoke:
 
 # Parallel-harness scaling: the sweep benchmark at 1/2/4 workers (compare
 # ns/op across the sub-benchmarks on a multi-core machine) plus the
-# kernel hot-path benchmarks whose allocs/op the freelist keeps at zero.
+# kernel and channel hot-path benchmarks, which fail on any allocation.
 par-bench:
-	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel' -benchmem -run='^$$' .
+	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel' -benchmem -run='^$$' .
 
 # Coverage gate: full suite with -coverprofile; fails if total statement
 # coverage drops below the floor.

@@ -257,6 +257,10 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkChannelSaturated measures the admitted send path: each
+// message's delivery sends the next, so the channel never idles. Every
+// simulated message takes this path, so the contract requires it to be
+// allocation-free once the class's line has grown.
 func BenchmarkChannelSaturated(b *testing.B) {
 	k := sim.New()
 	ch := netsim.NewChannel(k, "down", 1e6)
@@ -268,9 +272,18 @@ func BenchmarkChannelSaturated(b *testing.B) {
 			ch.Send(netsim.ClassData, 100, send)
 		}
 	}
+	b.ReportAllocs()
 	send()
 	b.ResetTimer()
 	k.Run(sim.EndOfTime)
+	b.StopTimer()
+	if testing.AllocsPerRun(100, func() {
+		remaining = 2
+		send()
+		k.Run(sim.EndOfTime)
+	}) != 0 {
+		b.Fatal("admitted send path allocates")
+	}
 }
 
 // BenchmarkChannelBoundedShed measures the tail-drop fast path: one

@@ -36,12 +36,13 @@ import (
 // knownHot pins the contract functions per package-path suffix, as
 // "Type.Method" or plain "Func". These are the paths whose allocs/op the
 // benchmark suite asserts to be zero (BenchmarkKernelEventThroughput,
-// BenchmarkKernelScheduleCancel, BenchmarkChannelBoundedShed,
-// BenchmarkDeliveryLinkDeliver, BenchmarkChurnStormTick) plus the
-// per-event instruments and the pooled bit writers that ride inside them.
+// BenchmarkKernelScheduleCancel, BenchmarkChannelSaturated,
+// BenchmarkChannelBoundedShed, BenchmarkDeliveryLinkDeliver,
+// BenchmarkChurnStormTick) plus the per-event instruments and the pooled
+// bit writers that ride inside them.
 var knownHot = map[string][]string{
 	"internal/sim":      {"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step"},
-	"internal/netsim":   {"Channel.Send"},
+	"internal/netsim":   {"Channel.Send", "Channel.SendObserved", "Channel.dispatch", "Channel.complete", "line.push"},
 	"internal/delivery": {"Link.Deliver"},
 	"internal/metrics":  {"Histogram.Observe"},
 	"internal/bitio": {

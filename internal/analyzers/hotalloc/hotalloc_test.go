@@ -13,5 +13,5 @@ func TestAnalyzer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framework.RunTest(t, testdata, hotalloc.Analyzer, "hotalloc", "internal/sim", "internal/cache")
+	framework.RunTest(t, testdata, hotalloc.Analyzer, "hotalloc", "internal/sim", "internal/cache", "internal/netsim")
 }

@@ -190,7 +190,7 @@ func (c *adaptiveClient) HandleReport(st *ClientState, r report.Report, now floa
 			dropAll(st)
 			validate(st, rep.T)
 			st.SentTlb = false
-			return Outcome{Ready: true, DroppedAll: true}
+			return Outcome{Ready: true}
 		}
 		return Outcome{}
 	default:

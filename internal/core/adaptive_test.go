@@ -43,7 +43,7 @@ func TestAFWSwitchesToBSAfterFeedback(t *testing.T) {
 		t.Fatalf("second report kind = %v", rep2.Kind())
 	}
 	out2 := r.client.HandleReport(r.st, rep2, 420)
-	if !out2.Ready || out2.DroppedAll {
+	if !out2.Ready || r.st.Drops != 0 {
 		t.Fatalf("outcome = %+v", out2)
 	}
 	if _, ok := r.st.Cache.Peek(5); !ok {
@@ -77,7 +77,7 @@ func TestAFWFeedbackSentOnlyOnce(t *testing.T) {
 	// client neither resends nor drops.
 	rep2 := &report.TSReport{T: 420}
 	out2 := r.client.HandleReport(r.st, rep2, 420)
-	if out2.Send != nil || out2.Ready || out2.DroppedAll {
+	if out2.Send != nil || out2.Ready || r.st.Drops != 0 {
 		t.Fatalf("outcome = %+v", out2)
 	}
 }
@@ -95,7 +95,7 @@ func TestAFWDropsWhenServerIgnoresDeliveredFeedback(t *testing.T) {
 	// A TS report broadcast after delivery means the server declined
 	// (e.g. it judged the cache unsalvageable): drop.
 	out2 := r.client.HandleReport(r.st, &report.TSReport{T: 420}, 420)
-	if !out2.DroppedAll || r.st.Cache.Len() != 0 {
+	if r.st.Drops != 1 || r.st.Cache.Len() != 0 {
 		t.Fatalf("outcome = %+v", out2)
 	}
 	if !out2.Ready {
@@ -170,7 +170,7 @@ func TestAAWPrefersEnlargedWindowWhenSmaller(t *testing.T) {
 		t.Fatalf("entries = %v", ext.Entries)
 	}
 	out2 := r.client.HandleReport(r.st, rep2, 420)
-	if !out2.Ready || out2.DroppedAll {
+	if !out2.Ready || r.st.Drops != 0 {
 		t.Fatalf("outcome = %+v", out2)
 	}
 	if _, ok := r.st.Cache.Peek(5); !ok {

@@ -75,7 +75,7 @@ func (c *atClient) HandleReport(st *ClientState, r report.Report, now float64) O
 	if ar.T-st.Tlb > c.p.L+eps {
 		dropAll(st)
 		validate(st, ar.T)
-		return Outcome{Ready: true, DroppedAll: true}
+		return Outcome{Ready: true}
 	}
 	for _, id := range ar.IDs {
 		st.Cache.Invalidate(id)

@@ -74,7 +74,7 @@ func applyBS(st *ClientState, br *report.BSReport, scratch *[]int32) Outcome {
 	case bitseq.DropAll:
 		dropAll(st)
 		validate(st, br.T)
-		return Outcome{Ready: true, DroppedAll: true}
+		return Outcome{Ready: true}
 	default: // InvalidateSet
 		had := st.Cache.Len()
 		for _, id := range ids {

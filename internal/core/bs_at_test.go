@@ -13,7 +13,7 @@ func TestBSSalvagesLongDisconnection(t *testing.T) {
 	r.st.Tlb = 0
 	r.d.Update(5, 5000)
 	out := r.broadcast(10000) // disconnection far beyond any window
-	if !out.Ready || out.DroppedAll {
+	if !out.Ready || r.st.Drops != 0 {
 		t.Fatalf("outcome = %+v", out)
 	}
 	if _, ok := r.st.Cache.Peek(5); ok {
@@ -36,7 +36,7 @@ func TestBSDropsWhenHalfDatabaseChanged(t *testing.T) {
 		r.d.Update(i, 100+float64(i))
 	}
 	out := r.broadcast(200)
-	if !out.DroppedAll || r.st.Cache.Len() != 0 {
+	if r.st.Drops != 1 || r.st.Cache.Len() != 0 {
 		t.Fatalf("outcome = %+v", out)
 	}
 }
@@ -73,7 +73,7 @@ func TestATInvalidatesLastInterval(t *testing.T) {
 	r.st.Tlb = 380 // heard the previous report (L = 20)
 	r.d.Update(5, 390)
 	out := r.broadcast(400)
-	if !out.Ready || out.DroppedAll {
+	if !out.Ready || r.st.Drops != 0 {
 		t.Fatalf("outcome = %+v", out)
 	}
 	if _, ok := r.st.Cache.Peek(5); ok {
@@ -89,7 +89,7 @@ func TestATDropsAfterMissedReport(t *testing.T) {
 	r.st.Cache.Put(5, 0, 0)
 	r.st.Tlb = 360 // missed the report at 380
 	out := r.broadcast(400)
-	if !out.DroppedAll {
+	if r.st.Drops != 1 {
 		t.Fatalf("outcome = %+v", out)
 	}
 }

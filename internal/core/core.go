@@ -144,8 +144,6 @@ type Outcome struct {
 	Ready bool
 	// Send, if non-nil, is a control message to transmit uplink.
 	Send *ControlMsg
-	// DroppedAll reports that the entire cache was discarded.
-	DroppedAll bool
 	// EpochDegrade reports that this outcome was forced by a recovery
 	// marker: the report's server cannot vouch for the client's gap, so
 	// the scheme degraded (dropped the cache, or fell back to checking)
@@ -329,12 +327,11 @@ func (st *ClientState) ResetSeqFence() {
 // ts-check): discard whatever the cache holds and revalidate at the
 // report time, exactly as if the client had slept past the window.
 func degradeDrop(st *ClientState, t float64) Outcome {
-	dropped := st.Cache.Len() > 0
-	if dropped {
+	if st.Cache.Len() > 0 {
 		dropAll(st)
 	}
 	validate(st, t)
-	return Outcome{Ready: true, DroppedAll: dropped, EpochDegrade: true}
+	return Outcome{Ready: true, EpochDegrade: true}
 }
 
 // validate marks the cache validated through t.

@@ -59,7 +59,7 @@ func TestReportIndexReuse(t *testing.T) {
 					st.Cache.Put(id, 100, 1)
 				}
 				out := side.HandleReport(st, step.r, 400)
-				if !out.Ready || out.DroppedAll || st.Tlb != 400 {
+				if !out.Ready || st.Drops != 0 || st.Tlb != 400 {
 					t.Fatalf("%s: outcome %+v, Tlb %v", step.name, out, st.Tlb)
 				}
 				got := st.Cache.Entries(nil)

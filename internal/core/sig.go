@@ -43,9 +43,6 @@ type sigScheme struct {
 // SIG is the combined-signatures scheme with the default configuration.
 func SIG() Scheme { return sigScheme{cfg: DefaultSIGConfig()} }
 
-// SIGWith is the combined-signatures scheme with a custom configuration.
-func SIGWith(cfg SIGConfig) Scheme { return sigScheme{cfg: cfg} }
-
 func (sigScheme) Name() string { return "sig" }
 
 func (s sigScheme) NewServer(p Params) ServerSide {
@@ -231,14 +228,13 @@ func (c *sigClient) HandleReport(st *ClientState, r report.Report, now float64) 
 	if !ext.hasPrev {
 		// No baseline to diff against: nothing in the cache can be
 		// vouched for.
-		dropped := st.Cache.Len() > 0
-		if dropped {
+		if st.Cache.Len() > 0 {
 			dropAll(st)
 		}
 		ext.prev = append(ext.prev[:0], sr.Sigs...)
 		ext.hasPrev = true
 		validate(st, sr.T)
-		return Outcome{Ready: true, DroppedAll: dropped}
+		return Outcome{Ready: true}
 	}
 	if len(ext.prev) != len(sr.Sigs) {
 		panic("core: sig group count changed mid-run")
@@ -276,7 +272,7 @@ func (c *sigClient) HandleReport(st *ClientState, r report.Report, now float64) 
 	}
 	ext.prev = append(ext.prev[:0], sr.Sigs...)
 	validate(st, sr.T)
-	return Outcome{Ready: true, DroppedAll: had > 0 && st.Cache.Len() == 0}
+	return Outcome{Ready: true}
 }
 
 // HandleValidity implements ClientSide.

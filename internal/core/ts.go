@@ -98,7 +98,7 @@ func (c *tsClient) HandleReport(st *ClientState, r report.Report, now float64) O
 	if !c.checking {
 		dropAll(st)
 		validate(st, tr.T)
-		return Outcome{Ready: true, DroppedAll: true, EpochDegrade: degraded}
+		return Outcome{Ready: true, EpochDegrade: degraded}
 	}
 	if st.Cache.Len() == 0 {
 		// Nothing to salvage; an empty cache is trivially valid.

@@ -57,7 +57,7 @@ func TestTSInWindowInvalidation(t *testing.T) {
 	r.st.Cache.Put(6, 0, 0)
 	r.d.Update(5, 10)
 	out := r.broadcast(20)
-	if !out.Ready || out.DroppedAll {
+	if !out.Ready || r.st.Drops != 0 {
 		t.Fatalf("outcome = %+v", out)
 	}
 	if _, ok := r.st.Cache.Peek(5); ok {
@@ -91,11 +91,8 @@ func TestTSDropsBeyondWindow(t *testing.T) {
 	r.st.Tlb = 0
 	// Window is w*L = 200 s; a report at 400 leaves Tlb=0 outside it.
 	out := r.broadcast(400)
-	if !out.DroppedAll || r.st.Cache.Len() != 0 {
-		t.Fatalf("outcome = %+v len=%d", out, r.st.Cache.Len())
-	}
-	if r.st.Drops != 1 {
-		t.Fatalf("drops = %d", r.st.Drops)
+	if r.st.Drops != 1 || r.st.Cache.Len() != 0 {
+		t.Fatalf("outcome = %+v drops=%d len=%d", out, r.st.Drops, r.st.Cache.Len())
 	}
 }
 
@@ -103,8 +100,8 @@ func TestTSWindowBoundaryInclusive(t *testing.T) {
 	r := newRig(t, TS(), 100, 10)
 	r.st.Cache.Put(5, 0, 0)
 	r.st.Tlb = 200 // exactly T - wL for T=400
-	out := r.broadcast(400)
-	if out.DroppedAll {
+	r.broadcast(400)
+	if r.st.Drops != 0 {
 		t.Fatal("boundary Tlb treated as out of window")
 	}
 }

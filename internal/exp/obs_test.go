@@ -215,36 +215,47 @@ func TestAoISweepArmsSpans(t *testing.T) {
 	}
 }
 
+// agreementMixes are the runs the observability surfaces are checked
+// against Results on: heavy chaos, and every adversary layer at once with
+// spans (the mobibench adversarial mix).
+var agreementMixes = []struct {
+	name string
+	set  func(*engine.Config)
+}{
+	{"chaos4", func(c *engine.Config) { c.Faults = ChaosFaults(4) }},
+	{"adversarial", func(c *engine.Config) {
+		c.Faults = ChaosFaults(2)
+		OverloadGuardrails(c)
+		c.Delivery = delivery.Severity(2)
+		c.Churn = churn.Severity(2)
+		c.Spans = &engine.SpanOptions{}
+	}},
+}
+
+// agreementConfig is one scheme under one agreement mix, with no warmup
+// so every tally covers the whole run.
+func agreementConfig(scheme string, set func(*engine.Config)) engine.Config {
+	c := engine.Default()
+	c.Scheme = scheme
+	c.SimTime = 20000
+	c.MeanDisc = 400
+	c.Warmup = 0
+	set(&c)
+	return c
+}
+
 // TestTimelineAgreesWithResults: every client counter column of the
 // timeline polls a tally Results is built from, so with no warmup each
 // column sums to its Results field exactly. It covers all seven schemes
-// under heavy chaos, and under every adversary layer at once with spans
-// (the mobibench adversarial mix), and requires each column to be
-// non-zero somewhere so no comparison passes vacuously. queries_shed is
-// the exception: a query is shed only when no retry policy is armed, and
+// under both agreement mixes, and requires each column to be non-zero
+// somewhere so no comparison passes vacuously. queries_shed is the
+// exception: a query is shed only when no retry policy is armed, and
 // both mixes arm one.
 func TestTimelineAgreesWithResults(t *testing.T) {
-	mixes := []struct {
-		name string
-		set  func(*engine.Config)
-	}{
-		{"chaos4", func(c *engine.Config) { c.Faults = ChaosFaults(4) }},
-		{"adversarial", func(c *engine.Config) {
-			c.Faults = ChaosFaults(2)
-			OverloadGuardrails(c)
-			c.Delivery = delivery.Severity(2)
-			c.Churn = churn.Severity(2)
-			c.Spans = &engine.SpanOptions{}
-		}},
-	}
 	seen := map[string]bool{}
-	for _, mix := range mixes {
+	for _, mix := range agreementMixes {
 		for _, scheme := range AllSchemes {
-			c := engine.Default()
-			c.Scheme = scheme
-			c.SimTime = 20000
-			c.MeanDisc = 400
-			mix.set(&c)
+			c := agreementConfig(scheme, mix.set)
 			reg := metrics.New()
 			c.Metrics = reg
 			r, err := engine.Run(c)
@@ -285,5 +296,39 @@ func TestTimelineAgreesWithResults(t *testing.T) {
 		if !nonZero && name != "queries_shed" {
 			t.Errorf("column %s is zero in every run", name)
 		}
+	}
+}
+
+// TestTraceAgreesWithResults: the trace's whole-cache verdicts are read
+// off the counters Results is built from, so over a run with no warmup
+// every drop is a CacheDrop (a scheme call emptied the cache) or a cold
+// churn restart, and every salvage a CacheSalvage or a warm restart. All
+// seven schemes run under both agreement mixes, and each relation must
+// be non-zero somewhere so none passes vacuously.
+func TestTraceAgreesWithResults(t *testing.T) {
+	var drops, salvages int64
+	for _, mix := range agreementMixes {
+		for _, scheme := range AllSchemes {
+			c := agreementConfig(scheme, mix.set)
+			tr := trace.New(1)
+			c.Trace = tr
+			r, err := engine.Run(c)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mix.name, scheme, err)
+			}
+			if got := tr.Count(trace.CacheDrop) + tr.Count(trace.RestartCold); int64(got) != r.Drops {
+				t.Errorf("%s/%s: CacheDrop %d + RestartCold %d != Drops %d", mix.name, scheme,
+					tr.Count(trace.CacheDrop), tr.Count(trace.RestartCold), r.Drops)
+			}
+			if got := tr.Count(trace.CacheSalvage) + tr.Count(trace.RestartWarm); int64(got) != r.Salvages {
+				t.Errorf("%s/%s: CacheSalvage %d + RestartWarm %d != Salvages %d", mix.name, scheme,
+					tr.Count(trace.CacheSalvage), tr.Count(trace.RestartWarm), r.Salvages)
+			}
+			drops += r.Drops
+			salvages += r.Salvages
+		}
+	}
+	if drops == 0 || salvages == 0 {
+		t.Fatalf("vacuous: %d drops, %d salvages over every run", drops, salvages)
 	}
 }

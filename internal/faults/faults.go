@@ -126,9 +126,6 @@ func NewGE(p GEParams, src *rng.Source) *GE {
 	return &GE{p: p, src: src}
 }
 
-// Bad reports whether the chain is currently in the bad state.
-func (g *GE) Bad() bool { return g.bad }
-
 // Next steps the chain one message and returns its verdict. Draw order
 // (transition, loss, corruption) is fixed, and draws whose probability
 // is 0 are skipped entirely, so the degenerate Bernoulli model consumes

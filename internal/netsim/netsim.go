@@ -51,12 +51,81 @@ func (c Class) String() string {
 	}
 }
 
-// Channel is a shared wireless channel.
+// idle marks a channel with no message on the air.
+const idle Class = -1
+
+// message is one admitted transmission waiting in, or at the head of, its
+// class's line.
+type message struct {
+	// remaining is the transmission time still owed; a preemption credits
+	// the time already served.
+	remaining   sim.Time
+	onTxStart   func(sim.Time)
+	onDelivered func()
+	// waited marks a message counted in lowWait (admitted while the
+	// channel was busy); started marks its first service start, after
+	// which a resume fires no observer and touches no counter.
+	waited, started bool
+}
+
+// line is one class's FIFO, a ring buffer of message records. The
+// message on the air stays at the head of its line until it completes,
+// so a preempted message resumes ahead of later arrivals of its class.
+type line struct {
+	buf  []message
+	head int
+	n    int
+}
+
+func (l *line) front() *message { return &l.buf[l.head] }
+
+// push appends a zeroed record and returns it for the caller to fill.
+//
+// hot path: one call per admitted message; the ring grows only while the
+// backlog reaches a new high, then reuses its slots.
+func (l *line) push() *message {
+	if l.n == len(l.buf) {
+		//lint:allow hotalloc ring growth is the cold fill path; a steady backlog reuses its slots, and TestSendPathAllocFree pins 0 allocs per cycle
+		buf := make([]message, max(8, 2*len(l.buf)))
+		k := copy(buf, l.buf[l.head:])
+		copy(buf[k:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	m := &l.buf[(l.head+l.n)%len(l.buf)]
+	l.n++
+	return m
+}
+
+// pop removes and returns the head record, clearing its slot so the ring
+// holds no callbacks of completed messages.
+func (l *line) pop() message {
+	m := l.buf[l.head]
+	l.buf[l.head] = message{}
+	l.head = (l.head + 1) % len(l.buf)
+	l.n--
+	return m
+}
+
+// Channel is a shared wireless channel: a single server with one FIFO
+// line per traffic class and preemptive-resume service for reports.
 type Channel struct {
 	name string
 	k    *sim.Kernel
-	fac  *sim.Facility
 	bw   float64 // bits per second
+
+	lines [numClasses]line
+	// cur is the class whose head message is on the air, or idle; that
+	// transmission started (or resumed) at curStart and completes at the
+	// event done, which runs completeFn (c.complete, bound once).
+	cur        Class
+	curStart   sim.Time
+	done       sim.Handle
+	completeFn func()
+
+	busy      float64 // completed or preempted service time
+	served    int64
+	preempted int64
+	maxQueue  int
 
 	bits     [numClasses]float64
 	messages [numClasses]int64
@@ -85,12 +154,9 @@ func NewChannel(k *sim.Kernel, name string, bitsPerSecond float64) *Channel {
 	if bitsPerSecond <= 0 {
 		panic("netsim: bandwidth must be positive")
 	}
-	return &Channel{
-		name: name,
-		k:    k,
-		fac:  sim.NewFacility(k, name),
-		bw:   bitsPerSecond,
-	}
+	c := &Channel{name: name, k: k, bw: bitsPerSecond, cur: idle}
+	c.completeFn = c.complete
+	return c
 }
 
 // Name reports the channel label.
@@ -146,11 +212,8 @@ func (c *Channel) SetShedHook(fn func(class Class)) { c.onShed = fn }
 // (SetQueueCap), a data or control message arriving while the channel is
 // busy and the cap is full is tail-dropped: Send returns false, nothing
 // is queued or charged to the bit accounting, and the caller must recover
-// (retry later or abandon the exchange). The drop path allocates nothing.
-//
-//hot path: one call per simulated message; the shed fast path is
-// 0 allocs/op (pinned by BenchmarkChannelBoundedShed). Admitted sends
-// may allocate — see the //lint:allow rationales in SendObserved.
+// (retry later or abandon the exchange). Neither path allocates once the
+// class's line has grown to the backlog.
 func (c *Channel) Send(class Class, bits float64, onDelivered func()) bool {
 	return c.SendObserved(class, bits, nil, onDelivered)
 }
@@ -158,14 +221,13 @@ func (c *Channel) Send(class Class, bits float64, onDelivered func()) bool {
 // SendObserved is Send with a transmission-start observer: onTxStart, if
 // not nil, fires exactly once, at the simulated instant the message's
 // first bit goes on the air (queueing over, transmission begun) — a
-// preempted-and-resumed message does not re-fire it. The observer is a
-// pure tap on the facility's existing service-start hook: it adds no
+// preempted-and-resumed message does not re-fire it. The observer adds no
 // kernel events and draws no randomness, so a send with a nil observer
 // is bit-identical to Send. Span assembly uses it to separate the
 // queueing phase from the transmit phase.
 //
-//hot path shared with Send; the shed fast path stays 0 allocs/op, and
-// the admitted path's allocations carry //lint:allow rationales.
+// hot path: one call per simulated message; 0 allocs/op on both the shed
+// and the admitted path (TestShedPathAllocFree, TestSendPathAllocFree).
 func (c *Channel) SendObserved(class Class, bits float64, onTxStart func(sim.Time), onDelivered func()) bool {
 	if bits < 0 {
 		panic("netsim: negative message size")
@@ -173,8 +235,8 @@ func (c *Channel) SendObserved(class Class, bits float64, onTxStart func(sim.Tim
 	if class < 0 || class >= numClasses {
 		panic("netsim: unknown class")
 	}
-	waits := c.fac.InService() != nil
-	if c.queueCap > 0 && class != ClassReport && waits && c.lowWait >= c.queueCap {
+	waits := c.cur != idle && class != ClassReport && c.queueCap > 0
+	if waits && c.lowWait >= c.queueCap {
 		c.shed[class]++
 		if c.onShed != nil {
 			c.onShed(class)
@@ -183,75 +245,124 @@ func (c *Channel) SendObserved(class Class, bits float64, onTxStart func(sim.Tim
 	}
 	c.bits[class] += bits
 	c.messages[class]++
-	onDone := onDelivered
-	if c.adv != nil && onDone != nil {
-		delivered := onDone
-		//lint:allow hotalloc adversary wrapper exists only past admission on an armed channel; its cost amortizes into the transfer time it wraps
-		onDone = func() { c.adv.Deliver(delivered) }
-	}
-	if c.ge != nil {
-		admitted := onDone
-		//lint:allow hotalloc fault-model wrapper exists only past admission; its cost amortizes into the transfer time it wraps
-		onDone = func() {
-			if v := c.ge.Next(); v != faults.Deliver {
-				c.lost[class]++
-				if c.onFault != nil {
-					c.onFault(class, v)
-				}
-				return
-			}
-			if admitted != nil {
-				admitted()
-			}
-		}
-	}
-	//lint:allow hotalloc one request per admitted message, past the 0-alloc shed fast path; the facility retains no request after OnDone
-	req := &sim.FacilityRequest{
-		Priority: int(class),
-		Preempt:  class == ClassReport,
-		Duration: bits / c.bw,
-		OnDone:   onDone,
-	}
-	trackWait := c.queueCap > 0 && class != ClassReport && waits
-	if trackWait {
+	if waits {
 		// Track the waiting population exactly: admitted-while-busy
-		// increments, first service start decrements. OnStart fires again
-		// if the message is preempted and later resumed, hence the guard.
+		// increments, first service start decrements.
 		c.lowWait++
 		if c.lowWait > c.maxLowWait {
 			c.maxLowWait = c.lowWait
 		}
 	}
-	if trackWait || onTxStart != nil {
-		started := false
-		//lint:allow hotalloc start hook exists only for queued sends or when a caller asked to observe tx start, never on the shed fast path
-		req.OnStart = func(t sim.Time) {
-			if started {
-				return
-			}
-			started = true
-			if trackWait {
-				c.lowWait--
-			}
-			if onTxStart != nil {
-				onTxStart(t)
-			}
-		}
+	if class == ClassReport && c.cur != idle && c.cur != ClassReport {
+		c.preempt()
 	}
-	c.fac.Submit(req)
+	m := c.lines[class].push()
+	m.remaining = bits / c.bw
+	m.onTxStart = onTxStart
+	m.onDelivered = onDelivered
+	m.waited = waits
+	if n := c.QueueLen(); n > c.maxQueue {
+		c.maxQueue = n
+	}
+	c.dispatch()
 	return true
 }
 
-// ResetStats zeroes the per-class accounting and the underlying facility
-// statistics (measurement warmup). Queued messages remain queued, so the
-// waiting-population high-water mark restarts from the current backlog.
+// preempt takes the message on the air off it, crediting the service it
+// already received. It stays at the head of its line, so it resumes ahead
+// of anything that arrived after it in its class.
+func (c *Channel) preempt() {
+	m := c.lines[c.cur].front()
+	served := c.k.Now() - c.curStart
+	m.remaining -= served
+	if m.remaining < 0 {
+		m.remaining = 0
+	}
+	c.busy += served
+	c.k.Cancel(c.done)
+	c.cur = idle
+	c.preempted++
+}
+
+// dispatch puts the head of the highest non-empty class on the air if the
+// channel is idle. A message's first start releases its queue slot and
+// fires its observer before its completion is scheduled.
+//
+// hot path: once per transmission start.
+func (c *Channel) dispatch() {
+	if c.cur != idle {
+		return
+	}
+	for class := ClassReport; class >= ClassData; class-- {
+		if c.lines[class].n == 0 {
+			continue
+		}
+		m := c.lines[class].front()
+		now := c.k.Now()
+		c.cur, c.curStart = class, now
+		if !m.started {
+			m.started = true
+			if m.waited {
+				c.lowWait--
+			}
+			if m.onTxStart != nil {
+				m.onTxStart(now)
+			}
+		}
+		c.done = c.k.Schedule(m.remaining, c.completeFn)
+		return
+	}
+}
+
+// complete ends the transmission on the air. The fault model rules on
+// every completed message, even one without a receiver; a surviving
+// message's receiver runs through the delivery adversary, if armed,
+// while the channel is idle and before the next dispatch.
+//
+// hot path: once per completed transmission.
+func (c *Channel) complete() {
+	c.busy += c.k.Now() - c.curStart
+	class := c.cur
+	m := c.lines[class].pop()
+	c.cur = idle
+	c.served++
+	delivered := true
+	if c.ge != nil {
+		if v := c.ge.Next(); v != faults.Deliver {
+			delivered = false
+			c.lost[class]++
+			if c.onFault != nil {
+				c.onFault(class, v)
+			}
+		}
+	}
+	if delivered && m.onDelivered != nil {
+		if c.adv != nil {
+			c.adv.Deliver(m.onDelivered)
+		} else {
+			m.onDelivered()
+		}
+	}
+	c.dispatch()
+}
+
+// ResetStats zeroes the per-class accounting and the service statistics
+// (measurement warmup). Queued messages remain queued, so the queue
+// high-water marks restart from the current backlog, and a message on the
+// air only counts its remaining service toward the new window.
 func (c *Channel) ResetStats() {
 	c.bits = [numClasses]float64{}
 	c.messages = [numClasses]int64{}
 	c.lost = [numClasses]int64{}
 	c.shed = [numClasses]int64{}
 	c.maxLowWait = c.lowWait
-	c.fac.ResetStats()
+	c.busy = 0
+	c.served = 0
+	c.preempted = 0
+	c.maxQueue = c.QueueLen()
+	if c.cur != idle {
+		c.curStart = c.k.Now()
+	}
 }
 
 // Shed reports messages tail-dropped at admission in a class.
@@ -275,9 +386,6 @@ func (c *Channel) QueuedLow() int { return c.lowWait }
 // ResetStats; on a bounded channel it never exceeds the configured cap.
 func (c *Channel) MaxQueuedLow() int { return c.maxLowWait }
 
-// Lost reports messages destroyed by the installed fault model in a class.
-func (c *Channel) Lost(class Class) int64 { return c.lost[class] }
-
 // TotalLost reports fault-destroyed messages across all classes.
 func (c *Channel) TotalLost() int64 {
 	t := int64(0)
@@ -292,7 +400,13 @@ func (c *Channel) TxTime(bits float64) sim.Time { return bits / c.bw }
 
 // BusyTime reports cumulative transmission time, including the progress
 // of any message currently on the air.
-func (c *Channel) BusyTime() float64 { return c.fac.BusyNow() }
+func (c *Channel) BusyTime() float64 {
+	b := c.busy
+	if c.cur != idle {
+		b += c.k.Now() - c.curStart
+	}
+	return b
+}
 
 // RegisterMetrics registers this channel's timeline columns on reg, all
 // named with the given prefix: per-interval utilization (busy fraction of
@@ -336,19 +450,37 @@ func (c *Channel) TotalBits() float64 {
 	return t
 }
 
-// Utilization reports busy fraction over elapsed simulated seconds.
+// Utilization reports busy fraction over elapsed simulated seconds (0 if
+// elapsed <= 0), counting the progress of a message on the air.
 func (c *Channel) Utilization(elapsed sim.Time) float64 {
-	return c.fac.Utilization(elapsed)
+	if elapsed <= 0 {
+		return 0
+	}
+	u := c.busy / elapsed
+	if c.cur != idle {
+		u += (c.k.Now() - c.curStart) / elapsed
+	}
+	return u
 }
 
 // QueueLen reports messages waiting (excluding the one in transmission).
-func (c *Channel) QueueLen() int { return c.fac.QueueLen() }
+func (c *Channel) QueueLen() int {
+	n := 0
+	for i := range c.lines {
+		n += c.lines[i].n
+	}
+	if c.cur != idle {
+		n--
+	}
+	return n
+}
 
 // MaxQueueLen reports the wait-queue high-water mark.
-func (c *Channel) MaxQueueLen() int { return c.fac.MaxQueueLen() }
+func (c *Channel) MaxQueueLen() int { return c.maxQueue }
 
 // Preemptions reports how many transmissions were interrupted by reports.
-func (c *Channel) Preemptions() int64 { return c.fac.Preemptions() }
+func (c *Channel) Preemptions() int64 { return c.preempted }
 
-// Delivered reports completed transmissions across all classes.
-func (c *Channel) Delivered() int64 { return c.fac.Served() }
+// Delivered reports completed transmissions across all classes, including
+// ones the fault model destroyed.
+func (c *Channel) Delivered() int64 { return c.served }

@@ -2,8 +2,12 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"mobicache/internal/delivery"
+	"mobicache/internal/faults"
+	"mobicache/internal/rng"
 	"mobicache/internal/sim"
 )
 
@@ -323,5 +327,188 @@ func TestShedPathAllocFree(t *testing.T) {
 	}
 	if k.Pending() != before {
 		t.Fatal("shed path scheduled events")
+	}
+}
+
+// A steady report+control+data cycle, with one preemption, a fault model
+// and a delivery adversary armed, allocates nothing: each class's line
+// reuses its ring slots, completion is a method value bound once, and the
+// verdict and adversary run inline instead of in per-message closures.
+func TestSendPathAllocFree(t *testing.T) {
+	k := sim.New()
+	ch := NewChannel(k, "down", 1000)
+	ch.SetFaults(faults.NewGE(faults.Bernoulli(0.2), rng.New(1)), func(Class, faults.Verdict) {})
+	adv := delivery.New(k, delivery.Config{
+		Down: delivery.LinkParams{Jitter: 0.5, ReorderProb: 0.1, ReorderDelay: 5, DupProb: 0.05},
+	}, rng.New(2), nil)
+	ch.SetDelivery(adv.Down)
+	delivered := 0
+	onDelivered := func() { delivered++ }
+	onTx := func(sim.Time) {}
+	sendReport := func() { ch.Send(ClassReport, 100, onDelivered) }
+	cycle := func() {
+		ch.Send(ClassData, 1000, onDelivered)
+		ch.SendObserved(ClassControl, 100, onTx, onDelivered)
+		k.Schedule(0.5, sendReport) // lands mid-data: one preemption
+		for k.Step() {
+		}
+	}
+	for i := 0; i < 16; i++ { // grow the lines and the event freelist
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("admitted send path allocates %v per cycle, want 0", avg)
+	}
+	if ch.Preemptions() != 117 || ch.Delivered() != 3*117 {
+		t.Fatalf("preemptions %d, completions %d over 117 cycles", ch.Preemptions(), ch.Delivered())
+	}
+	if delivered == 0 || ch.TotalLost() == 0 {
+		t.Fatalf("delivered %d, lost %d: fault model or receivers never ran", delivered, ch.TotalLost())
+	}
+}
+
+// TestChannelService pins the single-server discipline the channel
+// implements for the paper's three classes: strict class priority among
+// waiting messages, FIFO within a class, preemptive-resume for reports
+// only, asynchronous completion, and exact busy-time accounting. The
+// channel runs at 1 bit/s, so a message's size is its service time; a
+// case that names an order expects the receivers to run in it.
+func TestChannelService(t *testing.T) {
+	type logFn func(name string) func()
+	cases := []struct {
+		name  string
+		run   func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn)
+		order []string
+	}{{
+		name: "report-control-data-order",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			ch.Send(ClassReport, 5, log("r1"))
+			ch.Send(ClassData, 1, log("d"))
+			ch.Send(ClassControl, 1, log("c"))
+			ch.Send(ClassReport, 1, log("r2"))
+			k.Run(sim.EndOfTime)
+		},
+		order: []string{"r1", "r2", "c", "d"},
+	}, {
+		name: "report-never-preempts-report",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			ch.Send(ClassReport, 10, log("a"))
+			k.Schedule(1, func() { ch.Send(ClassReport, 1, log("b")) })
+			k.Run(sim.EndOfTime)
+			if ch.Preemptions() != 0 || k.Now() != 11 {
+				t.Errorf("preemptions %d, drained at %v; want 0 and 11", ch.Preemptions(), k.Now())
+			}
+		},
+		order: []string{"a", "b"},
+	}, {
+		name: "preempted-resumes-first",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			ch.Send(ClassData, 10, log("victim"))
+			k.Schedule(2, func() {
+				ch.Send(ClassReport, 4, log("report"))
+				ch.Send(ClassData, 1, log("late"))
+			})
+			k.Run(sim.EndOfTime)
+			if k.Now() != 15 {
+				t.Errorf("drained at %v, want 15", k.Now())
+			}
+		},
+		order: []string{"report", "victim", "late"},
+	}, {
+		name: "zero-size-async",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			ch.Send(ClassData, 0, log("zero"))
+			if ch.Delivered() != 0 {
+				t.Error("zero-size message completed inside Send")
+			}
+			k.Run(sim.EndOfTime)
+		},
+		order: []string{"zero"},
+	}, {
+		name: "send-from-callback",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			first, second := log("first"), log("second")
+			ch.Send(ClassData, 5, func() {
+				first()
+				ch.Send(ClassData, 5, second)
+			})
+			k.Run(sim.EndOfTime)
+			if k.Now() != 10 {
+				t.Errorf("second delivered at %v, want 10", k.Now())
+			}
+		},
+		order: []string{"first", "second"},
+	}, {
+		name: "busy-utilization-max-queue",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			ch.Send(ClassData, 30, nil)
+			ch.Send(ClassData, 30, nil)
+			k.Run(100)
+			if math.Abs(ch.BusyTime()-60) > 1e-9 {
+				t.Errorf("busy %v, want 60", ch.BusyTime())
+			}
+			if u := ch.Utilization(100); math.Abs(u-0.6) > 1e-9 {
+				t.Errorf("utilization %v, want 0.6", u)
+			}
+			if ch.Utilization(0) != 0 || ch.MaxQueueLen() != 1 {
+				t.Errorf("Utilization(0) %v, max queue %d; want 0 and 1", ch.Utilization(0), ch.MaxQueueLen())
+			}
+		},
+	}, {
+		name: "utilization-mid-service",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			ch.Send(ClassData, 100, nil)
+			k.Run(50)
+			if u := ch.Utilization(50); math.Abs(u-1) > 1e-9 {
+				t.Errorf("mid-service utilization %v, want 1", u)
+			}
+			if ch.BusyTime() != 50 || ch.Utilization(0) != 0 {
+				t.Errorf("busy %v, Utilization(0) %v; want 50 and 0", ch.BusyTime(), ch.Utilization(0))
+			}
+		},
+	}, {
+		name: "saturated-work-conserved",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			for i := 0; i < 50; i++ {
+				ch.Send(ClassData, 10, nil)
+			}
+			k.Run(200)
+			if u := ch.Utilization(200); math.Abs(u-1) > 1e-9 || ch.Delivered() != 20 {
+				t.Errorf("utilization %v, %d completed; want 1 and 20", u, ch.Delivered())
+			}
+		},
+	}, {
+		name: "busy-conserved-across-preemptions",
+		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
+			total := 0.0
+			for i := 0; i < 5; i++ {
+				ch.Send(ClassData, 7, nil)
+				total += 7
+			}
+			for i := 0; i < 5; i++ {
+				k.At(sim.Time(i)*6+3, func() { ch.Send(ClassReport, 2, nil) })
+				total += 2
+			}
+			k.Run(sim.EndOfTime)
+			if math.Abs(ch.BusyTime()-total) > 1e-9 || ch.Delivered() != 10 {
+				t.Errorf("busy %v over %d completions, want %v over 10", ch.BusyTime(), ch.Delivered(), total)
+			}
+			if ch.Preemptions() != 5 {
+				t.Errorf("preemptions %d, want 5", ch.Preemptions())
+			}
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New()
+			ch := NewChannel(k, "link", 1)
+			var order []string
+			tc.run(t, k, ch, func(name string) func() {
+				return func() { order = append(order, name) }
+			})
+			if tc.order != nil && !slices.Equal(order, tc.order) {
+				t.Errorf("delivery order %v, want %v", order, tc.order)
+			}
+		})
 	}
 }

@@ -747,10 +747,6 @@ func (p *Population) handleOutcome(i int32, out core.Outcome, now sim.Time) {
 	if out.EpochDegrade {
 		cnt.EpochDegrades++
 	}
-	if out.DroppedAll {
-		p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.CacheDrop,
-			Client: p.states[i].ID})
-	}
 	if out.Send != nil {
 		bits := float64(out.Send.SizeBits(p.cfg.Params.Rep))
 		msg := out.Send
@@ -881,14 +877,24 @@ func (p *Population) deliverReport(i int32, r report.Report, now sim.Time) {
 		return
 	}
 	cnt.ReportsHeard++
-	salvagesBefore := st.Salvages
+	salvages, drops := st.Salvages, st.Drops
 	out := p.cfg.Side.HandleReport(st, r, now)
 	p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ReportDelivered,
 		Client: st.ID, A: int64(r.Kind())})
-	if st.Salvages > salvagesBefore {
+	p.traceCacheVerdict(st, salvages, drops, now)
+	p.handleOutcome(i, out, now)
+}
+
+// traceCacheVerdict traces what a scheme call did to the whole cache,
+// read off the counters Results is built from: CacheSalvage when
+// Salvages rose across the call, CacheDrop when Drops did.
+func (p *Population) traceCacheVerdict(st *core.ClientState, salvages, drops int64, now sim.Time) {
+	if st.Salvages > salvages {
 		p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.CacheSalvage, Client: st.ID})
 	}
-	p.handleOutcome(i, out, now)
+	if st.Drops > drops {
+		p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.CacheDrop, Client: st.ID})
+	}
 }
 
 // deliverValidity hands a validity reply to the scheme; a reply to an
@@ -903,7 +909,10 @@ func (p *Population) deliverValidity(i int32, v *report.ValidityReport, now sim.
 	}
 	p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ValidityDelivered,
 		Client: st.ID})
-	p.handleOutcome(i, p.cfg.Side.HandleValidity(st, v, now), now)
+	salvages, drops := st.Salvages, st.Drops
+	out := p.cfg.Side.HandleValidity(st, v, now)
+	p.traceCacheVerdict(st, salvages, drops, now)
+	p.handleOutcome(i, out, now)
 }
 
 // deliverItem caches a fetched item, counts down the want-list in retry

@@ -364,8 +364,8 @@ func (s *Server) broadcast() {
 func (s *Server) emitReport(t float64) {
 	if s.lastIRDone > t {
 		// The previous report is still being transmitted: the channel
-		// cannot start this one on time. Count it; the facility will queue
-		// it FIFO behind its predecessor.
+		// cannot start this one on time. Count it; a report never preempts
+		// a report, so the channel queues it FIFO behind its predecessor.
 		s.IROverruns++
 	}
 	r := s.cfg.Scheme.BuildReport(s.db, t)

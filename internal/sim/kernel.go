@@ -1,5 +1,7 @@
 // Package sim is a deterministic discrete-event simulation kernel,
 // standing in for the CSIM package the paper's evaluation was built on.
+// It is the kernel alone: the one CSIM facility the model needs, the
+// three-class channel, queues its own traffic in internal/netsim.
 //
 // The kernel keeps an event calendar (a binary heap ordered by time and
 // then by scheduling sequence, so simultaneous events fire in the order

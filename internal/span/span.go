@@ -77,15 +77,6 @@ func (p Phase) String() string {
 	}
 }
 
-// PhaseNames lists every phase name in index order.
-func PhaseNames() [NumPhases]string {
-	var out [NumPhases]string
-	for p := Phase(0); p < NumPhases; p++ {
-		out[p] = p.String()
-	}
-	return out
-}
-
 // Outcome is a span's terminal state.
 type Outcome uint8
 

@@ -57,9 +57,6 @@ type MultiSink struct {
 	sinks []Sink
 }
 
-// NewMultiSink creates a sink forwarding to each of sinks in order.
-func NewMultiSink(sinks ...Sink) *MultiSink { return &MultiSink{sinks: sinks} }
-
 // Write implements Sink.
 func (m *MultiSink) Write(e Event) error {
 	for _, s := range m.sinks {

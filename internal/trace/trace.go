@@ -34,9 +34,12 @@ const (
 	QueryStart
 	// QueryDone: a query completed. B = response time in microseconds.
 	QueryDone
-	// CacheDrop: a client discarded its whole cache.
+	// CacheDrop: a scheme call discarded a client's whole cache (its
+	// Drops counter rose). CacheDrop + RestartCold == Results.Drops.
 	CacheDrop
-	// CacheSalvage: a long-disconnected client kept (part of) its cache.
+	// CacheSalvage: a scheme call revalidated a long-disconnected
+	// client's cache and kept part of it (its Salvages counter rose).
+	// CacheSalvage + RestartWarm == Results.Salvages.
 	CacheSalvage
 	// Disconnect: a client powered down. B = planned sleep in microseconds.
 	Disconnect
