@@ -159,33 +159,45 @@ func makeUpdatedDB(n, updates int) *db.Database {
 	return d
 }
 
+// BenchmarkBitseqBuild times one server broadcast's structure build with
+// a reused Builder, and fails unless the build allocates only the report
+// it returns: the Structure, its Seqs and one word array per level.
 func BenchmarkBitseqBuild(b *testing.B) {
 	for _, n := range []int{1000, 10000, 80000} {
 		d := makeUpdatedDB(n, n/4)
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			var bd bitseq.Builder
+			want := float64(2 + len(bd.Build(n, d).Seqs))
+			if got := testing.AllocsPerRun(10, func() { bd.Build(n, d) }); got != want {
+				b.Fatalf("%v allocs per build, want %v", got, want)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bitseq.Build(n, d)
+				bd.Build(n, d)
 			}
 		})
 	}
 }
 
+// BenchmarkBitseqLocate times the client decision plus the per-broadcast
+// depth fill that turns a level into an id set.
 func BenchmarkBitseqLocate(b *testing.B) {
 	const n = 10000
 	d := makeUpdatedDB(n, n/4)
-	st := bitseq.Build(n, d)
-	var ids []int32
+	st := new(bitseq.Builder).Build(n, d)
+	depth := make([]uint8, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ids = st.Locate(float64(i%1000), ids[:0])
+		st.Level(float64(i % 1000))
+		st.Depths(depth)
 	}
 }
 
 func BenchmarkBitseqEncode(b *testing.B) {
 	const n = 10000
-	st := bitseq.Build(n, makeUpdatedDB(n, n/4))
+	st := new(bitseq.Builder).Build(n, makeUpdatedDB(n, n/4))
 	w := bitio.NewWriter()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -33,7 +33,7 @@ func writeModule(t *testing.T, files map[string]string) string {
 // hotSrc trips hotalloc exactly once: an annotated function that appends.
 const hotSrc = `package a
 
-//hot
+//mobicache:hot
 func Push(dst []int, v int) []int {
 	return append(dst, v)
 }

@@ -1,5 +1,5 @@
 // Package hotalloc is the annotation-driven fixture: functions marked
-// //hot must reject allocating constructs; unmarked ones are free.
+// //mobicache:hot must reject allocating constructs; unmarked ones are free.
 package hotalloc
 
 import "fmt"
@@ -13,70 +13,70 @@ type ring struct {
 
 // hot: called once per simulated event.
 //
-//hot
+//mobicache:hot
 func (r *ring) push(v item) {
 	r.buf = append(r.buf, v) // want `append may grow its backing array`
 }
 
-//hot
+//mobicache:hot
 func (r *ring) pushAllowed(v item) {
 	//lint:allow hotalloc amortized: capacity is retained across resets
 	r.buf = append(r.buf, v)
 }
 
-//hot
+//mobicache:hot
 func grab() *item {
 	return new(item) // want `new allocates`
 }
 
-//hot
+//mobicache:hot
 func table(n int) []item {
 	return make([]item, n) // want `make allocates`
 }
 
-//hot
+//mobicache:hot
 func literal() item {
 	return item{id: 1} // want `composite literal may heap-allocate`
 }
 
-//hot
+//mobicache:hot
 func closure(n int) func() int {
 	return func() int { return n } // want `closure creation allocates`
 }
 
-//hot
+//mobicache:hot
 func convert(b []byte) string {
 	return string(b) // want `conversion copies its data`
 }
 
-//hot
+//mobicache:hot
 func convertBack(s string) []byte {
 	return []byte(s) // want `conversion copies its data`
 }
 
-//hot
+//mobicache:hot
 func boxed(v item) {
 	sink(v) // want `non-pointer value boxed into interface parameter`
 }
 
-//hot
+//mobicache:hot
 func boxedVariadic(v item) {
 	fmt.Sprint(v) // want `non-pointer value boxed into interface parameter`
 }
 
-//hot
+//mobicache:hot
 func pointerNotBoxed(v *item) {
 	sink(v) // pointers share the interface word: no allocation
 }
 
-//hot
+//mobicache:hot
 func coldPanic(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("negative delay %v", d)) // panic path is cold: exempt
 	}
 }
 
-//hot
+//mobicache:hot
 func reuse(r *ring) *item {
 	if n := len(r.free); n > 0 {
 		v := r.free[n-1]
@@ -93,11 +93,26 @@ func coldConstructor(n int) []item {
 	return out
 }
 
-// hotalloc in a comment must not read as a //hot marker.
+// A longer directive must not read as the marker.
 //
-//hotalloc-lookalike
+//mobicache:hotter
 func notHot() []item {
 	return make([]item, 4)
+}
+
+// The retired marker, and the form gofmt rewrites it to, mark nothing.
+//
+// hot path: formerly a marker.
+//hot
+func retiredMarker() []item {
+	return make([]item, 4)
+}
+
+// Free text may follow the directive.
+//
+//mobicache:hot once per event
+func hotWithReason(n int) []item {
+	return make([]item, n) // want `make allocates`
 }
 
 func sink(v any) { _ = v }

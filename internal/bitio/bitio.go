@@ -66,8 +66,10 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // WriteBits writes the width least-significant bits of v, MSB first.
 // It panics for width outside [0, 64].
 //
-//hot path: one call per encoded field; pooled writers make the append
+// Hot path: one call per encoded field; pooled writers make the append
 // below a capacity-reusing write in steady state.
+//
+//mobicache:hot
 func (w *Writer) WriteBits(v uint64, width int) {
 	if width < 0 || width > 64 {
 		panic("bitio: invalid width")
@@ -94,7 +96,9 @@ func (w *Writer) WriteBits(v uint64, width int) {
 
 // WriteBool writes a single bit.
 //
-//hot path: same contract as WriteBits.
+// Hot path: same contract as WriteBits.
+//
+//mobicache:hot
 func (w *Writer) WriteBool(b bool) {
 	if b {
 		w.WriteBits(1, 1)
@@ -105,7 +109,9 @@ func (w *Writer) WriteBool(b bool) {
 
 // WriteFloat writes an IEEE-754 double in 64 bits.
 //
-//hot path: same contract as WriteBits.
+// Hot path: same contract as WriteBits.
+//
+//mobicache:hot
 func (w *Writer) WriteFloat(f float64) { w.WriteBits(math.Float64bits(f), 64) }
 
 // Reader unpacks bit fields written by Writer.
@@ -130,8 +136,10 @@ func (r *Reader) Remaining() int { return r.nbit - r.pos }
 // ReadBits reads width bits MSB-first, returning them in the low bits of
 // the result. It panics for width outside [0, 64].
 //
-//hot path: one call per decoded field; the short-buffer error is a
+// Hot path: one call per decoded field; the short-buffer error is a
 // package-level sentinel, so reads never allocate.
+//
+//mobicache:hot
 func (r *Reader) ReadBits(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		panic("bitio: invalid width")
@@ -157,7 +165,9 @@ func (r *Reader) ReadBits(width int) (uint64, error) {
 
 // ReadBool reads a single bit.
 //
-//hot path: same contract as ReadBits.
+// Hot path: same contract as ReadBits.
+//
+//mobicache:hot
 func (r *Reader) ReadBool() (bool, error) {
 	v, err := r.ReadBits(1)
 	return v == 1, err
@@ -165,7 +175,9 @@ func (r *Reader) ReadBool() (bool, error) {
 
 // ReadFloat reads an IEEE-754 double.
 //
-//hot path: same contract as ReadBits.
+// Hot path: same contract as ReadBits.
+//
+//mobicache:hot
 func (r *Reader) ReadFloat() (float64, error) {
 	v, err := r.ReadBits(64)
 	return math.Float64frombits(v), err

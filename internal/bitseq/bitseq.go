@@ -22,7 +22,7 @@
 package bitseq
 
 import (
-	"sort"
+	"math/bits"
 
 	"mobicache/internal/bitio"
 )
@@ -41,17 +41,11 @@ type Sequence struct {
 
 func (s *Sequence) get(i int) bool { return s.Bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// set marks bit i, which must be clear.
 func (s *Sequence) set(i int) {
-	w := i >> 6
-	mask := uint64(1) << (uint(i) & 63)
-	if s.Bits[w]&mask == 0 {
-		s.Bits[w] |= mask
-		s.Ones++
-	}
+	s.Bits[i>>6] |= 1 << (uint(i) & 63)
+	s.Ones++
 }
-
-// Get reports bit i of the sequence (exported for tests and tools).
-func (s *Sequence) Get(i int) bool { return s.get(i) }
 
 // Structure is a complete bit-sequences report payload.
 type Structure struct {
@@ -64,9 +58,6 @@ type Structure struct {
 	// negative if the database was never updated.
 	TS0 float64
 }
-
-// Levels reports the number of bit sequences (excluding the dummy B_0).
-func (s *Structure) Levels() int { return len(s.Seqs) }
 
 // Epoch is the timestamp meaning "before every update". Simulated time is
 // non-negative, so -1 sorts before all real update times.
@@ -87,79 +78,91 @@ type rec struct {
 	ts float64
 }
 
+// Builder builds successive structures reusing its scratch: only the
+// returned Structure is allocated, because a report is immutable once
+// delivered. The zero value is ready; a Builder is not safe for concurrent use.
+type Builder struct {
+	items   []rec   // most recent first, capped at the top level's capacity + 1
+	rank    []int32 // item id -> recency rank, valid only for ids set in this call
+	collect func(id int32, ts float64) bool
+}
+
+// add is the MostRecent callback collecting one item.
+func (b *Builder) add(id int32, ts float64) bool {
+	//lint:allow hotalloc the slice keeps its capacity across broadcasts, so it grows only until it reaches N/2+1
+	b.items = append(b.items, rec{id, ts})
+	return true
+}
+
 // Build constructs the structure for an n-item database (n >= 2) from src.
-func Build(n int, src UpdateSource) *Structure {
+func (b *Builder) Build(n int, src UpdateSource) *Structure {
 	if n < 2 {
 		panic("bitseq: database too small")
 	}
-	st := &Structure{N: n}
-	if t := src.NewestUpdateTime(); t >= 0 {
-		st.TS0 = t
-	} else {
-		st.TS0 = Epoch
-	}
+	//lint:allow hotalloc the report owns a fresh structure: reports are immutable once delivered
+	st := &Structure{N: n, TS0: max(src.NewestUpdateTime(), Epoch)}
 
 	// Collect one item beyond the top level's mark capacity: the extra
 	// item's update time is TS(B_n) when the level is full.
 	capTop := n / 2
-	items := make([]rec, 0, capTop+1)
-	src.MostRecent(capTop+1, func(id int32, ts float64) bool {
-		items = append(items, rec{id, ts})
-		return true
-	})
-	avail := len(items)
-	if avail > capTop {
-		avail = capTop // items[capTop], if present, exists only for TS(B_n)
+	if b.collect == nil {
+		b.collect = b.add // bound once, so MostRecent's callback costs nothing per build
 	}
+	b.items = b.items[:0]
+	src.MostRecent(capTop+1, b.collect)
+	items := b.items
+	avail := min(len(items), capTop) // items[capTop], if present, exists only for TS(B_n)
 
-	// Level sizes: n, n/2, ..., down to 2. Level l marks the
-	// min(size/2, avail) most recent items; the marked sets are nested.
-	sizes := []int{n}
-	for sz := n / 2; sz >= 2; sz /= 2 {
-		sizes = append(sizes, sz)
-	}
-	st.Seqs = make([]Sequence, len(sizes))
-	marks := make([]int, len(sizes))
-	for l, size := range sizes {
+	// Level l has n>>l bits, down to 2, and marks the min(size/2, avail)
+	// most recent items; the marked sets are nested.
+	//lint:allow hotalloc the report owns its levels
+	st.Seqs = make([]Sequence, bits.Len(uint(n))-1)
+	var marks [64]int
+	for l := range st.Seqs {
+		size := n >> l
 		st.Seqs[l].Len = size
+		//lint:allow hotalloc the report owns its bits
 		st.Seqs[l].Bits = make([]uint64, (size+63)/64)
-		m := size / 2
-		if m > avail {
-			m = avail
-		}
+		m := min(size/2, avail)
 		marks[l] = m
 		// TS(B_l): the update time of the (m+1)-th most recent item, or
 		// the epoch when every ever-updated item is marked.
+		st.Seqs[l].TS = Epoch
 		if m < len(items) {
 			st.Seqs[l].TS = items[m].ts
-		} else {
-			st.Seqs[l].TS = Epoch
 		}
 	}
 
-	// Assign bits in id order. An item of recency rank r is marked at
-	// level l iff r < marks[l]; nested marks mean each item is marked on
-	// a prefix of levels. Its bit position at level 0 is its id; at level
-	// l+1 it is its rank (in id order) among items marked at level l.
-	ranks := make([]int, 0, avail) // recency ranks, sorted by item id
-	for r := 0; r < avail; r++ {
-		ranks = append(ranks, r)
+	// Every available item is marked at the top level, at its id. An item
+	// of recency rank r is marked at level l iff r < marks[l], and its bit
+	// at level l+1 is its rank in id order among level-l marked items, so
+	// visiting the top bits in id order places every bit without a sort.
+	if len(b.rank) < n {
+		//lint:allow hotalloc grows at most to the largest database size the Builder serves, then is reused
+		b.rank = make([]int32, n)
 	}
-	sort.Slice(ranks, func(i, j int) bool { return items[ranks[i]].id < items[ranks[j]].id })
-
-	counters := make([]int, len(sizes))
-	for _, r := range ranks {
-		pos := int(items[r].id)
-		for l := 0; l < len(sizes) && r < marks[l]; l++ {
-			st.Seqs[l].set(pos)
-			pos = counters[l]
-			counters[l]++
+	top := &st.Seqs[0]
+	for r, it := range items[:avail] {
+		b.rank[it.id] = int32(r)
+		top.set(int(it.id))
+	}
+	var counters [64]int
+	for w, word := range top.Bits {
+		for ; word != 0; word &= word - 1 {
+			r := int(b.rank[w<<6|bits.TrailingZeros64(word)])
+			pos := counters[0]
+			counters[0]++
+			for l := 1; l < len(st.Seqs) && r < marks[l]; l++ {
+				st.Seqs[l].set(pos)
+				pos = counters[l]
+				counters[l]++
+			}
 		}
 	}
 	return st
 }
 
-// Action tells a client what a Locate decision means.
+// Action tells a client what a Level decision means.
 type Action int
 
 const (
@@ -186,53 +189,47 @@ func (a Action) String() string {
 	}
 }
 
-// Locate implements the client-side BS algorithm (paper Figure 2): given
-// the client's last-report timestamp tlb, it returns the action and, for
-// InvalidateSet, dst extended with the ids to invalidate.
-func (s *Structure) Locate(tlb float64, dst []int32) (Action, []int32) {
+// Level implements the decision of the client-side BS algorithm (paper
+// Figure 2) for a client whose last report was at tlb: InvalidateSet means
+// discard exactly the items marked at the returned level (0 = the top,
+// N-bit sequence), the deepest one whose timestamp is <= tlb.
+func (s *Structure) Level(tlb float64) (Action, int) {
 	if s.TS0 <= tlb {
-		return AllValid, dst
+		return AllValid, 0
 	}
 	if len(s.Seqs) == 0 || tlb < s.Seqs[0].TS {
-		return DropAll, dst
+		return DropAll, 0
 	}
-	// Deepest level with TS <= tlb; timestamps are non-decreasing with
-	// depth, so scan forward.
+	// Timestamps are non-decreasing with depth, so scan forward.
 	level := 0
 	for level+1 < len(s.Seqs) && s.Seqs[level+1].TS <= tlb {
 		level++
 	}
-	return InvalidateSet, s.IDsAtLevel(level, dst)
+	return InvalidateSet, level
 }
 
-// IDsAtLevel appends the item ids marked at level li (0 = the top, N-bit
-// sequence) to dst, in ascending id order.
-func (s *Structure) IDsAtLevel(li int, dst []int32) []int32 {
-	top := &s.Seqs[0]
-	counters := make([]int, li+1)
-	for id := 0; id < top.Len; id++ {
-		if !top.get(id) {
-			continue
-		}
-		// The item's position at level l+1 is its rank among level-l
-		// marked items; walk down while it stays marked.
-		marked := true
-		pos := counters[0]
-		counters[0]++
-		for l := 1; l <= li; l++ {
-			if !s.Seqs[l].get(pos) {
-				marked = false
-				break
+// Depths fills depth[:N] with, for each item id, the number of leading
+// levels that mark it, so the id is marked at level l iff depth[id] > l.
+// One pass decodes every level at once: O(N/64) words plus O(levels) per
+// marked item. len(depth) must be at least N.
+func (s *Structure) Depths(depth []uint8) {
+	clear(depth[:s.N])
+	// counters[l] counts the level-l marked items seen so far in id
+	// order: the bit position at level l+1 of the next such item.
+	var counters [64]int
+	for w, word := range s.Seqs[0].Bits {
+		for ; word != 0; word &= word - 1 {
+			pos := counters[0]
+			counters[0]++
+			d := uint8(1)
+			for l := 1; l < len(s.Seqs) && s.Seqs[l].get(pos); l++ {
+				pos = counters[l]
+				counters[l]++
+				d++
 			}
-			next := counters[l]
-			counters[l]++
-			pos = next
-		}
-		if marked {
-			dst = append(dst, int32(id))
+			depth[w<<6|bits.TrailingZeros64(word)] = d
 		}
 	}
-	return dst
 }
 
 // SizeBits reports the analytic report size in bits: the sum of all
@@ -247,16 +244,19 @@ func (s *Structure) SizeBits(tsBits int) int {
 }
 
 // Encode serializes the structure with bit-exact field widths. The wire
-// layout is TS0, then each level's timestamp followed by its raw bits.
-// N and the level count are implicit: every client knows the database
-// size.
+// layout is TS0, then each level's timestamp followed by its raw bits in
+// index order. N and the level count are implicit: every client knows the
+// database size.
 func (s *Structure) Encode(w *bitio.Writer) {
 	w.WriteFloat(s.TS0)
 	for i := range s.Seqs {
 		seq := &s.Seqs[i]
 		w.WriteFloat(seq.TS)
-		for b := 0; b < seq.Len; b++ {
-			w.WriteBool(seq.get(b))
+		// Bit 0 goes first and WriteBits is MSB-first, so each word
+		// travels bit-reversed; the last one carries only its valid bits.
+		for j, word := range seq.Bits {
+			width := min(seq.Len-64*j, 64)
+			w.WriteBits(bits.Reverse64(word)>>(64-width), width)
 		}
 	}
 }
@@ -270,20 +270,18 @@ func Decode(n int, r *bitio.Reader) (*Structure, error) {
 	}
 	st.TS0 = ts0
 	for size := n; size >= 2; size /= 2 {
-		var seq Sequence
+		seq := Sequence{Len: size, Bits: make([]uint64, (size+63)/64)}
 		if seq.TS, err = r.ReadFloat(); err != nil {
 			return nil, err
 		}
-		seq.Len = size
-		seq.Bits = make([]uint64, (size+63)/64)
-		for b := 0; b < size; b++ {
-			bit, err := r.ReadBool()
+		for i := range seq.Bits {
+			width := min(size-64*i, 64)
+			v, err := r.ReadBits(width)
 			if err != nil {
 				return nil, err
 			}
-			if bit {
-				seq.set(b)
-			}
+			seq.Bits[i] = bits.Reverse64(v << (64 - width))
+			seq.Ones += bits.OnesCount64(seq.Bits[i])
 		}
 		st.Seqs = append(st.Seqs, seq)
 	}

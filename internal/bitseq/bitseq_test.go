@@ -15,7 +15,7 @@ func build(t *testing.T, n int, updates ...[2]float64) (*Structure, *db.Database
 	for _, u := range updates {
 		d.Update(int32(u[0]), u[1])
 	}
-	return Build(n, d), d
+	return new(Builder).Build(n, d), d
 }
 
 func TestEmptyDatabase(t *testing.T) {
@@ -26,8 +26,8 @@ func TestEmptyDatabase(t *testing.T) {
 	if act, _ := st.Locate(0, nil); act != AllValid {
 		t.Fatalf("action = %v", act)
 	}
-	if st.Levels() != 4 { // 16, 8, 4, 2
-		t.Fatalf("levels = %d", st.Levels())
+	if len(st.Seqs) != 4 { // 16, 8, 4, 2
+		t.Fatalf("levels = %d", len(st.Seqs))
 	}
 }
 
@@ -45,7 +45,7 @@ func TestLevelShapes(t *testing.T) {
 			t.Fatalf("level %d ones = %d", i, st.Seqs[i].Ones)
 		}
 	}
-	if !st.Seqs[0].Get(3) {
+	if !st.Seqs[0].get(3) {
 		t.Fatal("top level did not mark item 3")
 	}
 }
@@ -108,7 +108,7 @@ func TestDeeperLevelsHalve(t *testing.T) {
 		t.Fatalf("level-2 ids = %v", ids)
 	}
 	// Level timestamps increase with depth.
-	for i := 1; i < st.Levels(); i++ {
+	for i := 1; i < len(st.Seqs); i++ {
 		if st.Seqs[i].TS < st.Seqs[i-1].TS {
 			t.Fatalf("timestamps not monotone: %v", st.Seqs)
 		}
@@ -153,7 +153,7 @@ func TestEncodedLengthMatchesSizeBits(t *testing.T) {
 		now += src.Exp(1)
 		d.Update(int32(src.Intn(128)), now)
 	}
-	st := Build(128, d)
+	st := new(Builder).Build(128, d)
 	w := bitio.NewWriter()
 	st.Encode(w)
 	if w.Len() != st.SizeBits(64) {
@@ -169,14 +169,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		now += src.Exp(1)
 		d.Update(int32(src.Intn(64)), now)
 	}
-	st := Build(64, d)
+	st := new(Builder).Build(64, d)
 	w := bitio.NewWriter()
 	st.Encode(w)
 	got, err := Decode(64, bitio.NewReader(w.Bytes(), w.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TS0 != st.TS0 || got.Levels() != st.Levels() {
+	if got.TS0 != st.TS0 || len(got.Seqs) != len(st.Seqs) {
 		t.Fatalf("header mismatch: %+v vs %+v", got, st)
 	}
 	for l := range st.Seqs {
@@ -184,7 +184,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("level %d mismatch", l)
 		}
 		for b := 0; b < st.Seqs[l].Len; b++ {
-			if got.Seqs[l].Get(b) != st.Seqs[l].Get(b) {
+			if got.Seqs[l].get(b) != st.Seqs[l].get(b) {
 				t.Fatalf("bit %d of level %d differs", b, l)
 			}
 		}
@@ -200,7 +200,7 @@ func TestDecodeShortBuffer(t *testing.T) {
 func TestNonPowerOfTwoN(t *testing.T) {
 	st, _ := build(t, 10, [2]float64{7, 3}, [2]float64{9, 5})
 	// Sizes: 10, 5, 2.
-	if st.Levels() != 3 || st.Seqs[1].Len != 5 || st.Seqs[2].Len != 2 {
+	if len(st.Seqs) != 3 || st.Seqs[1].Len != 5 || st.Seqs[2].Len != 2 {
 		t.Fatalf("levels = %+v", st.Seqs)
 	}
 	act, ids := st.Locate(0, nil)
@@ -215,7 +215,7 @@ func TestBuildPanicsOnTinyDB(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Build(1, db.New(1, false))
+	new(Builder).Build(1, db.New(1, false))
 }
 
 // The paper's core guarantee, as a property test over random histories:
@@ -239,7 +239,7 @@ func TestSoundnessProperty(t *testing.T) {
 			d.Update(id, now)
 			last[id] = now
 		}
-		st := Build(n, d)
+		st := new(Builder).Build(n, d)
 		tlb := now * float64(cutRaw) / 255
 		act, ids := st.Locate(tlb, nil)
 		switch act {
@@ -290,7 +290,7 @@ func TestOverInvalidationBound(t *testing.T) {
 			d.Update(id, now)
 			last[id] = now
 		}
-		st := Build(n, d)
+		st := new(Builder).Build(n, d)
 		tlb := now * src.Float64()
 		act, ids := st.Locate(tlb, nil)
 		if act != InvalidateSet {
@@ -327,9 +327,9 @@ func TestLevelNesting(t *testing.T) {
 		now += src.Exp(1)
 		d.Update(int32(src.Intn(100)), now)
 	}
-	st := Build(100, d)
+	st := new(Builder).Build(100, d)
 	prev := map[int32]bool{}
-	for l := st.Levels() - 1; l >= 0; l-- {
+	for l := len(st.Seqs) - 1; l >= 0; l-- {
 		ids := st.IDsAtLevel(l, nil)
 		if len(ids) != st.Seqs[l].Ones {
 			t.Fatalf("level %d: %d ids vs %d ones", l, len(ids), st.Seqs[l].Ones)

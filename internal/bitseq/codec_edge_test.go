@@ -49,7 +49,7 @@ func TestCodecEdgeCases(t *testing.T) {
 			for i := 0; i < tc.updates; i++ {
 				d.Update(int32(i%tc.n), float64(i+1))
 			}
-			s := Build(tc.n, d)
+			s := new(Builder).Build(tc.n, d)
 			if tc.updates == 0 {
 				if s.TS0 != Epoch {
 					t.Fatalf("TS0 = %v, want epoch", s.TS0)
@@ -87,7 +87,7 @@ func TestLocateBoundaryTimestamps(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		d.Update(int32(i), float64(10*(i+1))) // updates at 10, 20, ..., 400
 	}
-	s := Build(64, d)
+	s := new(Builder).Build(64, d)
 
 	// Tlb exactly at the most recent update: nothing changed after it.
 	if a, _ := s.Locate(s.TS0, nil); a != AllValid {

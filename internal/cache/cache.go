@@ -102,8 +102,10 @@ func (c *Cache) Misses() int64 { return c.misses }
 
 // present is the bitmap probe: one load, one mask.
 //
-//hot — the negative-lookup fast path of every report application and
+// Hot path: the negative-lookup fast path of every report application and
 // query scan; a single bit test, no allocation.
+//
+//mobicache:hot
 func (c *Cache) present(id int32) bool {
 	return c.bits[uint32(id)>>6]&(1<<(uint32(id)&63)) != 0
 }
@@ -115,7 +117,9 @@ func (c *Cache) clearBit(id int32) { c.bits[uint32(id)>>6] &^= 1 << (uint32(id) 
 // probe the bitmap first, so the walk only runs when the id is present;
 // it is bounded by the (small) capacity.
 //
-//hot — bounded linear walk, no allocation.
+// Hot path: bounded linear walk, no allocation.
+//
+//mobicache:hot
 func (c *Cache) slotOf(id int32) int32 {
 	for s := c.head; s != nilSlot; s = c.slots[s].next {
 		if c.slots[s].id == id {
@@ -125,7 +129,9 @@ func (c *Cache) slotOf(id int32) int32 {
 	panic("cache: bitmap/slot divergence")
 }
 
-//hot — list surgery only.
+// Hot path: list surgery only.
+//
+//mobicache:hot
 func (c *Cache) unlink(s int32) {
 	e := &c.slots[s]
 	if e.prev != nilSlot {
@@ -141,7 +147,9 @@ func (c *Cache) unlink(s int32) {
 	e.prev, e.next = nilSlot, nilSlot
 }
 
-//hot — list surgery only.
+// Hot path: list surgery only.
+//
+//mobicache:hot
 func (c *Cache) pushFront(s int32) {
 	e := &c.slots[s]
 	e.prev = nilSlot
@@ -164,8 +172,10 @@ func (c *Cache) entryAt(s int32) Entry {
 // Lookup finds id, promoting it to most recently used on a hit, and
 // records the hit or miss.
 //
-//hot — every queried item passes through here; the Entry return value
+// Hot path: every queried item passes through here; the Entry return value
 // is a small struct handed back on the stack.
+//
+//mobicache:hot
 func (c *Cache) Lookup(id int32) (Entry, bool) {
 	if !c.present(id) {
 		c.misses++
@@ -181,7 +191,9 @@ func (c *Cache) Lookup(id int32) (Entry, bool) {
 
 // Peek finds id without promoting it or recording statistics.
 //
-//hot — report application probes every announced id through here.
+// Hot path: report application probes every announced id through here.
+//
+//mobicache:hot
 func (c *Cache) Peek(id int32) (Entry, bool) {
 	if !c.present(id) {
 		//lint:allow hotalloc the zero Entry is returned by value on the stack
@@ -194,8 +206,10 @@ func (c *Cache) Peek(id int32) (Entry, bool) {
 // version, making it most recently used and evicting the LRU entry when
 // the cache is full.
 //
-//hot — every fetched item lands here; eviction reuses the tail slot, so
+// Hot path: every fetched item lands here; eviction reuses the tail slot, so
 // steady-state inserts allocate nothing.
+//
+//mobicache:hot
 func (c *Cache) Put(id int32, ts float64, version int32) {
 	if c.present(id) {
 		s := c.slotOf(id)
@@ -222,7 +236,9 @@ func (c *Cache) Put(id int32, ts float64, version int32) {
 
 // TouchAll advances the validity timestamp of every entry.
 //
-//hot — the TS family stamps the whole cache on every confirming report.
+// Hot path: the TS family stamps the whole cache on every confirming report.
+//
+//mobicache:hot
 func (c *Cache) TouchAll(ts float64) {
 	for s := c.head; s != nilSlot; s = c.slots[s].next {
 		c.slots[s].ts = ts
@@ -231,8 +247,10 @@ func (c *Cache) TouchAll(ts float64) {
 
 // Invalidate removes id if cached, reporting whether it was present.
 //
-//hot — every report entry naming a cached item passes through here; the
+// Hot path: every report entry naming a cached item passes through here; the
 // freed slot returns to the stack in place.
+//
+//mobicache:hot
 func (c *Cache) Invalidate(id int32) bool {
 	if !c.present(id) {
 		return false

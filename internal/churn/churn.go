@@ -314,9 +314,11 @@ func (a *Adversary) beginStorm() {
 // stormTick draws storm membership for every host in index order (a
 // pure function of the seed) and forces the cohort down.
 //
-//hot — one Bool draw and at most one StormDown per host per storm; the
+// Hot path: one Bool draw and at most one StormDown per host per storm; the
 // membership draw happens for every host regardless of the outcome, so
 // the stream position after a storm is independent of who went down.
+//
+//mobicache:hot
 func (a *Adversary) stormTick() int {
 	n := 0
 	for i, h := range a.hosts {
@@ -391,9 +393,11 @@ func (a *Adversary) crash(i int) {
 // therefore force the restart down the verified-rejection path — the
 // snapshot content is never silently trusted anyway.
 //
-//hot — runs at every warm-persisting crash; the scratch entry slice,
+// Hot path: runs at every warm-persisting crash; the scratch entry slice,
 // the per-host snapshot buffer and the pooled bitio writer all reuse
 // their allocations in steady state.
+//
+//mobicache:hot
 func (a *Adversary) snapshot(i int) {
 	st := a.hosts[i].State()
 	hr := a.hostRNG[i]

@@ -107,9 +107,11 @@ const minSnapshotBits = (headerBits+7)/8*8 + crcBits
 // Callers pass a pooled writer (bitio.GetWriter) and copy the bytes out
 // before returning it.
 //
-//hot — the snapshot encode path runs at every warm-persisting crash; the
+// Hot path: the snapshot encode path runs at every warm-persisting crash; the
 // churn adversary reuses its scratch entry slice and persisted buffers,
 // so steady-state encodes allocate nothing.
+//
+//mobicache:hot
 func EncodeSnapshot(s *Snapshot, w *bitio.Writer) {
 	w.WriteBits(snapMagic, magicBits)
 	w.WriteBits(SnapshotCodecEpoch, codecBits)

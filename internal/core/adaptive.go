@@ -49,6 +49,7 @@ type adaptiveServer struct {
 
 	// pending holds the Tlb values received since the last broadcast.
 	pending []float64
+	bs      bitseq.Builder
 
 	// Broadcast decision counters, for the experiment reports.
 	SentTS  int64
@@ -111,7 +112,7 @@ func (sv *adaptiveServer) BuildReport(d *db.Database, now float64) report.Report
 		}
 	}
 	sv.SentBS++
-	return &report.BSReport{T: now, S: bitseq.Build(sv.p.N, d)}
+	return &report.BSReport{T: now, S: sv.bs.Build(sv.p.N, d)}
 }
 
 // bsSizeBits is the analytic bit-sequences structure size for an N-item
@@ -126,9 +127,9 @@ func bsSizeBits(p Params) int {
 }
 
 type adaptiveClient struct {
-	p       Params
-	scratch []int32
-	idx     tsIndex
+	p     Params
+	idx   tsIndex
+	bsIdx bsIndex
 }
 
 // HandleReport implements ClientSide (the client halves of Figures 3/4).
@@ -148,7 +149,7 @@ func (c *adaptiveClient) HandleReport(st *ClientState, r report.Report, now floa
 	}
 	switch rep := r.(type) {
 	case *report.BSReport:
-		out := applyBS(st, rep, &c.scratch)
+		out := applyBS(st, rep, &c.bsIdx)
 		st.SentTlb = false
 		return out
 	case *report.TSReport:

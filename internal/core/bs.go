@@ -2,6 +2,7 @@ package core
 
 import (
 	"mobicache/internal/bitseq"
+	"mobicache/internal/cache"
 	"mobicache/internal/db"
 	"mobicache/internal/report"
 )
@@ -22,12 +23,13 @@ func (bsScheme) NewServer(p Params) ServerSide { return &bsServer{p: p} }
 func (bsScheme) NewClient(p Params) ClientSide { return &bsClient{} }
 
 type bsServer struct {
-	p Params
+	p  Params
+	bs bitseq.Builder
 }
 
 // BuildReport implements ServerSide.
 func (sv *bsServer) BuildReport(d *db.Database, now float64) report.Report {
-	return &report.BSReport{T: now, S: bitseq.Build(sv.p.N, d)}
+	return &report.BSReport{T: now, S: sv.bs.Build(sv.p.N, d)}
 }
 
 // HandleControl implements ServerSide; BS clients never send validation
@@ -37,7 +39,7 @@ func (sv *bsServer) HandleControl(*db.Database, *ControlMsg, float64) *report.Va
 }
 
 type bsClient struct {
-	scratch []int32
+	idx bsIndex
 }
 
 // HandleReport implements ClientSide (paper Figure 2).
@@ -59,13 +61,12 @@ func (c *bsClient) HandleReport(st *ClientState, r report.Report, now float64) O
 	if degraded {
 		return degradeDrop(st, br.T)
 	}
-	return applyBS(st, br, &c.scratch)
+	return applyBS(st, br, &c.idx)
 }
 
 // applyBS runs the client-side BS step; shared with the adaptive schemes.
-func applyBS(st *ClientState, br *report.BSReport, scratch *[]int32) Outcome {
-	action, ids := br.S.Locate(st.Tlb, (*scratch)[:0])
-	*scratch = ids
+func applyBS(st *ClientState, br *report.BSReport, x *bsIndex) Outcome {
+	action, level := br.S.Level(st.Tlb)
 	switch action {
 	case bitseq.AllValid:
 		st.Cache.TouchAll(br.T)
@@ -77,8 +78,8 @@ func applyBS(st *ClientState, br *report.BSReport, scratch *[]int32) Outcome {
 		return Outcome{Ready: true}
 	default: // InvalidateSet
 		had := st.Cache.Len()
-		for _, id := range ids {
-			st.Cache.Invalidate(id)
+		if had > 0 {
+			x.invalidate(st.Cache, br.S, level)
 		}
 		st.Cache.TouchAll(br.T)
 		if st.Cache.Len() > 0 && had > 0 {
@@ -86,6 +87,47 @@ func applyBS(st *ClientState, br *report.BSReport, scratch *[]int32) Outcome {
 		}
 		validate(st, br.T)
 		return Outcome{Ready: true}
+	}
+}
+
+// bsIndex is the fan-out side of the Figure 2 invalidation step, the BS
+// counterpart of tsIndex: a dense id → marking-depth table over the N-item
+// space (Structure.Depths), filled once per bit-sequences report and shared
+// by every client a ClientSide serves. Like tsIndex it is keyed by the
+// report's pointer, which is sound because a report is immutable once
+// delivered; holding the pointer keeps its address from being reused.
+//
+// Fan-out cost: one O(N/64 + marked items × levels) fill per broadcast,
+// paid lazily by the first client that reaches InvalidateSet with a
+// non-empty cache, then O(cache) per client.
+type bsIndex struct {
+	rep   *bitseq.Structure // the structure depth decodes; nil before the first fill
+	depth []uint8           // id -> number of leading levels marking it
+	ids   []int32           // scratch for the cache walk
+}
+
+// invalidate discards every cached item marked at the given level of s,
+// walking the cache against the shared depth table. Removal never
+// reorders the survivors, so the result equals invalidating s's id list
+// for that level in id order.
+func (x *bsIndex) invalidate(c *cache.Cache, s *bitseq.Structure, level int) {
+	if s != x.rep {
+		if len(x.depth) < s.N {
+			//lint:allow hotalloc sized once per run at the item-space size N; every fill reuses it
+			x.depth = make([]uint8, s.N)
+		}
+		s.Depths(x.depth)
+		x.rep = s
+	}
+	if n := c.Len(); cap(x.ids) < n {
+		//lint:allow hotalloc grows at most to the largest cache capacity the ClientSide serves, then is reused
+		x.ids = make([]int32, 0, n)
+	}
+	x.ids = c.IDs(x.ids[:0])
+	for _, id := range x.ids {
+		if int(x.depth[id]) > level {
+			c.Invalidate(id)
+		}
 	}
 }
 

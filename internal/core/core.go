@@ -199,7 +199,9 @@ type tsIndex struct {
 // report it already holds. The rebuild clears through the previous
 // report's ids, so it costs O(|previous| + |r|), never O(N).
 //
-//hot — once per broadcast per ClientSide; the table is sized once per run.
+// Hot path: once per broadcast per ClientSide; the table is sized once per run.
+//
+//mobicache:hot
 func (x *tsIndex) index(r *report.TSReport) []float64 {
 	if r == x.rep {
 		return x.ts
@@ -240,7 +242,9 @@ func (x *tsIndex) index(r *report.TSReport) []float64 {
 // ClientSide. The index is keyed by the report pointer, which relies on
 // reports being immutable once delivered (see package report).
 //
-//hot — once per client per broadcast.
+// Hot path: once per client per broadcast.
+//
+//mobicache:hot
 func (x *tsIndex) applyTSEntries(st *ClientState, r *report.TSReport) {
 	n := st.Cache.Len()
 	if n == 0 {
@@ -256,7 +260,9 @@ func (x *tsIndex) applyTSEntries(st *ClientState, r *report.TSReport) {
 
 // invalidateByCache checks each cached entry against r's index.
 //
-//hot — O(cache) per client plus the shared index build.
+// Hot path: O(cache) per client plus the shared index build.
+//
+//mobicache:hot
 func (x *tsIndex) invalidateByCache(c *cache.Cache, r *report.TSReport) {
 	ts := x.index(r)
 	if n := c.Len(); cap(x.entries) < n {
@@ -273,7 +279,9 @@ func (x *tsIndex) invalidateByCache(c *cache.Cache, r *report.TSReport) {
 
 // invalidateByReport probes the cache once per report entry.
 //
-//hot — O(report) per client.
+// Hot path: O(report) per client.
+//
+//mobicache:hot
 func invalidateByReport(c *cache.Cache, entries []db.UpdateEntry) {
 	for _, e := range entries {
 		if cached, ok := c.Peek(e.ID); ok && cached.TS < e.TS {

@@ -254,7 +254,7 @@ type Link struct {
 // armed links are consulted — the disabled layer never constructs a Link
 // — so every draw here is behind an explicit enable.
 //
-//hot
+//mobicache:hot
 func (l *Link) Deliver(cb func()) {
 	if l.blocked {
 		l.PartitionDrops++

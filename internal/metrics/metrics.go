@@ -34,8 +34,10 @@ type Histogram struct {
 
 // Observe records one value into the current interval.
 //
-//hot path: fires per observation; the underlying bins are fixed-size,
+// Hot path: fires per observation; the underlying bins are fixed-size,
 // so nothing here allocates.
+//
+//mobicache:hot
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return

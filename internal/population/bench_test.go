@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mobicache/internal/bitseq"
 	"mobicache/internal/cache"
 	"mobicache/internal/core"
 	"mobicache/internal/db"
@@ -204,6 +205,73 @@ func TestHandleReportZeroAlloc(t *testing.T) {
 		}
 		if st.Cache.Len() != c[0] {
 			t.Errorf("occupancy %d, %d entries: cache holds %d after the calls", c[0], c[1], st.Cache.Len())
+		}
+	}
+}
+
+// handleReportBSRig is one client of scheme holding a full 200-slot cache
+// over Table 1's 10000-item space, with a Tlb that makes a bit-sequences
+// report select a middle level, so applying it walks the cache against
+// the shared depth table. The report marks only odd ids and the cache
+// holds even ones, so nothing is invalidated and every call starts from
+// the same state once the returned Tlb is restored.
+func handleReportBSRig(scheme core.Scheme) (core.ClientSide, *core.ClientState, *report.BSReport, float64) {
+	const items, capacity = 10000, 200
+	d := db.New(items, false)
+	for i := 0; i < items/4; i++ {
+		d.Update(int32(2*i+1), float64(i+1))
+	}
+	s := new(bitseq.Builder).Build(items, d)
+	r := &report.BSReport{T: items, S: s}
+	tlb := s.Seqs[len(s.Seqs)/2].TS
+	st := &core.ClientState{Cache: cache.New(capacity, items), Tlb: tlb}
+	for i := 0; i < capacity; i++ {
+		st.Cache.Put(int32(i*items/capacity), tlb, 1)
+	}
+	return scheme.NewClient(core.DefaultParams(items)), st, r, tlb
+}
+
+// bsReportSchemes are the client halves that apply bit-sequences reports:
+// BS itself and the IR(BS) fallback of the adaptive schemes.
+var bsReportSchemes = []core.Scheme{core.BS(), core.AFW()}
+
+// BenchmarkHandleReportBS measures one client's HandleReport against a
+// bit-sequences report. One op reapplies the same report, so the depth
+// table is filled once, as when a broadcast reaches a whole population.
+func BenchmarkHandleReportBS(b *testing.B) {
+	for _, scheme := range bsReportSchemes {
+		b.Run(scheme.Name(), func(b *testing.B) {
+			side, st, r, tlb := handleReportBSRig(scheme)
+			side.HandleReport(st, r, r.T)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Tlb = tlb
+				side.HandleReport(st, r, r.T)
+			}
+		})
+	}
+}
+
+// TestHandleReportBSZeroAlloc is BenchmarkHandleReportBS's allocation
+// contract in the ordinary test run: after the first call has sized the
+// depth table and the cache-walk scratch, applying a bit-sequences report
+// allocates nothing.
+func TestHandleReportBSZeroAlloc(t *testing.T) {
+	for _, scheme := range bsReportSchemes {
+		side, st, r, tlb := handleReportBSRig(scheme)
+		if act, _ := r.S.Level(tlb); act != bitseq.InvalidateSet {
+			t.Fatalf("rig Tlb %v selects %v, want invalidate-set", tlb, act)
+		}
+		side.HandleReport(st, r, r.T)
+		if avg := testing.AllocsPerRun(100, func() {
+			st.Tlb = tlb
+			side.HandleReport(st, r, r.T)
+		}); avg != 0 {
+			t.Errorf("%s: %v allocs per HandleReport", scheme.Name(), avg)
+		}
+		if st.Cache.Len() != 200 || st.Salvages == 0 {
+			t.Errorf("%s: cache holds %d, %d salvages after the calls", scheme.Name(), st.Cache.Len(), st.Salvages)
 		}
 	}
 }

@@ -28,7 +28,9 @@ func (h *Handle) Connected() bool {
 
 // DeliverReport implements server.Receiver.
 //
-//hot — the broadcast tick fans one report out to the whole population.
+// Hot path: the broadcast tick fans one report out to the whole population.
+//
+//mobicache:hot
 func (h *Handle) DeliverReport(r report.Report, now sim.Time) {
 	h.p.deliverReport(h.i, r, now)
 }

@@ -350,7 +350,9 @@ func (p *Population) StartClient(i int) {
 // hold suspends client i for d simulated seconds, resuming at cont: one
 // scheduled event on the cached wake closure.
 //
-//hot — every think/nap timestep of every client; nothing allocates.
+// Hot path: every think/nap timestep of every client; nothing allocates.
+//
+//mobicache:hot
 func (p *Population) hold(i int32, d float64, cont uint8) {
 	p.phase[i] = cont
 	p.k.Schedule(d, p.wakes[i])
@@ -359,7 +361,9 @@ func (p *Population) hold(i int32, d float64, cont uint8) {
 // park suspends client i on the given condition, resuming at cont when
 // wakeIfParked releases it. Parking schedules nothing.
 //
-//hot — no events, no allocation; the wake comes from wakeIfParked.
+// Hot path: no events, no allocation; the wake comes from wakeIfParked.
+//
+//mobicache:hot
 func (p *Population) park(i int32, sig, cont uint8) {
 	p.parked[i] = sig
 	p.phase[i] = cont
@@ -368,7 +372,9 @@ func (p *Population) park(i int32, sig, cont uint8) {
 // wakeIfParked releases condition sig for client i: if i is parked on
 // it, i resumes in one zero-delay event.
 //
-//hot — at most one freelist-backed kernel event; nothing allocates.
+// Hot path: at most one freelist-backed kernel event; nothing allocates.
+//
+//mobicache:hot
 func (p *Population) wakeIfParked(i int32, sig uint8) {
 	if p.parked[i] == sig {
 		p.parked[i] = parkNone

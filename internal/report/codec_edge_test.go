@@ -71,7 +71,7 @@ func TestCodecEdgeRoundTrips(t *testing.T) {
 		},
 		{
 			name: "bs-empty-structure",
-			rep:  &BSReport{T: 500, S: bitseq.Build(p.N, emptyDB)},
+			rep:  &BSReport{T: 500, S: new(bitseq.Builder).Build(p.N, emptyDB)},
 			check: func(t *testing.T, got Report) {
 				r := got.(*BSReport)
 				if r.S.TS0 != bitseq.Epoch {
@@ -86,10 +86,10 @@ func TestCodecEdgeRoundTrips(t *testing.T) {
 		},
 		{
 			name: "bs-single-item",
-			rep:  &BSReport{T: 500, S: bitseq.Build(p.N, oneDB)},
+			rep:  &BSReport{T: 500, S: new(bitseq.Builder).Build(p.N, oneDB)},
 			check: func(t *testing.T, got Report) {
 				r := got.(*BSReport)
-				if r.S.Seqs[0].Ones != 1 || !r.S.Seqs[0].Get(42) {
+				if r.S.Seqs[0].Ones != 1 || r.S.Seqs[0].Bits[0]&(1<<42) == 0 {
 					t.Fatalf("top level %+v, want only bit 42", r.S.Seqs[0])
 				}
 			},
@@ -114,7 +114,7 @@ func TestMaxSizeBSRoundTrip(t *testing.T) {
 	for i := 0; i < n/2+100; i++ {
 		d.Update(int32(i), float64(i+1))
 	}
-	s := bitseq.Build(n, d)
+	s := new(bitseq.Builder).Build(n, d)
 	if s.Seqs[0].Ones != n/2 {
 		t.Fatalf("top level has %d marks, want saturated %d", s.Seqs[0].Ones, n/2)
 	}
@@ -154,7 +154,7 @@ func TestSeqHeaderEdgeRoundTrips(t *testing.T) {
 		return []Report{
 			&TSReport{T: 500, Entries: []db.UpdateEntry{{ID: 7, TS: 499}}},
 			&ATReport{T: 500, IDs: []int32{4, 8}},
-			&BSReport{T: 500, S: bitseq.Build(p.N, db.New(p.N, false))},
+			&BSReport{T: 500, S: new(bitseq.Builder).Build(p.N, db.New(p.N, false))},
 			&SIGReport{T: 500, Sigs: []uint64{0xdead, 0xbeef}, SigBits: 16},
 		}
 	}

@@ -18,7 +18,7 @@ func TestMarkerRoundTripAllKinds(t *testing.T) {
 		&TSReport{T: 700, Entries: []db.UpdateEntry{{ID: 7, TS: 650}},
 			Dummy: &DummyRecord{Tlb: 540}},
 		&ATReport{T: 700, IDs: []int32{5, 6}},
-		&BSReport{T: 700, S: bitseq.Build(256, d)},
+		&BSReport{T: 700, S: new(bitseq.Builder).Build(256, d)},
 		&SIGReport{T: 700, SigBits: 16, Sigs: []uint64{9, 0xbeef}},
 	}
 	for _, r := range reports {
@@ -97,7 +97,7 @@ func TestCorruptDecodeAlwaysErrors(t *testing.T) {
 		&TSReport{T: 100, Entries: []db.UpdateEntry{{ID: 7, TS: 50}}},
 		&TSReport{T: 100},
 		&ATReport{T: 100, IDs: []int32{1}},
-		&BSReport{T: 100, S: bitseq.Build(256, d)},
+		&BSReport{T: 100, S: new(bitseq.Builder).Build(256, d)},
 		&SIGReport{T: 100, SigBits: 16, Sigs: []uint64{9}},
 	}
 	w := bitio.NewWriter()

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"slices"
 	"testing"
 
 	"mobicache/internal/bitio"
@@ -54,7 +55,7 @@ func TestATReportSize(t *testing.T) {
 func TestBSReportSize(t *testing.T) {
 	d := db.New(1024, false)
 	d.Update(3, 1)
-	r := &BSReport{T: 20, S: bitseq.Build(1024, d)}
+	r := &BSReport{T: 20, S: new(bitseq.Builder).Build(1024, d)}
 	p := DefaultParams(1024)
 	// bT + (2046 + 11*bT).
 	want := 64 + 2046 + 11*64
@@ -146,22 +147,15 @@ func TestBSRoundTrip(t *testing.T) {
 		d.Update(int32(src.Intn(256)), now)
 	}
 	p := DefaultParams(256)
-	r := &BSReport{T: now + 1, S: bitseq.Build(256, d)}
+	r := &BSReport{T: now + 1, S: new(bitseq.Builder).Build(256, d)}
 	got := roundTrip(t, p, r).(*BSReport)
-	if got.T != r.T || got.S.TS0 != r.S.TS0 || got.S.Levels() != r.S.Levels() {
-		t.Fatalf("bs mismatch")
+	if got.T != r.T || got.S.N != r.S.N || got.S.TS0 != r.S.TS0 || len(got.S.Seqs) != len(r.S.Seqs) {
+		t.Fatalf("bs header mismatch")
 	}
-	// Same invalidation decisions after the round trip.
-	for _, tlb := range []float64{0, now / 2, now} {
-		a1, ids1 := r.S.Locate(tlb, nil)
-		a2, ids2 := got.S.Locate(tlb, nil)
-		if a1 != a2 || len(ids1) != len(ids2) {
-			t.Fatalf("locate diverges at tlb=%v", tlb)
-		}
-		for i := range ids1 {
-			if ids1[i] != ids2[i] {
-				t.Fatalf("ids diverge at tlb=%v", tlb)
-			}
+	for l, want := range r.S.Seqs {
+		g := got.S.Seqs[l]
+		if g.TS != want.TS || g.Len != want.Len || g.Ones != want.Ones || !slices.Equal(g.Bits, want.Bits) {
+			t.Fatalf("level %d: got %+v, want %+v", l, g, want)
 		}
 	}
 }

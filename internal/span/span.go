@@ -240,10 +240,12 @@ func (a *Assembler) RegisterMetrics(reg *metrics.Registry, lo, hi float64) {
 // truncated by ring eviction) are counted, not fatal, so the assembler
 // is safe on arbitrary event streams.
 //
-//hot path: one call per span-relevant trace event; the fold is a pure
+// Hot path: one call per span-relevant trace event; the fold is a pure
 // state-machine step over preallocated per-client state, 0 allocs/op in
 // steady state (pinned by BenchmarkSpanAssemble). Growth past the
 // client hint and Keep-mode retention allocate in helpers.
+//
+//mobicache:hot
 func (a *Assembler) Write(e trace.Event) error {
 	if e.Client < 0 || a.final != nil {
 		return nil
