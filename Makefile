@@ -114,9 +114,10 @@ bench-smoke:
 
 # Parallel-harness scaling: the sweep benchmark at 1/2/4 workers (compare
 # ns/op across the sub-benchmarks on a multi-core machine) plus the
-# kernel and channel hot-path benchmarks, which fail on any allocation.
+# kernel, channel and server fetch-shed hot-path benchmarks, which fail
+# on any allocation.
 par-bench:
-	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel' -benchmem -run='^$$' .
+	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel|BenchmarkServer' -benchmem -run='^$$' .
 
 # Coverage gate: full suite with -coverprofile; fails if total statement
 # coverage drops below the floor.

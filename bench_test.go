@@ -13,13 +13,16 @@ import (
 	"mobicache/internal/bitio"
 	"mobicache/internal/bitseq"
 	"mobicache/internal/cache"
+	"mobicache/internal/churn"
 	"mobicache/internal/db"
 	"mobicache/internal/delivery"
 	"mobicache/internal/engine"
 	"mobicache/internal/exp"
+	"mobicache/internal/metrics"
 	"mobicache/internal/netsim"
 	"mobicache/internal/report"
 	"mobicache/internal/rng"
+	"mobicache/internal/server"
 	"mobicache/internal/sim"
 )
 
@@ -108,6 +111,35 @@ func BenchmarkBaseConfig(b *testing.B) {
 			}
 			b.ReportMetric(float64(queries)/float64(b.N), "queries")
 		})
+	}
+}
+
+// BenchmarkAdversarialMix runs the configs of mobibench's adversarial
+// workload: ts, ts-check and aaw under all four adversary layers at
+// severity 2 (ChaosFaults(2), OverloadGuardrails, delivery and churn
+// severity 2), with spans and a metrics registry, 20 000 s each, checker
+// armed. It carries the highest event volume of any workload, so its
+// B/op and allocs/op track the kernel calendar and the fetch path.
+func BenchmarkAdversarialMix(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, scheme := range []string{"ts", "ts-check", "aaw"} {
+			c := engine.Default()
+			c.Scheme = scheme
+			c.MeanDisc = 400
+			c.Faults = exp.ChaosFaults(2)
+			exp.OverloadGuardrails(&c)
+			c.Delivery = delivery.Severity(2)
+			c.Churn = churn.Severity(2)
+			c.Spans = &engine.SpanOptions{}
+			c.Metrics = metrics.New()
+			c.SimTime = 20000
+			c.Seed = rng.DeriveSeed(1, uint64(j))
+			c.ConsistencyCheck = true
+			if _, err := engine.Run(c); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -323,6 +355,55 @@ func BenchmarkChannelBoundedShed(b *testing.B) {
 		ch.Send(netsim.ClassControl, 100, nil)
 	}) != 0 {
 		b.Fatal("shed path allocates")
+	}
+}
+
+// benchReceiver is a server.Receiver that discards every delivery.
+type benchReceiver struct{}
+
+func (benchReceiver) ID() int32                                        { return 0 }
+func (benchReceiver) Connected() bool                                  { return true }
+func (benchReceiver) DeliverReport(report.Report, sim.Time)            {}
+func (benchReceiver) DeliverValidity(*report.ValidityReport, sim.Time) {}
+func (benchReceiver) DeliverItem(int32, int32, float64, sim.Time)      {}
+func (benchReceiver) DeliverBusy(int32, sim.Time)                      {}
+
+// BenchmarkServerFetchShed measures a fetch under admission control that
+// the saturated bounded downlink sheds: one item in service and the queue
+// at its cap, so every requested item is admitted to the pending table
+// and then tail-dropped. Most fetches of an overloaded run end this way,
+// so the contract requires the path to be allocation-free: the shed
+// returns its pending-fetch record to the server's freelist for the next
+// fetch to reuse.
+func BenchmarkServerFetchShed(b *testing.B) {
+	k := sim.New()
+	down := netsim.NewChannel(k, "down", 1e6)
+	down.SetQueueCap(4)
+	// Only the fetch path runs: the server is never started, so it needs
+	// no scheme or update stream.
+	srv := server.New(k, db.New(1000, false), down, server.Config{
+		ItemBits: 8192, PendingCap: 64, Coalesce: true,
+	}, rng.New(1))
+	srv.Attach(benchReceiver{})
+	for i := 0; i < 5; i++ { // one in service + four queued = cap reached
+		if !down.Send(netsim.ClassData, 100, nil) {
+			b.Fatal("prefill shed before the cap was reached")
+		}
+	}
+	ids := []int32{7}
+	fetch := func() { srv.OnFetch(0, ids, 0) }
+	fetch() // fills the freelist
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	if got, want := down.Shed(netsim.ClassData), int64(b.N+1); got != want {
+		b.Fatalf("%d of %d fetches shed; the downlink admitted the rest", got, want)
+	}
+	if testing.AllocsPerRun(100, fetch) != 0 {
+		b.Fatal("shed fetch path allocates")
 	}
 }
 

@@ -38,11 +38,14 @@ import (
 // "Type.Method" or plain "Func". These are the paths whose allocs/op the
 // benchmark suite asserts to be zero (BenchmarkKernelEventThroughput,
 // BenchmarkKernelScheduleCancel, BenchmarkChannelSaturated,
-// BenchmarkChannelBoundedShed, BenchmarkDeliveryLinkDeliver,
-// BenchmarkChurnStormTick) plus the per-event instruments and the pooled
+// BenchmarkChannelBoundedShed, BenchmarkServerFetchShed,
+// BenchmarkDeliveryLinkDeliver, BenchmarkChurnStormTick) plus the per-event instruments and the pooled
 // bit writers that ride inside them.
 var knownHot = map[string][]string{
-	"internal/sim":      {"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step"},
+	"internal/sim": {
+		"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step",
+		"Kernel.push", "Kernel.remove", "Kernel.up", "Kernel.down",
+	},
 	"internal/netsim":   {"Channel.Send", "Channel.SendObserved", "Channel.dispatch", "Channel.complete", "line.push"},
 	"internal/delivery": {"Link.Deliver"},
 	"internal/metrics":  {"Histogram.Observe"},
@@ -67,6 +70,9 @@ var knownHot = map[string][]string{
 	// report's own storage.
 	"internal/core":   {"bsIndex.invalidate"},
 	"internal/bitseq": {"Structure.Level", "Structure.Depths", "Builder.Build", "Builder.add"},
+	// BenchmarkServerFetchShed pins a fetch the bounded downlink sheds at
+	// 0 allocs/op: the pending-fetch record comes off the freelist.
+	"internal/server": {"Server.admitFetch"},
 }
 
 // Analyzer is the hotalloc check.

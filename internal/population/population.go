@@ -256,6 +256,10 @@ type Population struct {
 	// construction so the steady state allocates neither.
 	wakes       []func()
 	deadlineFns []func()
+	// fetchTx holds each client's fetch-request transmission observer,
+	// built on the client's first traced fetch (the slice itself on the
+	// population's first), so untraced runs never build them.
+	fetchTx []func(sim.Time)
 }
 
 // New builds the population: states, caches (shared arenas), RNG
@@ -667,12 +671,13 @@ func (p *Population) abandonFetch(i int32) {
 // sendFetch transmits a data request for the current fetch's missing
 // items (all of them on attempt 0, the still-undelivered subset on a
 // retry) and, in retry mode, arms the backed-off re-request timer. The
-// ids slice is fresh because the server's coalescing path may retain it
-// past this event. It reports whether the (possibly bounded) uplink
-// admitted the request; in retry mode the timer is armed either way, so
-// a shed request is simply re-issued later. The uplink is the client's
-// cell's at send time; the receiving server is its cell's when the
-// transmission completes.
+// ids slice is fresh because it must stay intact until the uplink
+// completion hands it to Server.OnFetch, which reads it without keeping
+// it; a duplicated uplink delivery runs that completion twice. It
+// reports whether the (possibly bounded) uplink admitted the request; in
+// retry mode the timer is armed either way, so a shed request is simply
+// re-issued later. The uplink is the client's cell's at send time; the
+// receiving server is its cell's when the transmission completes.
 func (p *Population) sendFetch(i int32, attempt int) bool {
 	admitted := false
 	// A forced-offline host cannot transmit: the attempt is skipped, but
@@ -686,10 +691,7 @@ func (p *Population) sendFetch(i int32, attempt int) bool {
 		}
 		var onTx func(sim.Time)
 		if p.cfg.Tracer.Enabled(trace.UplinkTxStart) {
-			onTx = func(t sim.Time) {
-				p.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.UplinkTxStart,
-					Client: p.states[i].ID, A: 0})
-			}
+			onTx = p.fetchTxFn(i)
 		}
 		admitted = p.routes[p.cell[i]].up.SendObserved(netsim.ClassData, p.cfg.FetchRequestBits, onTx, func() {
 			p.routes[p.cell[i]].server.OnFetch(p.states[i].ID, ids, p.k.Now())
@@ -714,6 +716,21 @@ func (p *Population) sendFetch(i int32, attempt int) bool {
 		p.sendFetch(i, attempt+1)
 	})
 	return admitted
+}
+
+// fetchTxFn returns client i's fetch-request transmission observer,
+// building it on first use.
+func (p *Population) fetchTxFn(i int32) func(sim.Time) {
+	if p.fetchTx == nil {
+		p.fetchTx = make([]func(sim.Time), len(p.states))
+	}
+	if p.fetchTx[i] == nil {
+		p.fetchTx[i] = func(t sim.Time) {
+			p.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.UplinkTxStart,
+				Client: p.states[i].ID, A: 0})
+		}
+	}
+	return p.fetchTx[i]
 }
 
 // scheduleCtrlTimeout arms a give-up timer for the validation exchange

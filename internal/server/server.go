@@ -85,9 +85,50 @@ type Config struct {
 // The epoch stamp keeps the table's population counter exact across
 // server crashes: a crash clears the table (in-memory state loss), and
 // completions from a previous epoch must not decrement the new count.
+// txStart and complete are the record's onTxStart and deliver methods,
+// bound once when the record is created, so re-admitting a recycled
+// record builds no closures.
 type pendingFetch struct {
-	waiters []Receiver
+	s       *Server
+	id      int32
 	epoch   int32
+	waiters []Receiver
+
+	txStart  func(sim.Time)
+	complete func()
+}
+
+// onTxStart traces the transmission's start, attributed to the requester
+// of record (the admitting client, waiters[0]); waiters coalesced on
+// later share the service phase and get no transmission stamp of their
+// own.
+func (p *pendingFetch) onTxStart(t sim.Time) {
+	p.s.traceItem(trace.ItemTxStart, t, p.waiters[0].ID(), p.id)
+}
+
+// deliver is the transmission's completion: it tears down the table
+// entry and fans the item out to every coalesced waiter. The teardown is
+// identity- and epoch-guarded: a later fetch of the same id (no
+// coalescing) or a crash may have replaced or cleared the entry, and
+// post-crash completions must not decrement the new epoch's population.
+func (p *pendingFetch) deliver() {
+	s := p.s
+	if s.pending[p.id] == p {
+		delete(s.pending, p.id)
+	}
+	if p.epoch == s.epoch {
+		s.pendingN--
+	}
+	s.ItemsServed++
+	ts := s.db.LastUpdate(p.id)
+	if ts < 0 {
+		ts = 0 // never updated: the initial version, valid forever
+	}
+	ver := s.db.Version(p.id)
+	done := s.k.Now()
+	for _, w := range p.waiters {
+		w.DeliverItem(p.id, ver, ts, done)
+	}
 }
 
 // Server is the mobile support station.
@@ -110,6 +151,17 @@ type Server struct {
 	// still completes and decrements exactly once, epoch-guarded).
 	pending  map[int32]*pendingFetch
 	pendingN int
+	// freeFetch is the pending-fetch freelist. Only a record whose send
+	// the downlink shed comes back here: the channel keeps nothing from a
+	// shed send, so reuse is exact. It goes back in the same admitFetch
+	// call that took it, so the list never holds more than one record and
+	// one slot suffices. An admitted record is never recycled, because
+	// the delivery adversary may run its completion twice (a duplicate)
+	// or never (a partition), and a duplicate must reach the same waiters
+	// with the same side effects as the first run: Cache.Put through
+	// DeliverItem, the ItemDelivered trace, ItemsServed and the
+	// epoch-guarded pendingN decrement.
+	freeFetch *pendingFetch
 
 	// The update, broadcast and crash loops run as scheduled callbacks.
 	// The two that fire throughout a run are bound once in New, so
@@ -492,7 +544,6 @@ func (s *Server) OnFetch(clientID int32, ids []int32, now sim.Time) {
 		panic("server: fetch from unknown client")
 	}
 	for _, id := range ids {
-		id := id
 		if s.cfg.PendingCap > 0 || s.cfg.Coalesce {
 			s.admitFetch(rc, id, now)
 			continue
@@ -500,8 +551,7 @@ func (s *Server) OnFetch(clientID int32, ids []int32, now sim.Time) {
 		var onTx func(sim.Time)
 		if s.cfg.Tracer.Enabled(trace.ItemTxStart) {
 			onTx = func(t sim.Time) {
-				s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ItemTxStart,
-					Client: clientID, A: int64(id)})
+				s.traceItem(trace.ItemTxStart, t, clientID, id)
 			}
 		}
 		if !s.down.SendObserved(netsim.ClassData, s.cfg.ItemBits, onTx, func() {
@@ -523,60 +573,55 @@ func (s *Server) OnFetch(clientID int32, ids []int32, now sim.Time) {
 // coalesce onto an already-pending transmission of the same item, reject
 // with a busy reply beyond the high-water mark, or admit a new downlink
 // transmission whose completion is fanned out to every coalesced waiter.
+//
+// hot path: once per requested item under admission control; a fetch the
+// bounded downlink sheds reuses a freelist record and allocates nothing
+// (BenchmarkServerFetchShed).
 func (s *Server) admitFetch(rc Receiver, id int32, now sim.Time) {
 	if p, ok := s.pending[id]; ok && s.cfg.Coalesce {
+		//lint:allow hotalloc a coalesced waiter joins an admitted record, which is never recycled; its waiters grow once per coalesced fetch, never on the shed path
 		p.waiters = append(p.waiters, rc)
 		s.CoalescedFetches++
-		s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.Coalesced,
-			Client: rc.ID(), A: int64(id)})
+		s.traceItem(trace.Coalesced, now, rc.ID(), id)
 		return
 	}
 	if s.cfg.PendingCap > 0 && s.pendingN >= s.cfg.PendingCap {
 		s.busyReply(rc, id, now)
 		return
 	}
-	p := &pendingFetch{waiters: []Receiver{rc}, epoch: s.epoch}
+	p := s.freeFetch
+	if p != nil {
+		s.freeFetch = nil
+		p.waiters = p.waiters[:1]
+		p.waiters[0] = rc
+	} else {
+		//lint:allow hotalloc freelist miss is the cold fill path; a shed send returns its record, so the shed path reuses one
+		p = &pendingFetch{s: s, waiters: []Receiver{rc}}
+		p.txStart, p.complete = p.onTxStart, p.deliver
+	}
+	p.id, p.epoch = id, s.epoch
 	s.pending[id] = p
 	s.pendingN++
 	var onTx func(sim.Time)
 	if s.cfg.Tracer.Enabled(trace.ItemTxStart) {
-		// Attributed to the requester of record (the admitting client);
-		// waiters coalesced on later share the service phase and get no
-		// transmission stamp of their own.
-		onTx = func(t sim.Time) {
-			s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ItemTxStart,
-				Client: rc.ID(), A: int64(id)})
-		}
+		onTx = p.txStart
 	}
-	if !s.down.SendObserved(netsim.ClassData, s.cfg.ItemBits, onTx, func() {
-		// Identity- and epoch-guarded teardown: a later fetch of the same
-		// id (no coalescing) or a crash may have replaced or cleared the
-		// entry, and post-crash completions must not decrement the new
-		// epoch's population.
-		if s.pending[id] == p {
-			delete(s.pending, id)
-		}
-		if p.epoch == s.epoch {
-			s.pendingN--
-		}
-		s.ItemsServed++
-		ts := s.db.LastUpdate(id)
-		if ts < 0 {
-			ts = 0 // never updated: the initial version, valid forever
-		}
-		ver := s.db.Version(id)
-		done := s.k.Now()
-		for _, w := range p.waiters {
-			w.DeliverItem(id, ver, ts, done)
-		}
-	}) {
-		// Tail-dropped by a bounded downlink: undo the admission. The
-		// requester's retry or deadline recovers.
+	if !s.down.SendObserved(netsim.ClassData, s.cfg.ItemBits, onTx, p.complete) {
+		// Tail-dropped by a bounded downlink: undo the admission and
+		// recycle the record. The requester's retry or deadline recovers.
 		if s.pending[id] == p {
 			delete(s.pending, id)
 		}
 		s.pendingN--
+		clear(p.waiters)
+		s.freeFetch = p
 	}
+}
+
+// traceItem records a per-item fetch event: a transmission start, a
+// coalesced fetch or a busy rejection.
+func (s *Server) traceItem(kind trace.Kind, t sim.Time, client, id int32) {
+	s.cfg.Tracer.Record(trace.Event{T: t, Kind: kind, Client: client, A: int64(id)})
 }
 
 // busyReply answers a fetch rejected by admission control with a
@@ -584,8 +629,7 @@ func (s *Server) admitFetch(rc Receiver, id int32, now sim.Time) {
 // immediately instead of timing out blind.
 func (s *Server) busyReply(rc Receiver, id int32, now sim.Time) {
 	s.BusyReplies++
-	s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerBusy,
-		Client: rc.ID(), A: int64(id)})
+	s.traceItem(trace.ServerBusy, now, rc.ID(), id)
 	bits := float64(s.cfg.Params.Rep.HeaderBits)
 	if !s.down.Send(netsim.ClassControl, bits, func() {
 		rc.DeliverBusy(id, s.k.Now())

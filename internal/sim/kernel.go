@@ -3,7 +3,7 @@
 // It is the kernel alone: the one CSIM facility the model needs, the
 // three-class channel, queues its own traffic in internal/netsim.
 //
-// The kernel keeps an event calendar (a binary heap ordered by time and
+// The kernel keeps an event calendar (a 4-ary heap ordered by time and
 // then by scheduling sequence, so simultaneous events fire in the order
 // they were scheduled). Model logic is written as event callbacks only:
 // a CSIM process becomes a state machine whose every suspension point
@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -61,42 +60,33 @@ func (h Handle) Time() Time {
 	return h.e.t
 }
 
-type eventHeap []*event
+// slot is one calendar entry. The ordering key (t, seq) is copied inline
+// so that sifting compares contiguous slice memory and dereferences an
+// event only to record where it moved.
+type slot struct {
+	t   Time
+	seq uint64
+	e   *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.heapIndex = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.heapIndex = -1
-	*h = old[:n-1]
-	return e
+// before is the calendar order: earlier time first, then earlier
+// scheduling sequence. Sequence numbers are unique, so the order is total
+// and the fire order does not depend on the heap's shape.
+func (a slot) before(b slot) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
 }
 
 // Kernel is the simulation executive. Create one with New, schedule
 // events, then call Run. A Kernel is single-threaded: all model code runs
 // inside event callbacks on the goroutine that calls Run or Step.
 type Kernel struct {
-	now    Time
-	seq    uint64
-	events eventHeap
+	now Time
+	seq uint64
+	// heap is the event calendar, a 4-ary min-heap of slots in (t, seq)
+	// order: the children of slot i are 4i+1 .. 4i+4. Four children per
+	// node halve the depth of a binary heap, and a node's children share
+	// a cache line or two.
+	heap []slot
 	// free recycles fired and cancelled event structs. Long simulations
 	// schedule hundreds of millions of events; reusing the structs keeps
 	// the scheduling hot path allocation-free in steady state, which is
@@ -117,7 +107,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending reports how many events are queued.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // MaxPending reports the calendar's high-water mark — the deepest the
 // event queue ever got. Run manifests record it as a kernel self-profile
@@ -158,9 +148,9 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 		//lint:allow hotalloc freelist miss is the cold fill path; steady state recycles via Cancel/Step and BenchmarkKernelScheduleCancel pins 0 allocs/op
 		e = &event{t: t, seq: k.seq, fn: fn}
 	}
-	heap.Push(&k.events, e)
-	if len(k.events) > k.maxPending {
-		k.maxPending = len(k.events)
+	k.push(e)
+	if len(k.heap) > k.maxPending {
+		k.maxPending = len(k.heap)
 	}
 	//lint:allow hotalloc Handle is a two-word value returned on the stack; it never escapes
 	return Handle{e: e, seq: e.seq}
@@ -176,10 +166,8 @@ func (k *Kernel) Cancel(h Handle) {
 	if !h.Scheduled() {
 		return
 	}
-	e := h.e
-	heap.Remove(&k.events, e.heapIndex)
+	e := k.remove(h.e.heapIndex)
 	e.fn = nil
-	e.heapIndex = -1
 	//lint:allow hotalloc the freelist never outgrows the calendar high-water mark, so growth stops once the pool warms up
 	k.free = append(k.free, e)
 }
@@ -190,10 +178,10 @@ func (k *Kernel) Cancel(h Handle) {
 // hot path: the event loop itself; 0 allocs/op pinned by
 // BenchmarkKernelEventThroughput.
 func (k *Kernel) Step() bool {
-	if len(k.events) == 0 {
+	if len(k.heap) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.events).(*event)
+	e := k.remove(0)
 	if e.t < k.now {
 		panic("sim: calendar corrupted (time moved backwards)")
 	}
@@ -213,10 +201,93 @@ func (k *Kernel) Step() bool {
 // beyond until; time then advances to until (or stays at the last event).
 // Events exactly at until are executed.
 func (k *Kernel) Run(until Time) {
-	for len(k.events) > 0 && k.events[0].t <= until {
+	for len(k.heap) > 0 && k.heap[0].t <= until {
 		k.Step()
 	}
 	if k.now < until && until != EndOfTime {
 		k.now = until
 	}
+}
+
+// push queues e on the calendar.
+//
+// hot path: once per Schedule/At; appends into the calendar's backing
+// array, which stops growing at the high-water mark.
+func (k *Kernel) push(e *event) {
+	//lint:allow hotalloc the slot is a value; the calendar never outgrows its high-water mark, so growth stops once the run reaches steady state
+	k.heap = append(k.heap, slot{t: e.t, seq: e.seq, e: e})
+	k.up(len(k.heap) - 1)
+}
+
+// remove takes the slot at index i off the calendar and returns its
+// event, marked unqueued. The last slot fills the hole and sifts to its
+// place.
+//
+// hot path: Step removes the root and Cancel an arbitrary slot.
+func (k *Kernel) remove(i int) *event {
+	h := k.heap
+	n := len(h) - 1
+	e := h[i].e
+	h[i] = h[n]
+	h[n].e = nil
+	k.heap = h[:n]
+	if i < n {
+		if i > 0 && k.heap[i].before(k.heap[(i-1)/4]) {
+			k.up(i)
+		} else {
+			k.down(i)
+		}
+	}
+	e.heapIndex = -1
+	return e
+}
+
+// up sifts the slot at index i toward the root until its parent precedes
+// it. Each slot it passes moves down one level.
+//
+// hot path: once per push and per non-root remove.
+func (k *Kernel) up(i int) {
+	h := k.heap
+	s := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].e.heapIndex = i
+		i = p
+	}
+	h[i] = s
+	s.e.heapIndex = i
+}
+
+// down sifts the slot at index i toward the leaves until it precedes all
+// of its children. The earliest child moves up one level at each step.
+//
+// hot path: once per Step.
+func (k *Kernel) down(i int) {
+	h := k.heap
+	n := len(h)
+	s := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(s) {
+			break
+		}
+		h[i] = h[m]
+		h[i].e.heapIndex = i
+		i = m
+	}
+	h[i] = s
+	s.e.heapIndex = i
 }
