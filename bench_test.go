@@ -24,6 +24,7 @@ import (
 	"mobicache/internal/rng"
 	"mobicache/internal/server"
 	"mobicache/internal/sim"
+	"mobicache/internal/workload"
 )
 
 // benchHorizon keeps per-iteration cost reasonable; shapes (who wins, by
@@ -253,15 +254,83 @@ func BenchmarkReportEncodeTS(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheLookupPut measures a client's query path: a lookup, and
+// a Put on a miss. Every queried item takes it, so it must not allocate.
 func BenchmarkCacheLookupPut(b *testing.B) {
 	c := cache.New(200, 10000)
 	src := rng.New(5)
+	now := 0.0
+	step := func() {
+		id := int32(src.Intn(10000))
+		if _, ok := c.Lookup(id); !ok {
+			c.Put(id, now, 1)
+		}
+		now++
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := int32(src.Intn(10000))
-		if _, ok := c.Lookup(id); !ok {
-			c.Put(id, float64(i), 1)
+		step()
+	}
+	b.StopTimer()
+	if testing.AllocsPerRun(100, step) != 0 {
+		b.Fatal("cache lookup/put path allocates")
+	}
+}
+
+// BenchmarkCacheTouchAll measures the TS family's report path at fig5's
+// largest database (N = 80 000, a 2% cache of 1 600 entries): a fetched
+// item's Put, a confirming report's TouchAll and a report entry's Peek.
+// TouchAll clears one bit per slot rather than walking the cache, and
+// none of the three may allocate.
+var benchEntry cache.Entry // keeps BenchmarkCacheTouchAll's Peek live
+
+func BenchmarkCacheTouchAll(b *testing.B) {
+	const items, capacity = 80000, 1600
+	c := cache.New(capacity, items)
+	src := rng.New(11)
+	for c.Len() < capacity {
+		c.Put(int32(src.Intn(items)), 0, 1)
+	}
+	now := 0.0
+	step := func() {
+		now++
+		c.Put(int32(src.Intn(items)), now-0.5, 1)
+		c.TouchAll(now)
+		benchEntry, _ = c.Peek(int32(src.Intn(items)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	if testing.AllocsPerRun(100, step) != 0 {
+		b.Fatal("cache put/touch/peek path allocates")
+	}
+}
+
+// BenchmarkRunSetup runs the configs of mobibench's update-heavy workload
+// (bs, afw and ts-check over HOTCOLD at ten times Table 1's update rate,
+// checker armed) for two broadcast periods, mobibench's set-up pass. At
+// that horizon a run is mostly its set-up, so B/op tracks the per-run
+// arenas: the client caches and the database with its update log.
+func BenchmarkRunSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, scheme := range []string{"bs", "afw", "ts-check"} {
+			c := engine.Default()
+			c.Scheme = scheme
+			c.Workload = workload.HotCold(c.DBSize)
+			c.MeanUpdate = 10
+			c.ProbDisc = 0.3
+			c.MeanDisc = 1000
+			c.SimTime = 2 * c.Period
+			c.Seed = rng.DeriveSeed(1, uint64(j))
+			c.ConsistencyCheck = true
+			if _, err := engine.Run(c); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

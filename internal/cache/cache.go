@@ -20,6 +20,9 @@ type Entry struct {
 const nilSlot = int32(-1)
 
 // slot is one cache slot: the entry fields plus the intrusive LRU links.
+// A free slot is chained to the next free one through next. ts is the
+// slot's own timestamp; it is current only while the slot's fresh bit is
+// set (see TouchAll).
 type slot struct {
 	id         int32
 	ver        int32
@@ -34,6 +37,9 @@ type slot struct {
 // representations of Cohen–Einziger–Scalosub (arXiv:2104.01386).
 // Membership tests are one bit probe; the slot walk on a hit is bounded
 // by the capacity, which is small by construction (BufferPct · DBSize).
+// Confirming the whole cache (TouchAll) is O(capacity/64): a second
+// bitmap, one bit per slot, marks the slots written since the last touch,
+// and every other present slot reads the touch time.
 // FuzzCache pins LRU order, hit/miss accounting, entry contents and
 // Reload panics against a map-indexed reference LRU.
 //
@@ -43,9 +49,13 @@ type Cache struct {
 	capacity int
 	bits     []uint64 // presence, one bit per item id
 	slots    []slot
-	free     []int32
-	head     int32 // most recently used
-	tail     int32 // least recently used
+	fresh    []uint64 // one bit per slot: written since the last TouchAll
+	touchTS  float64  // the last TouchAll's timestamp
+	head     int32    // most recently used
+	tail     int32    // least recently used
+	free     int32    // first freed slot, chained through next
+	used     int32    // high-water mark: slots[used:] were never handed out
+	n        int32    // cached items
 
 	hits, misses int64
 }
@@ -55,8 +65,8 @@ type Cache struct {
 func New(capacity, items int) *Cache { return &NewSet(1, capacity, items)[0] }
 
 // NewSet creates n caches like New, carving all of them from three shared
-// arenas — presence bitmaps, slots, free stacks — so a million caches
-// cost four allocations.
+// arenas — presence bitmaps, slots, fresh-slot bitmaps — so a million
+// caches cost four allocations.
 func NewSet(n, capacity, items int) []Cache {
 	if capacity < 1 {
 		panic("cache: capacity must be at least 1")
@@ -65,36 +75,31 @@ func NewSet(n, capacity, items int) []Cache {
 		panic("cache: item space must be at least 1")
 	}
 	words := (items + 63) / 64
+	freshWords := (capacity + 63) / 64
 	bits := make([]uint64, words*n)
 	slots := make([]slot, capacity*n)
-	free := make([]int32, capacity*n)
+	fresh := make([]uint64, freshWords*n)
 	cs := make([]Cache, n)
 	for i := range cs {
 		c := &cs[i]
 		c.capacity = capacity
 		c.bits = bits[i*words : (i+1)*words]
 		c.slots = slots[i*capacity : (i+1)*capacity]
-		// Three-index slice: the free stack must never grow past its
-		// carve-out into the neighbour's.
-		c.free = free[i*capacity : i*capacity : (i+1)*capacity]
+		c.fresh = fresh[i*freshWords : (i+1)*freshWords]
 		c.resetSlots()
 	}
 	return cs
 }
 
-// resetSlots empties the slot structure without touching statistics. The
-// free stack is rebuilt high-to-low so pops hand out ascending slot
-// numbers.
+// resetSlots empties the slot structure without touching statistics:
+// every slot is unused again, so allocation restarts from slot 0.
 func (c *Cache) resetSlots() {
-	c.free = c.free[:0]
-	for i := c.capacity - 1; i >= 0; i-- {
-		c.free = append(c.free, int32(i))
-	}
-	c.head, c.tail = nilSlot, nilSlot
+	c.head, c.tail, c.free = nilSlot, nilSlot, nilSlot
+	c.used, c.n = 0, 0
 }
 
 // Len reports the number of cached items.
-func (c *Cache) Len() int { return c.capacity - len(c.free) }
+func (c *Cache) Len() int { return int(c.n) }
 
 // Hits and Misses report Lookup outcomes.
 func (c *Cache) Hits() int64   { return c.hits }
@@ -112,6 +117,9 @@ func (c *Cache) present(id int32) bool {
 
 func (c *Cache) setBit(id int32)   { c.bits[uint32(id)>>6] |= 1 << (uint32(id) & 63) }
 func (c *Cache) clearBit(id int32) { c.bits[uint32(id)>>6] &^= 1 << (uint32(id) & 63) }
+
+// setFresh marks slot s as carrying its own timestamp.
+func (c *Cache) setFresh(s int32) { c.fresh[uint32(s)>>6] |= 1 << (uint32(s) & 63) }
 
 // slotOf finds the slot holding id by walking the recency list. Callers
 // probe the bitmap first, so the walk only runs when the id is present;
@@ -163,10 +171,39 @@ func (c *Cache) pushFront(s int32) {
 	}
 }
 
-// entryAt materializes the slot as an Entry value.
+// entryAt materializes the slot as an Entry value. A slot not written
+// since the last TouchAll was present at it, so its timestamp is the
+// touch time.
 func (c *Cache) entryAt(s int32) Entry {
 	e := &c.slots[s]
-	return Entry{ID: e.id, TS: e.ts, Version: e.ver}
+	ts := c.touchTS
+	if c.fresh[uint32(s)>>6]&(1<<(uint32(s)&63)) != 0 {
+		ts = e.ts
+	}
+	return Entry{ID: e.id, TS: ts, Version: e.ver}
+}
+
+// alloc hands out a slot for a new entry: a freed one first, then one
+// never used, and otherwise the LRU entry's, which it evicts.
+//
+// Hot path: pointer and counter bumps only.
+//
+//mobicache:hot
+func (c *Cache) alloc() int32 {
+	if s := c.free; s != nilSlot {
+		c.free = c.slots[s].next
+		c.n++
+		return s
+	}
+	if int(c.used) < c.capacity {
+		c.used++
+		c.n++
+		return c.used - 1
+	}
+	s := c.tail
+	c.clearBit(c.slots[s].id)
+	c.unlink(s)
+	return s
 }
 
 // Lookup finds id, promoting it to most recently used on a hit, and
@@ -215,40 +252,36 @@ func (c *Cache) Put(id int32, ts float64, version int32) {
 		s := c.slotOf(id)
 		c.slots[s].ts = ts
 		c.slots[s].ver = version
+		c.setFresh(s)
 		c.unlink(s)
 		c.pushFront(s)
 		return
 	}
-	var s int32
-	if len(c.free) > 0 {
-		s = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-	} else {
-		s = c.tail
-		c.clearBit(c.slots[s].id)
-		c.unlink(s)
-	}
+	s := c.alloc()
 	//lint:allow hotalloc slot assignment by composite literal writes in place; the backing array is preallocated
 	c.slots[s] = slot{id: id, ts: ts, ver: version, prev: nilSlot, next: nilSlot}
+	c.setFresh(s)
 	c.setBit(id)
 	c.pushFront(s)
 }
 
-// TouchAll advances the validity timestamp of every entry.
+// TouchAll advances the validity timestamp of every entry. It records ts
+// as the touch time and clears the fresh bitmap, so every present entry
+// reads ts until it is written again; a later Put keeps its own
+// timestamp, even one older than ts.
 //
 // Hot path: the TS family stamps the whole cache on every confirming report.
 //
 //mobicache:hot
 func (c *Cache) TouchAll(ts float64) {
-	for s := c.head; s != nilSlot; s = c.slots[s].next {
-		c.slots[s].ts = ts
-	}
+	clear(c.fresh)
+	c.touchTS = ts
 }
 
 // Invalidate removes id if cached, reporting whether it was present.
 //
 // Hot path: every report entry naming a cached item passes through here; the
-// freed slot returns to the stack in place.
+// freed slot joins the free chain in place.
 //
 //mobicache:hot
 func (c *Cache) Invalidate(id int32) bool {
@@ -258,8 +291,9 @@ func (c *Cache) Invalidate(id int32) bool {
 	s := c.slotOf(id)
 	c.unlink(s)
 	c.clearBit(id)
-	//lint:allow hotalloc the free stack was built with the full capacity, so this append never grows it
-	c.free = append(c.free, s)
+	c.slots[s].next = c.free
+	c.free = s
+	c.n--
 	return true
 }
 
@@ -310,9 +344,9 @@ func (c *Cache) Reload(entries []Entry) {
 		if c.present(e.ID) {
 			panic("cache: duplicate id in reload")
 		}
-		s := c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
+		s := c.alloc()
 		c.slots[s] = slot{id: e.ID, ts: e.TS, ver: e.Version, prev: nilSlot, next: nilSlot}
+		c.setFresh(s)
 		c.setBit(e.ID)
 		c.pushFront(s)
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mobicache/internal/rng"
 )
@@ -142,6 +143,14 @@ func TestTouch(t *testing.T) {
 	if _, ok := c.Peek(1); ok {
 		t.Fatal("TouchAll changed recency")
 	}
+	// A Put after the touch keeps its own timestamp, even one older than
+	// the touch (fetched after the report, last updated before it).
+	if e, _ := c.Peek(3); e.TS != 0 {
+		t.Fatalf("entry put after the touch has TS %v, want its own 0", e.TS)
+	}
+	if e, _ := c.Peek(2); e.TS != 12 {
+		t.Fatalf("touched entry TS = %v, want 12", e.TS)
+	}
 }
 
 func TestEachOrderAndIDs(t *testing.T) {
@@ -198,6 +207,25 @@ func TestZeroCapacityPanics(t *testing.T) {
 			}()
 			New(size[0], size[1])
 		}()
+	}
+}
+
+// TestNewSetFootprint pins what a run pays to set up its caches: four
+// allocations (caches, presence bits, slots, fresh bits) whatever the
+// number of caches, and 24 bytes per slot.
+func TestNewSetFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Fatalf("slot is %d bytes, want 24", got)
+	}
+	var sink []Cache
+	for _, n := range []int{1, 10, 1000} {
+		allocs := testing.AllocsPerRun(10, func() { sink = NewSet(n, 65, 1000) })
+		if allocs != 4 {
+			t.Errorf("NewSet(%d, ...) makes %v allocations, want 4", n, allocs)
+		}
+	}
+	if len(sink) != 1000 {
+		t.Fatalf("last set has %d caches", len(sink))
 	}
 }
 

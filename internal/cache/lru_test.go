@@ -248,16 +248,35 @@ func (p *pair) put(id int32, ts float64, ver int32) {
 	p.c.Put(id, ts, ver)
 }
 
+// reload applies one Reload to both sides: the reference's current
+// contents, MRU first, cut to keep entries and each restamped below ts so
+// the transplanted timestamps differ from the ones a touch left behind.
+func (p *pair) reload(keep int, ts float64) {
+	p.t.Helper()
+	entries := p.ref.Entries(nil)
+	entries = entries[:keep%(len(entries)+1)]
+	for i := range entries {
+		entries[i].TS = ts - 0.125*float64(i)
+	}
+	p.ref.Reload(entries)
+	p.c.Reload(entries)
+}
+
+// fuzzOps is the number of operations step chooses from; an op byte's
+// quotient by it ages a Put's timestamp by that many seconds, so a Put
+// can land below an earlier TouchAll's time.
+const fuzzOps = 9
+
 // step applies one fuzz-chosen operation to both sides.
 func (p *pair) step(op byte, id int32, ts float64, ver int32) {
 	p.t.Helper()
-	switch op % 8 {
+	switch op % fuzzOps {
 	case 0, 1:
 		p.lookup(id)
 	case 2:
 		p.peek(id)
 	case 3, 4:
-		p.put(id, ts, ver)
+		p.put(id, ts-float64(op/fuzzOps), ver)
 	case 5:
 		p.invalidate(id)
 	case 6:
@@ -266,20 +285,68 @@ func (p *pair) step(op byte, id int32, ts float64, ver int32) {
 	case 7:
 		p.ref.DropAll()
 		p.c.DropAll()
+	case 8:
+		p.reload(int(id), ts)
 	}
 	p.check()
 }
 
+// Fuzz op bytes for the corpus seeds below; putOld is a Put four seconds
+// older than the op clock.
+const (
+	opLookup     = 0
+	opPeek       = 2
+	opPut        = 3
+	opInvalidate = 5
+	opTouch      = 6
+	opDrop       = 7
+	opReload     = 8
+	opPutOld     = opPut + 4*fuzzOps
+)
+
+// fillOps puts ids 0..n-1, touches the cache, refreshes the last id with
+// an old timestamp, puts n, and peeks every id: at capacity n it crosses
+// the fresh bitmap's word edge when n is 64 or 65.
+func fillOps(n int) []byte {
+	var ops []byte
+	for id := 0; id < n; id++ {
+		ops = append(ops, opPut, byte(id))
+	}
+	ops = append(ops, opTouch, 0, opPutOld, byte(n-1), opPut, byte(n))
+	for id := 0; id <= n; id++ {
+		ops = append(ops, opPeek, byte(id))
+	}
+	return ops
+}
+
 // FuzzCache feeds both sides the same op stream and fails on the first
 // observable divergence. The corpus seeds cover the word edges of the
-// presence bitmap (ids 0, 63, 64) and capacity-1 eviction pressure.
+// presence bitmap (ids 0, 63, 64), capacity-1 eviction pressure, and the
+// touch-time bookkeeping: Puts and refreshes after a TouchAll (including
+// timestamps older than the touch), promotion of touched entries, a freed
+// slot reused across a touch, DropAll and Reload after a touch, and the
+// fresh bitmap's word edge at capacities 64 and 65.
 func FuzzCache(f *testing.F) {
 	f.Add(uint8(4), uint8(200), []byte{3, 0, 3, 63, 3, 64, 0, 63, 5, 0, 7, 7})
 	f.Add(uint8(1), uint8(100), []byte{3, 1, 3, 2, 3, 3, 0, 1, 0, 3})
 	f.Add(uint8(8), uint8(65), []byte{3, 64, 3, 0, 6, 10, 5, 64, 2, 64})
 	f.Add(uint8(16), uint8(255), []byte{3, 254, 3, 0, 3, 127, 3, 128, 0, 254, 7, 0})
+	// A Put after a touch, older than the touch time.
+	f.Add(uint8(3), uint8(99), []byte{opPut, 1, opPut, 2, opTouch, 0, opPutOld, 3, opPeek, 1, opPeek, 3})
+	// A refresh of a touched entry, then one older than the touch.
+	f.Add(uint8(3), uint8(99), []byte{opPut, 1, opPut, 2, opTouch, 0, opPut, 1, opPeek, 2, opPutOld, 2, opPeek, 2})
+	// A Lookup promotes a touched entry; the next insert evicts the other.
+	f.Add(uint8(2), uint8(99), []byte{opPut, 1, opPut, 2, opPut, 3, opTouch, 0, opLookup, 1, opPut, 4, opPeek, 1})
+	// An invalidated slot reused after a touch, and a second touch.
+	f.Add(uint8(3), uint8(99), []byte{opPut, 1, opPut, 2, opPut, 3, opInvalidate, 2, opTouch, 0, opPutOld, 9, opTouch, 0, opPut, 2})
+	// DropAll after a touch, then a refill.
+	f.Add(uint8(3), uint8(99), []byte{opPut, 1, opPut, 2, opTouch, 0, opDrop, 0, opPutOld, 5, opPeek, 5, opPeek, 1})
+	// Reload after a touch, then a touch and Put over the reloaded entries.
+	f.Add(uint8(3), uint8(99), []byte{opPut, 1, opPut, 2, opPut, 3, opTouch, 0, opReload, 2, opPut, 7, opTouch, 0, opReload, 3, opPutOld, 1})
+	f.Add(uint8(63), uint8(255), fillOps(64))
+	f.Add(uint8(64), uint8(255), fillOps(65))
 	f.Fuzz(func(t *testing.T, capRaw, itemsRaw uint8, ops []byte) {
-		capacity := int(capRaw%32) + 1
+		capacity := int(capRaw%80) + 1
 		items := int(itemsRaw) + 1
 		p := newPair(t, capacity, items)
 		ts := 0.0

@@ -5,12 +5,10 @@
 //   - a recency list (most recently updated first) from which both the
 //     timestamp-window reports and the bit-sequences structure are built
 //     in time proportional to their own size, and
-//   - per-item update-time logs so tests can ask "what version was
-//     current at time t" and verify that no client ever serves a stale
-//     cache entry.
+//   - an append-only update log, chained per item, so the consistency
+//     checker can ask "what version was current at time t" and verify
+//     that no client ever serves a stale cache entry.
 package db
-
-import "sort"
 
 // UpdateEntry is one (item, last-update time) pair, as carried in
 // timestamp-window invalidation reports.
@@ -21,12 +19,24 @@ type UpdateEntry struct {
 
 const nilIdx = int32(-1)
 
+// logEntry is one update in the history log: its time and the 1-based log
+// index of the same item's previous update (0 when it is the first).
+type logEntry struct {
+	t    float64
+	prev int32
+}
+
 // Database holds the server's N data items.
 type Database struct {
 	n          int
 	lastUpdate []float64 // per item; -1 when never updated
 	version    []int32   // per item; 0 when never updated
-	history    [][]float64
+
+	// History, kept only when tracked: log holds every update in time
+	// order, and newest[id] is the 1-based log index of id's latest
+	// update (0 = never updated), so a zeroed slice is the empty history.
+	log    []logEntry
+	newest []int32
 
 	// Intrusive doubly-linked recency list over item ids; head is the
 	// most recently updated item. Only ever-updated items are linked.
@@ -40,8 +50,8 @@ type Database struct {
 }
 
 // New creates a database of n items, none updated yet. trackHistory
-// enables per-item update logs (needed by VersionAt; costs memory
-// proportional to total updates).
+// enables the update log (needed by VersionAt; costs one int32 per item
+// plus memory proportional to total updates).
 func New(n int, trackHistory bool) *Database {
 	if n <= 0 {
 		panic("db: need at least one item")
@@ -62,7 +72,7 @@ func New(n int, trackHistory bool) *Database {
 		d.prev[i] = nilIdx
 	}
 	if trackHistory {
-		d.history = make([][]float64, n)
+		d.newest = make([]int32, n)
 	}
 	return d
 }
@@ -97,7 +107,8 @@ func (d *Database) Update(id int32, now float64) {
 	d.pushFront(id)
 	d.updates++
 	if d.trackHistory {
-		d.history[id] = append(d.history[id], now)
+		d.log = append(d.log, logEntry{t: now, prev: d.newest[id]})
+		d.newest[id] = int32(len(d.log))
 	}
 }
 
@@ -196,15 +207,20 @@ func (d *Database) NewestUpdateTime() float64 {
 	return d.lastUpdate[d.head]
 }
 
-// VersionAt reports the version of id that was current at time t.
-// It requires history tracking.
+// VersionAt reports the version of id that was current at time t: the
+// number of id's updates before t+1e-12 (inclusive of t). Each update
+// bumped the version once, so it walks id's updates newest first and
+// subtracts those at or after that bound. It requires history tracking.
 func (d *Database) VersionAt(id int32, t float64) int32 {
 	if !d.trackHistory {
 		panic("db: VersionAt requires history tracking")
 	}
-	h := d.history[id]
-	// Number of updates with time <= t.
-	return int32(sort.SearchFloat64s(h, t+1e-12)) // inclusive of t
+	bound := t + 1e-12
+	v := d.version[id]
+	for i := d.newest[id]; i != 0 && d.log[i-1].t >= bound; i = d.log[i-1].prev {
+		v--
+	}
+	return v
 }
 
 // CheckValid reports whether item id, last validated by its holder at

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +130,54 @@ func TestVersionAt(t *testing.T) {
 	}
 	if d.VersionAt(0, 99) != 0 {
 		t.Fatal("VersionAt of never-updated item")
+	}
+}
+
+// TestVersionAtMatchesSortedHistory pins VersionAt against the per-item
+// history it replaced: a sorted slice of update times per item, where the
+// version current at t is the number of updates before t+1e-12. Seeded
+// streams mix equal timestamps, steps at and below the 1e-12 tolerance and
+// items never updated; queries hit every update time, ±1e-12 around it,
+// the midpoints between updates and both ends of the run.
+func TestVersionAtMatchesSortedHistory(t *testing.T) {
+	const n, updated = 16, 12 // ids updated..n-1 are never updated
+	for seed := uint64(1); seed <= 4; seed++ {
+		src := rng.New(seed)
+		d := New(n, true)
+		history := make([][]float64, n)
+		var times []float64
+		now := 0.0
+		for i := 0; i < 400; i++ {
+			switch r := src.Float64(); {
+			case r < 0.3: // same instant as the previous update
+			case r < 0.4:
+				now += 1e-12
+			case r < 0.5:
+				now += 4e-13
+			default:
+				now += src.Exp(1)
+			}
+			id := int32(src.Intn(updated))
+			d.Update(id, now)
+			history[id] = append(history[id], now)
+			times = append(times, now)
+		}
+		queries := []float64{-1, 0, now + 1}
+		for i, u := range times {
+			queries = append(queries, u, u-1e-12, u+1e-12)
+			if i > 0 {
+				queries = append(queries, (times[i-1]+u)/2)
+			}
+		}
+		for _, q := range queries {
+			for id := int32(0); id < n; id++ {
+				want := int32(sort.SearchFloat64s(history[id], q+1e-12))
+				if got := d.VersionAt(id, q); got != want {
+					t.Fatalf("seed %d: VersionAt(%d, %v) = %d, sorted history says %d",
+						seed, id, q, got, want)
+				}
+			}
+		}
 	}
 }
 

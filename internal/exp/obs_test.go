@@ -302,11 +302,13 @@ func TestTimelineAgreesWithResults(t *testing.T) {
 // TestTraceAgreesWithResults: the trace's whole-cache verdicts are read
 // off the counters Results is built from, so over a run with no warmup
 // every drop is a CacheDrop (a scheme call emptied the cache) or a cold
-// churn restart, and every salvage a CacheSalvage or a warm restart. All
-// seven schemes run under both agreement mixes, and each relation must
-// be non-zero somewhere so none passes vacuously.
+// churn restart, and every salvage a CacheSalvage or a warm restart.
+// Every solo disconnect is a Disconnect; a churn storm's disconnects are
+// counted in StormDisconnects and not traced. All seven schemes run under
+// both agreement mixes, and each relation must be non-zero somewhere so
+// none passes vacuously.
 func TestTraceAgreesWithResults(t *testing.T) {
-	var drops, salvages int64
+	var drops, salvages, disconnects int64
 	for _, mix := range agreementMixes {
 		for _, scheme := range AllSchemes {
 			c := agreementConfig(scheme, mix.set)
@@ -324,11 +326,17 @@ func TestTraceAgreesWithResults(t *testing.T) {
 				t.Errorf("%s/%s: CacheSalvage %d + RestartWarm %d != Salvages %d", mix.name, scheme,
 					tr.Count(trace.CacheSalvage), tr.Count(trace.RestartWarm), r.Salvages)
 			}
+			if got := tr.Count(trace.Disconnect); int64(got) != r.SoloDisconnects {
+				t.Errorf("%s/%s: Disconnect %d != SoloDisconnects %d (StormDisconnects %d)",
+					mix.name, scheme, got, r.SoloDisconnects, r.StormDisconnects)
+			}
 			drops += r.Drops
 			salvages += r.Salvages
+			disconnects += r.SoloDisconnects
 		}
 	}
-	if drops == 0 || salvages == 0 {
-		t.Fatalf("vacuous: %d drops, %d salvages over every run", drops, salvages)
+	if drops == 0 || salvages == 0 || disconnects == 0 {
+		t.Fatalf("vacuous: %d drops, %d salvages, %d solo disconnects over every run",
+			drops, salvages, disconnects)
 	}
 }
