@@ -115,9 +115,10 @@ bench-smoke:
 # Parallel-harness scaling: the sweep benchmark at 1/2/4 workers (compare
 # ns/op across the sub-benchmarks on a multi-core machine) plus the
 # kernel, channel, server fetch-shed and cache hot-path benchmarks, which
-# fail on any allocation.
+# fail on any allocation, and the bit-sequences ones, whose build fails on
+# any allocation beyond the report it returns.
 par-bench:
-	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel|BenchmarkServer|BenchmarkCache' -benchmem -run='^$$' .
+	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel|BenchmarkServer|BenchmarkCache|BenchmarkBitseq' -benchmem -run='^$$' .
 
 # Coverage gate: full suite with -coverprofile; fails if total statement
 # coverage drops below the floor.

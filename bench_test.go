@@ -193,16 +193,39 @@ func makeUpdatedDB(n, updates int) *db.Database {
 }
 
 // BenchmarkBitseqBuild times one server broadcast's structure build with
-// a reused Builder, and fails unless the build allocates only the report
-// it returns: the Structure, its Seqs and one word array per level.
+// a reused Builder. The rebuild cases apply one update before each build,
+// as a broadcast after a changed period does, and fail unless the build
+// allocates only the report it returns: the Structure, its Seqs and one
+// word array per level. The unchanged case builds again with no update in
+// between, which returns the previous structure, and fails on any
+// allocation.
 func BenchmarkBitseqBuild(b *testing.B) {
 	for _, n := range []int{1000, 10000, 80000} {
 		d := makeUpdatedDB(n, n/4)
+		src := rng.New(12)
+		now := d.NewestUpdateTime()
+		update := func() {
+			now++
+			d.Update(int32(src.Intn(n)), now)
+		}
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			var bd bitseq.Builder
 			want := float64(2 + len(bd.Build(n, d).Seqs))
-			if got := testing.AllocsPerRun(10, func() { bd.Build(n, d) }); got != want {
-				b.Fatalf("%v allocs per build, want %v", got, want)
+			if got := testing.AllocsPerRun(10, func() { update(); bd.Build(n, d) }); got != want {
+				b.Fatalf("%v allocs per build after an update, want %v", got, want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				update()
+				bd.Build(n, d)
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/unchanged", n), func(b *testing.B) {
+			var bd bitseq.Builder
+			bd.Build(n, d)
+			if got := testing.AllocsPerRun(10, func() { bd.Build(n, d) }); got != 0 {
+				b.Fatalf("%v allocs per build of an unchanged database, want 0", got)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -67,9 +67,9 @@ var knownHot = map[string][]string{
 	// TestHandleReportBSZeroAlloc pins a client's bit-sequences report
 	// application at 0 allocs/op; the depth fill runs once per broadcast
 	// inside it, and BenchmarkBitseqBuild pins the server's build at the
-	// report's own storage.
+	// report's own storage (none for an unchanged database).
 	"internal/core":   {"bsIndex.invalidate"},
-	"internal/bitseq": {"Structure.Level", "Structure.Depths", "Builder.Build", "Builder.add"},
+	"internal/bitseq": {"Structure.Level", "Structure.Depths", "Builder.Build"},
 	// BenchmarkServerFetchShed pins a fetch the bounded downlink sheds at
 	// 0 allocs/op: the pending-fetch record comes off the freelist.
 	"internal/server": {"Server.admitFetch"},

@@ -19,6 +19,13 @@
 // halving structure bounds over-invalidation, which is what lets BS
 // salvage caches after arbitrarily long disconnections without a fixed
 // history window.
+//
+// The structure depends only on the database's update-recency order, so
+// the server builds it from the recency-depth index the database keeps
+// (internal/db) without walking the recency list: O(N/64 words + marked
+// items × levels). A Builder that sees no update since its last build
+// returns that same structure, which at the paper's update rates is most
+// broadcasts.
 package bitseq
 
 import (
@@ -63,102 +70,87 @@ type Structure struct {
 // non-negative, so -1 sorts before all real update times.
 const Epoch = -1.0
 
-// UpdateSource abstracts the server database view the builder needs:
-// distinct items in most-recent-update-first order.
+// UpdateSource abstracts the server database view the builder needs: its
+// recency-depth index (db.Database keeps one) and an update count that
+// changes whenever the index does.
 type UpdateSource interface {
-	// MostRecent visits up to max ever-updated items, most recent first.
-	MostRecent(max int, fn func(id int32, ts float64) bool)
+	// Updates reports the number of update operations applied so far.
+	Updates() int64
 	// NewestUpdateTime reports the most recent update time, or negative
 	// if nothing was ever updated.
 	NewestUpdateTime() float64
+	// DepthIndex returns the ids marked at the top level as a bitmap and,
+	// per id, the number of leading levels marking it.
+	DepthIndex() (top []uint64, depth []uint8)
+	// LevelTS reports TS(B_l) for level l (0 = the top), or negative when
+	// the level marks every ever-updated item.
+	LevelTS(l int) float64
 }
 
-type rec struct {
-	id int32
-	ts float64
-}
-
-// Builder builds successive structures reusing its scratch: only the
-// returned Structure is allocated, because a report is immutable once
-// delivered. The zero value is ready; a Builder is not safe for concurrent use.
+// Builder builds successive structures. The structure is a pure function
+// of the source's recency order and update times, which change only with
+// its update count, and a report is immutable once delivered, so a build
+// from the same source with no update since the last one returns the
+// previous structure itself; a client keyed by the structure pointer then
+// skips its decode too. Otherwise only the returned Structure is
+// allocated. The zero value is ready; a Builder is not safe for
+// concurrent use.
 type Builder struct {
-	items   []rec   // most recent first, capped at the top level's capacity + 1
-	rank    []int32 // item id -> recency rank, valid only for ids set in this call
-	collect func(id int32, ts float64) bool
+	last    *Structure   // the structure the last build returned
+	src     UpdateSource // the source it was built from
+	updates int64        // src.Updates() when it was built
 }
 
-// add is the MostRecent callback collecting one item.
-func (b *Builder) add(id int32, ts float64) bool {
-	//lint:allow hotalloc the slice keeps its capacity across broadcasts, so it grows only until it reaches N/2+1
-	b.items = append(b.items, rec{id, ts})
-	return true
-}
-
-// Build constructs the structure for an n-item database (n >= 2) from src.
+// Build constructs the structure for an n-item database (n >= 2) from
+// src, whose index must cover n items.
 func (b *Builder) Build(n int, src UpdateSource) *Structure {
 	if n < 2 {
 		panic("bitseq: database too small")
 	}
+	if b.last != nil && b.src == src && b.updates == src.Updates() && b.last.N == n {
+		return b.last
+	}
+	topBits, depth := src.DepthIndex()
+	if len(depth) != n {
+		panic("bitseq: source size differs from n")
+	}
 	//lint:allow hotalloc the report owns a fresh structure: reports are immutable once delivered
 	st := &Structure{N: n, TS0: max(src.NewestUpdateTime(), Epoch)}
 
-	// Collect one item beyond the top level's mark capacity: the extra
-	// item's update time is TS(B_n) when the level is full.
-	capTop := n / 2
-	if b.collect == nil {
-		b.collect = b.add // bound once, so MostRecent's callback costs nothing per build
-	}
-	b.items = b.items[:0]
-	src.MostRecent(capTop+1, b.collect)
-	items := b.items
-	avail := min(len(items), capTop) // items[capTop], if present, exists only for TS(B_n)
-
-	// Level l has n>>l bits, down to 2, and marks the min(size/2, avail)
-	// most recent items; the marked sets are nested.
+	// Level l has n>>l bits, down to 2, and marks the n>>(l+1) most
+	// recent items (all of them while fewer were ever updated); the
+	// marked sets are nested.
 	//lint:allow hotalloc the report owns its levels
 	st.Seqs = make([]Sequence, bits.Len(uint(n))-1)
-	var marks [64]int
 	for l := range st.Seqs {
 		size := n >> l
 		st.Seqs[l].Len = size
 		//lint:allow hotalloc the report owns its bits
 		st.Seqs[l].Bits = make([]uint64, (size+63)/64)
-		m := min(size/2, avail)
-		marks[l] = m
-		// TS(B_l): the update time of the (m+1)-th most recent item, or
-		// the epoch when every ever-updated item is marked.
-		st.Seqs[l].TS = Epoch
-		if m < len(items) {
-			st.Seqs[l].TS = items[m].ts
-		}
+		st.Seqs[l].TS = max(src.LevelTS(l), Epoch)
 	}
 
-	// Every available item is marked at the top level, at its id. An item
-	// of recency rank r is marked at level l iff r < marks[l], and its bit
-	// at level l+1 is its rank in id order among level-l marked items, so
-	// visiting the top bits in id order places every bit without a sort.
-	if len(b.rank) < n {
-		//lint:allow hotalloc grows at most to the largest database size the Builder serves, then is reused
-		b.rank = make([]int32, n)
-	}
+	// The top level is the source's bitmap. An item of depth d is marked
+	// at levels 0..d-1, and its bit at level l+1 is its rank in id order
+	// among level-l marked items, so visiting the top bits in id order
+	// places every bit without a sort.
 	top := &st.Seqs[0]
-	for r, it := range items[:avail] {
-		b.rank[it.id] = int32(r)
-		top.set(int(it.id))
-	}
+	copy(top.Bits, topBits)
 	var counters [64]int
 	for w, word := range top.Bits {
+		top.Ones += bits.OnesCount64(word)
 		for ; word != 0; word &= word - 1 {
-			r := int(b.rank[w<<6|bits.TrailingZeros64(word)])
+			d := int(depth[w<<6|bits.TrailingZeros64(word)])
 			pos := counters[0]
 			counters[0]++
-			for l := 1; l < len(st.Seqs) && r < marks[l]; l++ {
+			for l := 1; l < d; l++ {
 				st.Seqs[l].set(pos)
 				pos = counters[l]
 				counters[l]++
 			}
 		}
 	}
+	b.last, b.src, b.updates = st, src, src.Updates()
 	return st
 }
 

@@ -97,9 +97,11 @@ func equalIDs(a, b []int32) bool {
 	return true
 }
 
-// TestBuilderMatchesSortBuild pins the sort-free Builder to the reference
-// builder field by field, Ones included, with one Builder reused across
-// database sizes in both directions so stale scratch would show.
+// TestBuilderMatchesSortBuild pins the index-reading Builder to the
+// reference builder field by field, Ones included, with one Builder
+// reused across database sizes in both directions, and then builds after
+// every single update of one growing history, so the database's
+// incremental index is checked at each step rather than only at the end.
 func TestBuilderMatchesSortBuild(t *testing.T) {
 	src := rng.New(31)
 	var b Builder
@@ -109,6 +111,59 @@ func TestBuilderMatchesSortBuild(t *testing.T) {
 			got, want := b.Build(n, d), sortBuild(n, d)
 			if !structsEqual(got, want) {
 				t.Fatalf("N=%d, %d updates:\n got %+v\nwant %+v", n, ops, got, want)
+			}
+		}
+	}
+	for _, n := range []int{2, 3, 7, 64, 65, 1000} {
+		d := db.New(n, false)
+		var b Builder
+		prev := b.Build(n, d)
+		now, last := 0.0, int32(0)
+		for i := 0; i < 3*n; i++ {
+			// Every third update repeats the most recent id, so the
+			// one-item levels see their only item updated again.
+			id := int32(src.Intn(n))
+			if i%3 == 2 {
+				id = last
+			}
+			now += src.Exp(1)
+			d.Update(id, now)
+			last = id
+			got := b.Build(n, d)
+			if got == prev {
+				t.Fatalf("N=%d, update %d: the build after an update returned the previous structure", n, i)
+			}
+			if want := sortBuild(n, d); !structsEqual(got, want) {
+				t.Fatalf("N=%d, after update %d:\n got %+v\nwant %+v", n, i, got, want)
+			}
+			if again := b.Build(n, d); again != got {
+				t.Fatalf("N=%d, update %d: a build with no update since did not reuse the structure", n, i)
+			}
+			prev = got
+		}
+	}
+}
+
+// TestBuilderReuseIsPerSource checks that the reuse key includes the
+// source: two databases with equal update counts but different histories
+// each get their own structure from one Builder, also when it alternates
+// between them.
+func TestBuilderReuseIsPerSource(t *testing.T) {
+	const n = 64
+	a, c := db.New(n, false), db.New(n, false)
+	for i := 0; i < 20; i++ {
+		a.Update(int32(i), float64(i))
+		c.Update(int32(n-1-i), float64(i))
+	}
+	if a.Updates() != c.Updates() {
+		t.Fatal("setup: update counts differ")
+	}
+	var b Builder
+	for round := 0; round < 2; round++ {
+		for _, d := range []*db.Database{a, c} {
+			got := b.Build(n, d)
+			if !structsEqual(got, sortBuild(n, d)) {
+				t.Fatalf("round %d: the build for one database carries another's structure", round)
 			}
 		}
 	}
@@ -139,15 +194,25 @@ func TestEncodeMatchesPerBitReference(t *testing.T) {
 	}
 }
 
-// TestBuilderAllocatesOnlyTheReport pins the server-side cost: once a
-// Builder has sized its scratch, a build allocates the Structure, its
-// Seqs and each level's words, and nothing else.
+// TestBuilderAllocatesOnlyTheReport pins the server-side cost: a build
+// after an update allocates the Structure, its Seqs and each level's
+// words, and nothing else; a build with no update since the last one
+// returns that structure and allocates nothing.
 func TestBuilderAllocatesOnlyTheReport(t *testing.T) {
 	const n = 10000
-	d, _ := randomHistory(rng.New(5), n, n/4)
+	src := rng.New(5)
+	d, now := randomHistory(src, n, n/4)
 	var b Builder
 	levels := len(b.Build(n, d).Seqs)
-	if got := testing.AllocsPerRun(20, func() { b.Build(n, d) }); got != float64(2+levels) {
-		t.Fatalf("%v allocs per build, want %d (the structure, its levels and %d bit arrays)", got, 2+levels, levels)
+	changed := testing.AllocsPerRun(20, func() {
+		now += 1
+		d.Update(int32(src.Intn(n)), now)
+		b.Build(n, d)
+	})
+	if changed != float64(2+levels) {
+		t.Fatalf("%v allocs per build after an update, want %d (the structure, its levels and %d bit arrays)", changed, 2+levels, levels)
+	}
+	if got := testing.AllocsPerRun(20, func() { b.Build(n, d) }); got != 0 {
+		t.Fatalf("%v allocs per build of an unchanged database, want 0", got)
 	}
 }

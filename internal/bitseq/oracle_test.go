@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"mobicache/internal/bitio"
+	"mobicache/internal/db"
 )
 
 // This file keeps the straightforward forms of the client decode, the
@@ -60,9 +61,10 @@ func (s *Structure) IDsAtLevel(li int, dst []int32) []int32 {
 	return dst
 }
 
-// sortBuild is the reference builder: it collects the marked items, sorts
-// their recency ranks by item id and assigns the bits level by level.
-func sortBuild(n int, src UpdateSource) *Structure {
+// sortBuild is the reference builder: it walks the recency list for the
+// marked items, sorts their recency ranks by item id and assigns the bits
+// level by level, reading no part of the database's depth index.
+func sortBuild(n int, src *db.Database) *Structure {
 	if n < 2 {
 		panic("bitseq: database too small")
 	}
@@ -71,6 +73,10 @@ func sortBuild(n int, src UpdateSource) *Structure {
 		st.TS0 = t
 	} else {
 		st.TS0 = Epoch
+	}
+	type rec struct {
+		id int32
+		ts float64
 	}
 	capTop := n / 2
 	items := make([]rec, 0, capTop+1)

@@ -93,13 +93,15 @@ func applyBS(st *ClientState, br *report.BSReport, x *bsIndex) Outcome {
 // bsIndex is the fan-out side of the Figure 2 invalidation step, the BS
 // counterpart of tsIndex: a dense id → marking-depth table over the N-item
 // space (Structure.Depths), filled once per bit-sequences report and shared
-// by every client a ClientSide serves. Like tsIndex it is keyed by the
-// report's pointer, which is sound because a report is immutable once
-// delivered; holding the pointer keeps its address from being reused.
+// by every client a ClientSide serves. It is keyed by the structure's
+// pointer, which is sound because a report is immutable once delivered;
+// holding the pointer keeps its address from being reused. A server's
+// Builder hands out the same structure for every broadcast with no update
+// in between, so those reports share one fill.
 //
-// Fan-out cost: one O(N/64 + marked items × levels) fill per broadcast,
-// paid lazily by the first client that reaches InvalidateSet with a
-// non-empty cache, then O(cache) per client.
+// Fan-out cost: one O(N/64 + marked items × levels) fill per distinct
+// structure, paid lazily by the first client that reaches InvalidateSet
+// with a non-empty cache, then O(cache) per client.
 type bsIndex struct {
 	rep   *bitseq.Structure // the structure depth decodes; nil before the first fill
 	depth []uint8           // id -> number of leading levels marking it

@@ -350,17 +350,10 @@ func validate(st *ClientState, t float64) {
 // tsBn reports TS(B_n) for the current database state: the update time of
 // the (N/2+1)-th most recently updated item, or the epoch when at most
 // N/2 distinct items were ever updated (then the bit-sequences structure
-// can salvage arbitrarily old caches).
+// can salvage arbitrarily old caches). It reads the database's depth
+// index, so it costs O(1).
 func tsBn(d *db.Database) float64 {
-	half := d.N() / 2
-	if d.DistinctUpdated() <= half {
-		return bitseq.Epoch
-	}
-	ts, ok := d.NthRecentTime(half)
-	if !ok {
-		return bitseq.Epoch
-	}
-	return ts
+	return max(d.LevelTS(0), bitseq.Epoch)
 }
 
 // Registry maps scheme names to constructors.

@@ -6,6 +6,7 @@ import (
 	"mobicache/internal/bitseq"
 	"mobicache/internal/db"
 	"mobicache/internal/report"
+	"mobicache/internal/rng"
 )
 
 // indexOf returns the shared report index of a TS-family client half.
@@ -154,6 +155,75 @@ func TestBSReportIndexReuse(t *testing.T) {
 			}
 			if idx.rep == empty.S {
 				t.Fatal("the all-valid report was indexed")
+			}
+		})
+	}
+}
+
+// TestBSSharedStructureMatchesCopies: a Builder hands back the same
+// structure for every broadcast with no update since the last, so
+// successive reports share one structure and a client half, keyed by its
+// pointer, skips the depth fill. One ClientSide fed those shared reports
+// must leave every client exactly as another ClientSide fed a fresh build
+// of each report does, for clients whose Tlb falls at each of the last
+// few broadcasts or long before them. Most periods carry no update, as at
+// Table 1's rates, and some reused structures must invalidate part of a
+// cache so the comparison is not vacuous.
+func TestBSSharedStructureMatchesCopies(t *testing.T) {
+	const n, capacity, period = 100, 30, 20.0
+	for _, s := range []Scheme{BS(), AFW()} {
+		t.Run(s.Name(), func(t *testing.T) {
+			src := rng.New(3)
+			d := db.New(n, false)
+			var b bitseq.Builder
+			shared, fresh := s.NewClient(DefaultParams(n)), s.NewClient(DefaultParams(n))
+			var prev *bitseq.Structure
+			reused, partial := 0, 0
+			for k := 1; k <= 80; k++ {
+				now := float64(k) * period
+				if src.Float64() < 0.4 {
+					m := 1 + src.Intn(8)
+					for j := 1; j <= m; j++ {
+						d.Update(int32(src.Intn(n)), now-period+period*float64(j)/float64(m+1))
+					}
+				}
+				sr := &report.BSReport{T: now, S: b.Build(n, d)}
+				fr := &report.BSReport{T: now, S: new(bitseq.Builder).Build(n, d)}
+				isReuse := sr.S == prev
+				if isReuse {
+					reused++
+				}
+				prev = sr.S
+				for _, back := range []float64{1, 2, 3, 6, 40} {
+					tlb := max(now-back*period, 0)
+					sst, fst := newClientState(1, capacity, n), newClientState(1, capacity, n)
+					for i := 0; i < capacity; i++ {
+						id := int32((i*37 + k) % n)
+						sst.Cache.Put(id, tlb, 1)
+						fst.Cache.Put(id, tlb, 1)
+					}
+					sst.Tlb, fst.Tlb = tlb, tlb
+					so, fo := shared.HandleReport(sst, sr, now), fresh.HandleReport(fst, fr, now)
+					if so != fo || sst.Tlb != fst.Tlb || sst.Drops != fst.Drops || sst.Salvages != fst.Salvages {
+						t.Fatalf("broadcast %d, Tlb %v: shared %+v (Tlb %v, %d drops, %d salvages), fresh %+v (Tlb %v, %d drops, %d salvages)",
+							k, tlb, so, sst.Tlb, sst.Drops, sst.Salvages, fo, fst.Tlb, fst.Drops, fst.Salvages)
+					}
+					got, want := sst.Cache.Entries(nil), fst.Cache.Entries(nil)
+					if len(got) != len(want) {
+						t.Fatalf("broadcast %d, Tlb %v: shared report leaves %v, fresh copy %v", k, tlb, got, want)
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("broadcast %d, Tlb %v: shared report leaves %v, fresh copy %v", k, tlb, got, want)
+						}
+					}
+					if isReuse && len(got) > 0 && len(got) < capacity {
+						partial++
+					}
+				}
+			}
+			if reused == 0 || partial == 0 {
+				t.Fatalf("vacuous: %d reused structures, %d partial invalidations by one", reused, partial)
 			}
 		})
 	}

@@ -1,14 +1,22 @@
 // Package db implements the server's database: N named items, updated
 // only at the server (paper §2). Besides current item state it maintains
-// the two indexes the invalidation schemes need:
+// the three indexes the invalidation schemes need:
 //
-//   - a recency list (most recently updated first) from which both the
-//     timestamp-window reports and the bit-sequences structure are built
-//     in time proportional to their own size, and
+//   - a recency list (most recently updated first) from which the
+//     timestamp-window reports are built in time proportional to their
+//     own size,
+//   - a recency-depth index for the bit-sequences structure (paper §2.3):
+//     level l (0 = the N-bit top) marks the N>>(l+1) most recently
+//     updated items, so each item's depth, the number of levels marking
+//     it, depends on its recency rank alone. Update keeps the depths, the
+//     bitmap of marked ids and each level's least recent marked item in
+//     O(levels), so a structure is built without walking the list, and
 //   - an append-only update log, chained per item, so the consistency
 //     checker can ask "what version was current at time t" and verify
 //     that no client ever serves a stale cache entry.
 package db
+
+import "math/bits"
 
 // UpdateEntry is one (item, last-update time) pair, as carried in
 // timestamp-window invalidation reports.
@@ -44,6 +52,15 @@ type Database struct {
 	head, tail int32
 	updated    int // distinct items ever updated
 
+	// Recency-depth index: depth[id] is the number of levels marking id,
+	// top holds one bit per id with depth >= 1, and bound[l] is level l's
+	// least recent marked item once N>>(l+1) items were updated (nilIdx
+	// until then). The levels are those of the bit-sequences structure:
+	// n>>l >= 2 bits each.
+	depth []uint8
+	top   []uint64
+	bound []int32
+
 	updates      int64   // total update operations
 	lastTime     float64 // global high-water mark for time ordering
 	trackHistory bool
@@ -62,6 +79,9 @@ func New(n int, trackHistory bool) *Database {
 		version:      make([]int32, n),
 		next:         make([]int32, n),
 		prev:         make([]int32, n),
+		depth:        make([]uint8, n),
+		top:          make([]uint64, (n+63)/64),
+		bound:        make([]int32, bits.Len(uint(n))-1),
 		head:         nilIdx,
 		tail:         nilIdx,
 		trackHistory: trackHistory,
@@ -70,6 +90,9 @@ func New(n int, trackHistory bool) *Database {
 		d.lastUpdate[i] = -1
 		d.next[i] = nilIdx
 		d.prev[i] = nilIdx
+	}
+	for l := range d.bound {
+		d.bound[l] = nilIdx
 	}
 	if trackHistory {
 		d.newest = make([]int32, n)
@@ -97,6 +120,7 @@ func (d *Database) Update(id int32, now float64) {
 		panic("db: updates out of time order")
 	}
 	d.lastTime = now
+	oldPrev := d.prev[id]
 	if d.lastUpdate[id] < 0 {
 		d.updated++
 	} else {
@@ -105,10 +129,46 @@ func (d *Database) Update(id int32, now float64) {
 	d.lastUpdate[id] = now
 	d.version[id]++
 	d.pushFront(id)
+	d.reindex(id, oldPrev)
 	d.updates++
 	if d.trackHistory {
 		d.log = append(d.log, logEntry{t: now, prev: d.newest[id]})
 		d.newest[id] = int32(len(d.log))
+	}
+}
+
+// reindex updates the recency-depth index after pushFront made id the
+// most recent item; oldPrev is id's predecessor before the move.
+func (d *Database) reindex(id, oldPrev int32) {
+	old := int(d.depth[id])
+	// A level that already marked id keeps its set. Its least recent
+	// marked item moves up one rank only if it was id itself, unless id
+	// was also the most recent (a one-item level).
+	for l := 0; l < old; l++ {
+		if d.bound[l] == id && oldPrev != nilIdx {
+			d.bound[l] = oldPrev
+		}
+	}
+	// Any other level gains id at the front. A full level loses its least
+	// recent marked item, whose predecessor (id itself for a one-item
+	// level) becomes the bound; a level id just filled is bound at the
+	// tail. A level that did not mark id and is not full cannot exist
+	// for an item updated before, so only a first update fills one.
+	for l := old; l < len(d.bound); l++ {
+		switch b := d.bound[l]; {
+		case b != nilIdx:
+			d.depth[b]--
+			if l == 0 {
+				d.top[b>>6] &^= 1 << (uint(b) & 63)
+			}
+			d.bound[l] = d.prev[b]
+		case d.updated == d.n>>(l+1):
+			d.bound[l] = d.tail
+		}
+	}
+	if len(d.bound) > 0 {
+		d.depth[id] = uint8(len(d.bound))
+		d.top[id>>6] |= 1 << (uint(id) & 63)
 	}
 }
 
@@ -173,7 +233,9 @@ func (d *Database) CountUpdatedSince(t float64) int {
 
 // MostRecent calls fn for up to max distinct items in most-recent-first
 // order, stopping early if fn returns false. It visits only items that
-// were ever updated.
+// were ever updated. The AT and signature servers build their reports off
+// this walk. The bit-sequences build reads the depth index instead; only
+// its sort-based test oracle still walks the list.
 func (d *Database) MostRecent(max int, fn func(id int32, ts float64) bool) {
 	count := 0
 	for id := d.head; id != nilIdx && count < max; id = d.next[id] {
@@ -184,18 +246,23 @@ func (d *Database) MostRecent(max int, fn func(id int32, ts float64) bool) {
 	}
 }
 
-// NthRecentTime reports the last-update time of the n-th most recently
-// updated item (0-based) and true, or 0 and false when fewer than n+1
-// items were ever updated. The bit-sequences scheme uses this for TS(Bk).
-func (d *Database) NthRecentTime(n int) (float64, bool) {
-	count := 0
-	for id := d.head; id != nilIdx; id = d.next[id] {
-		if count == n {
-			return d.lastUpdate[id], true
-		}
-		count++
+// DepthIndex returns the recency-depth index's views, valid until the
+// next Update and never to be modified: top holds one bit per item id
+// marked at level 0 (the N/2 most recently updated items), and depth[id]
+// is the number of leading levels marking id (0 when unmarked), so id is
+// marked at level l iff depth[id] > l.
+func (d *Database) DepthIndex() (top []uint64, depth []uint8) { return d.top, d.depth }
+
+// LevelTS reports the bit-sequences timestamp TS(B_l): the update time of
+// the most recent item level l does not mark, or -1 when level l marks
+// every ever-updated item. Every item marked at level l was updated after
+// it.
+func (d *Database) LevelTS(l int) float64 {
+	b := d.bound[l]
+	if b == nilIdx || d.next[b] == nilIdx {
+		return -1
 	}
-	return 0, false
+	return d.lastUpdate[d.next[b]]
 }
 
 // NewestUpdateTime reports the most recent update time, or -1 if the

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"math/bits"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -99,18 +100,81 @@ func TestMostRecent(t *testing.T) {
 	}
 }
 
-func TestNthRecentTime(t *testing.T) {
-	d := New(10, false)
-	d.Update(7, 100)
-	d.Update(8, 200)
-	if ts, ok := d.NthRecentTime(0); !ok || ts != 200 {
-		t.Fatalf("0th = %v %v", ts, ok)
-	}
-	if ts, ok := d.NthRecentTime(1); !ok || ts != 100 {
-		t.Fatalf("1st = %v %v", ts, ok)
-	}
-	if _, ok := d.NthRecentTime(2); ok {
-		t.Fatal("2nd should not exist")
+// TestDepthIndexMatchesRecencyWalk pins the recency-depth index against
+// ranks read off a MostRecent walk after every single update: depth[id]
+// must be #{l : rank < N>>(l+1)} (0 for ids never updated or ranked past
+// N/2), top must hold exactly the ids of depth >= 1, and LevelTS(l) must
+// be the update time of the item at rank min(N>>(l+1), updated), or -1
+// when no item holds that rank. The seeded streams draw from a pool of
+// N/3 ids (a history that never reaches N/2 distinct items), from all N
+// ids (one that passes it), and re-update the most recent item or a
+// level's least recent marked item every few steps.
+func TestDepthIndexMatchesRecencyWalk(t *testing.T) {
+	for _, n := range []int{2, 3, 7, 64, 65, 1000} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			src := rng.New(seed)
+			d := New(n, false)
+			levels := bits.Len(uint(n)) - 1
+			pool := n
+			if seed == 1 {
+				pool = max(n/3, 1)
+			}
+			rank := make([]int, n)
+			var recent []int32 // ids most recent first
+			now := 0.0
+			for i := 0; i < 3*n+10; i++ {
+				id := int32(src.Intn(pool))
+				if len(recent) > 0 {
+					switch r := src.Float64(); {
+					case r < 0.15: // the most recent item again
+						id = recent[0]
+					case r < 0.3: // some level's least recent marked item
+						l := src.Intn(levels)
+						id = recent[min(n>>(l+1), len(recent))-1]
+					}
+				}
+				now += src.Exp(1)
+				d.Update(id, now)
+
+				recent = recent[:0]
+				d.MostRecent(n, func(id int32, _ float64) bool {
+					recent = append(recent, id)
+					return true
+				})
+				for id := range rank {
+					rank[id] = n // never updated: ranked past every level
+				}
+				for r, id := range recent {
+					rank[id] = r
+				}
+				top, depth := d.DepthIndex()
+				for id := 0; id < n; id++ {
+					want := 0
+					for l := 0; l < levels && rank[id] < n>>(l+1); l++ {
+						want++
+					}
+					if int(depth[id]) != want {
+						t.Fatalf("N=%d seed %d update %d: depth[%d] = %d, rank %d gives %d",
+							n, seed, i, id, depth[id], rank[id], want)
+					}
+					if inTop := top[id>>6]&(1<<(uint(id)&63)) != 0; inTop != (want >= 1) {
+						t.Fatalf("N=%d seed %d update %d: top bit of %d is %v at depth %d",
+							n, seed, i, id, inTop, want)
+					}
+				}
+				for l := 0; l < levels; l++ {
+					m := min(n>>(l+1), len(recent))
+					want := -1.0
+					if m < len(recent) {
+						want = d.LastUpdate(recent[m])
+					}
+					if got := d.LevelTS(l); got != want {
+						t.Fatalf("N=%d seed %d update %d: LevelTS(%d) = %v, rank %d gives %v",
+							n, seed, i, l, got, m, want)
+					}
+				}
+			}
+		}
 	}
 }
 
