@@ -65,11 +65,11 @@ var knownHot = map[string][]string{
 		"Cache.Lookup", "Cache.Peek", "Cache.Put", "Cache.Invalidate", "Cache.TouchAll",
 	},
 	// TestHandleReportBSZeroAlloc pins a client's bit-sequences report
-	// application at 0 allocs/op; the depth fill runs once per broadcast
-	// inside it, and BenchmarkBitseqBuild pins the server's build at the
-	// report's own storage (none for an unchanged database).
-	"internal/core":   {"bsIndex.invalidate"},
-	"internal/bitseq": {"Structure.Level", "Structure.Depths", "Builder.Build"},
+	// application at 0 allocs/op, and BenchmarkBitseqBuild pins the
+	// server's build at the report's own storage (none for an unchanged
+	// database).
+	"internal/core":   {"bsScratch.invalidate"},
+	"internal/bitseq": {"Structure.Level", "Builder.Build"},
 	// BenchmarkServerFetchShed pins a fetch the bounded downlink sheds at
 	// 0 allocs/op: the pending-fetch record comes off the freelist.
 	"internal/server": {"Server.admitFetch"},

@@ -20,12 +20,15 @@
 // salvage caches after arbitrarily long disconnections without a fixed
 // history window.
 //
-// The structure depends only on the database's update-recency order, so
-// the server builds it from the recency-depth index the database keeps
-// (internal/db) without walking the recency list: O(N/64 words + marked
-// items × levels). A Builder that sees no update since its last build
-// returns that same structure, which at the paper's update rates is most
-// broadcasts.
+// The marked sets are nested, so the whole stack is equivalent to one
+// per-item depth: the number of leading levels marking the item. In
+// memory a Structure holds that depth table and each level's timestamp;
+// the level bits exist only on the wire (Encode, Decode). The server
+// builds a structure by copying the recency-depth index the database
+// keeps (internal/db), O(N) bytes with no list walk, and a Builder that
+// sees no update since its last build returns that same structure, which
+// at the paper's update rates is most broadcasts. A client reads the
+// depth table directly, so applying a report decodes nothing.
 package bitseq
 
 import (
@@ -34,14 +37,19 @@ import (
 	"mobicache/internal/bitio"
 )
 
-// Sequence is one level of the structure.
-type Sequence struct {
+// Level is one sequence's header.
+type Level struct {
 	// TS is the level timestamp: every marked item was updated after TS.
 	TS float64
+	// Len is the number of bits, N>>l at level l.
+	Len int
+}
+
+// Sequence is one level in its wire form (see Structure.Sequences).
+type Sequence struct {
+	Level
 	// Bits holds Len bits, packed little-endian in uint64 words.
 	Bits []uint64
-	// Len is the number of valid bits.
-	Len int
 	// Ones is the number of set bits.
 	Ones int
 }
@@ -54,16 +62,20 @@ func (s *Sequence) set(i int) {
 	s.Ones++
 }
 
-// Structure is a complete bit-sequences report payload.
+// Structure is a complete bit-sequences report payload. It is immutable
+// once built: reports in flight share it.
 type Structure struct {
 	// N is the database size (bits in the top sequence).
 	N int
-	// Seqs holds the levels from B_n (index 0, N bits) down to the
-	// smallest level with at least 2 bits.
-	Seqs []Sequence
 	// TS0 is the dummy B_0 timestamp: the most recent update time, or
 	// negative if the database was never updated.
 	TS0 float64
+	// Levels holds the level headers from B_n (index 0, N bits) down to
+	// the smallest level with at least 2 bits.
+	Levels []Level
+	// Depth holds, per item id, the number of leading levels marking it,
+	// so the id is marked at level l iff Depth[id] > l.
+	Depth []uint8
 }
 
 // Epoch is the timestamp meaning "before every update". Simulated time is
@@ -79,9 +91,8 @@ type UpdateSource interface {
 	// NewestUpdateTime reports the most recent update time, or negative
 	// if nothing was ever updated.
 	NewestUpdateTime() float64
-	// DepthIndex returns the ids marked at the top level as a bitmap and,
-	// per id, the number of leading levels marking it.
-	DepthIndex() (top []uint64, depth []uint8)
+	// DepthIndex returns, per id, the number of leading levels marking it.
+	DepthIndex() []uint8
 	// LevelTS reports TS(B_l) for level l (0 = the top), or negative when
 	// the level marks every ever-updated item.
 	LevelTS(l int) float64
@@ -91,10 +102,9 @@ type UpdateSource interface {
 // of the source's recency order and update times, which change only with
 // its update count, and a report is immutable once delivered, so a build
 // from the same source with no update since the last one returns the
-// previous structure itself; a client keyed by the structure pointer then
-// skips its decode too. Otherwise only the returned Structure is
-// allocated. The zero value is ready; a Builder is not safe for
-// concurrent use.
+// previous structure itself. Otherwise a build allocates the Structure,
+// its level headers and its copy of the depth index, and nothing else.
+// The zero value is ready; a Builder is not safe for concurrent use.
 type Builder struct {
 	last    *Structure   // the structure the last build returned
 	src     UpdateSource // the source it was built from
@@ -110,46 +120,24 @@ func (b *Builder) Build(n int, src UpdateSource) *Structure {
 	if b.last != nil && b.src == src && b.updates == src.Updates() && b.last.N == n {
 		return b.last
 	}
-	topBits, depth := src.DepthIndex()
+	depth := src.DepthIndex()
 	if len(depth) != n {
 		panic("bitseq: source size differs from n")
 	}
 	//lint:allow hotalloc the report owns a fresh structure: reports are immutable once delivered
 	st := &Structure{N: n, TS0: max(src.NewestUpdateTime(), Epoch)}
-
-	// Level l has n>>l bits, down to 2, and marks the n>>(l+1) most
-	// recent items (all of them while fewer were ever updated); the
-	// marked sets are nested.
-	//lint:allow hotalloc the report owns its levels
-	st.Seqs = make([]Sequence, bits.Len(uint(n))-1)
-	for l := range st.Seqs {
-		size := n >> l
-		st.Seqs[l].Len = size
-		//lint:allow hotalloc the report owns its bits
-		st.Seqs[l].Bits = make([]uint64, (size+63)/64)
-		st.Seqs[l].TS = max(src.LevelTS(l), Epoch)
+	// Level l has n>>l bits, down to 2.
+	//lint:allow hotalloc the report owns its level headers
+	st.Levels = make([]Level, bits.Len(uint(n))-1)
+	for l := range st.Levels {
+		st.Levels[l].TS = max(src.LevelTS(l), Epoch)
+		st.Levels[l].Len = n >> l
 	}
-
-	// The top level is the source's bitmap. An item of depth d is marked
-	// at levels 0..d-1, and its bit at level l+1 is its rank in id order
-	// among level-l marked items, so visiting the top bits in id order
-	// places every bit without a sort.
-	top := &st.Seqs[0]
-	copy(top.Bits, topBits)
-	var counters [64]int
-	for w, word := range top.Bits {
-		top.Ones += bits.OnesCount64(word)
-		for ; word != 0; word &= word - 1 {
-			d := int(depth[w<<6|bits.TrailingZeros64(word)])
-			pos := counters[0]
-			counters[0]++
-			for l := 1; l < d; l++ {
-				st.Seqs[l].set(pos)
-				pos = counters[l]
-				counters[l]++
-			}
-		}
-	}
+	// The source keeps updating while the report is in flight, so the
+	// report owns a copy of its depth index.
+	//lint:allow hotalloc the report owns its depth table
+	st.Depth = make([]uint8, n)
+	copy(st.Depth, depth)
 	b.last, b.src, b.updates = st, src, src.Updates()
 	return st
 }
@@ -189,39 +177,15 @@ func (s *Structure) Level(tlb float64) (Action, int) {
 	if s.TS0 <= tlb {
 		return AllValid, 0
 	}
-	if len(s.Seqs) == 0 || tlb < s.Seqs[0].TS {
+	if len(s.Levels) == 0 || tlb < s.Levels[0].TS {
 		return DropAll, 0
 	}
 	// Timestamps are non-decreasing with depth, so scan forward.
 	level := 0
-	for level+1 < len(s.Seqs) && s.Seqs[level+1].TS <= tlb {
+	for level+1 < len(s.Levels) && s.Levels[level+1].TS <= tlb {
 		level++
 	}
 	return InvalidateSet, level
-}
-
-// Depths fills depth[:N] with, for each item id, the number of leading
-// levels that mark it, so the id is marked at level l iff depth[id] > l.
-// One pass decodes every level at once: O(N/64) words plus O(levels) per
-// marked item. len(depth) must be at least N.
-func (s *Structure) Depths(depth []uint8) {
-	clear(depth[:s.N])
-	// counters[l] counts the level-l marked items seen so far in id
-	// order: the bit position at level l+1 of the next such item.
-	var counters [64]int
-	for w, word := range s.Seqs[0].Bits {
-		for ; word != 0; word &= word - 1 {
-			pos := counters[0]
-			counters[0]++
-			d := uint8(1)
-			for l := 1; l < len(s.Seqs) && s.Seqs[l].get(pos); l++ {
-				pos = counters[l]
-				counters[l]++
-				d++
-			}
-			depth[w<<6|bits.TrailingZeros64(word)] = d
-		}
-	}
 }
 
 // SizeBits reports the analytic report size in bits: the sum of all
@@ -229,10 +193,33 @@ func (s *Structure) Depths(depth []uint8) {
 // B_0, matching the paper's 2N + bT*log2(N) formula.
 func (s *Structure) SizeBits(tsBits int) int {
 	total := tsBits // TS(B0)
-	for i := range s.Seqs {
-		total += s.Seqs[i].Len + tsBits
+	for _, l := range s.Levels {
+		total += l.Len + tsBits
 	}
 	return total
+}
+
+// Sequences derives every level's bits from Depth into fresh storage and
+// leaves s unchanged. An item of depth d is marked at levels 0..d-1, and
+// its bit at level l+1 is its rank in id order among level-l marked
+// items, so one pass in id order places every bit without a sort.
+func (s *Structure) Sequences() []Sequence {
+	seqs := make([]Sequence, len(s.Levels))
+	for l, lv := range s.Levels {
+		seqs[l] = Sequence{Level: lv, Bits: make([]uint64, (lv.Len+63)/64)}
+	}
+	// counters[l] counts the level-l marked items seen so far in id
+	// order: the bit position at level l+1 of the next such item.
+	var counters [64]int
+	for id, d := range s.Depth {
+		pos := id
+		for l := 0; l < int(d); l++ {
+			seqs[l].set(pos)
+			pos = counters[l]
+			counters[l]++
+		}
+	}
+	return seqs
 }
 
 // Encode serializes the structure with bit-exact field widths. The wire
@@ -241,8 +228,7 @@ func (s *Structure) SizeBits(tsBits int) int {
 // database size.
 func (s *Structure) Encode(w *bitio.Writer) {
 	w.WriteFloat(s.TS0)
-	for i := range s.Seqs {
-		seq := &s.Seqs[i]
+	for _, seq := range s.Sequences() {
 		w.WriteFloat(seq.TS)
 		// Bit 0 goes first and WriteBits is MSB-first, so each word
 		// travels bit-reversed; the last one carries only its valid bits.
@@ -253,16 +239,18 @@ func (s *Structure) Encode(w *bitio.Writer) {
 	}
 }
 
-// Decode reconstructs a structure for an n-item database from r.
+// Decode reconstructs a structure for an n-item database from r. Bits a
+// level sets past the marked count of the level above mark nothing, so
+// they are dropped.
 func Decode(n int, r *bitio.Reader) (*Structure, error) {
-	st := &Structure{N: n}
 	ts0, err := r.ReadFloat()
 	if err != nil {
 		return nil, err
 	}
-	st.TS0 = ts0
+	st := &Structure{N: n, TS0: ts0}
+	var seqs []Sequence
 	for size := n; size >= 2; size /= 2 {
-		seq := Sequence{Len: size, Bits: make([]uint64, (size+63)/64)}
+		seq := Sequence{Level: Level{Len: size}, Bits: make([]uint64, (size+63)/64)}
 		if seq.TS, err = r.ReadFloat(); err != nil {
 			return nil, err
 		}
@@ -273,9 +261,20 @@ func Decode(n int, r *bitio.Reader) (*Structure, error) {
 				return nil, err
 			}
 			seq.Bits[i] = bits.Reverse64(v << (64 - width))
-			seq.Ones += bits.OnesCount64(seq.Bits[i])
 		}
-		st.Seqs = append(st.Seqs, seq)
+		seqs = append(seqs, seq)
+		st.Levels = append(st.Levels, seq.Level)
+	}
+	// The inverse of Sequences: follow each id down while its position
+	// at the next level is marked.
+	st.Depth = make([]uint8, n)
+	var counters [64]int
+	for id := range st.Depth {
+		for l, pos := 0, id; l < len(seqs) && pos < seqs[l].Len && seqs[l].get(pos); l++ {
+			st.Depth[id]++
+			pos = counters[l]
+			counters[l]++
+		}
 	}
 	return st, nil
 }

@@ -26,8 +26,8 @@ func TestEmptyDatabase(t *testing.T) {
 	if act, _ := st.Locate(0, nil); act != AllValid {
 		t.Fatalf("action = %v", act)
 	}
-	if len(st.Seqs) != 4 { // 16, 8, 4, 2
-		t.Fatalf("levels = %d", len(st.Seqs))
+	if len(st.Levels) != 4 { // 16, 8, 4, 2
+		t.Fatalf("levels = %d", len(st.Levels))
 	}
 }
 
@@ -35,17 +35,18 @@ func TestLevelShapes(t *testing.T) {
 	st, _ := build(t, 16, [2]float64{3, 10})
 	wantLens := []int{16, 8, 4, 2}
 	for i, w := range wantLens {
-		if st.Seqs[i].Len != w {
-			t.Fatalf("level %d len = %d, want %d", i, st.Seqs[i].Len, w)
+		if st.Levels[i].Len != w {
+			t.Fatalf("level %d len = %d, want %d", i, st.Levels[i].Len, w)
 		}
 	}
 	// One updated item: marked at every level (1 <= size/2 always here).
-	for i := range st.Seqs {
-		if st.Seqs[i].Ones != 1 {
-			t.Fatalf("level %d ones = %d", i, st.Seqs[i].Ones)
+	seqs := st.Sequences()
+	for i := range seqs {
+		if seqs[i].Ones != 1 {
+			t.Fatalf("level %d ones = %d", i, seqs[i].Ones)
 		}
 	}
-	if !st.Seqs[0].get(3) {
+	if !seqs[0].get(3) {
 		t.Fatal("top level did not mark item 3")
 	}
 }
@@ -68,8 +69,8 @@ func TestMarksAreMostRecentHalf(t *testing.T) {
 	st, _ := build(t, 8,
 		[2]float64{0, 1}, [2]float64{1, 2}, [2]float64{2, 3},
 		[2]float64{3, 4}, [2]float64{4, 5}, [2]float64{5, 6})
-	if st.Seqs[0].Ones != 4 {
-		t.Fatalf("top ones = %d", st.Seqs[0].Ones)
+	if ones := st.Sequences()[0].Ones; ones != 4 {
+		t.Fatalf("top ones = %d", ones)
 	}
 	ids := st.IDsAtLevel(0, nil)
 	want := []int32{2, 3, 4, 5} // the 4 most recent
@@ -82,8 +83,8 @@ func TestMarksAreMostRecentHalf(t *testing.T) {
 		}
 	}
 	// TS(B_n) is the 5th most recent item's update time (item 1 at t=2).
-	if st.Seqs[0].TS != 2 {
-		t.Fatalf("TS(Bn) = %v", st.Seqs[0].TS)
+	if st.Levels[0].TS != 2 {
+		t.Fatalf("TS(Bn) = %v", st.Levels[0].TS)
 	}
 	// A client older than TS(B_n) must drop everything.
 	if act, _ := st.Locate(1.5, nil); act != DropAll {
@@ -97,9 +98,10 @@ func TestDeeperLevelsHalve(t *testing.T) {
 		[2]float64{14, 5}, [2]float64{15, 6}, [2]float64{0, 7}, [2]float64{1, 8})
 	// Top marks 8 most recent (all 8), level 1 (8 bits) marks 4, level 2
 	// marks 2, level 3 marks 1.
+	seqs := st.Sequences()
 	for i, want := range []int{8, 4, 2, 1} {
-		if st.Seqs[i].Ones != want {
-			t.Fatalf("level %d ones = %d, want %d", i, st.Seqs[i].Ones, want)
+		if seqs[i].Ones != want {
+			t.Fatalf("level %d ones = %d, want %d", i, seqs[i].Ones, want)
 		}
 	}
 	// Level 2's marked ids are the 2 most recent: items 0 and 1.
@@ -108,9 +110,9 @@ func TestDeeperLevelsHalve(t *testing.T) {
 		t.Fatalf("level-2 ids = %v", ids)
 	}
 	// Level timestamps increase with depth.
-	for i := 1; i < len(st.Seqs); i++ {
-		if st.Seqs[i].TS < st.Seqs[i-1].TS {
-			t.Fatalf("timestamps not monotone: %v", st.Seqs)
+	for i := 1; i < len(st.Levels); i++ {
+		if st.Levels[i].TS < st.Levels[i-1].TS {
+			t.Fatalf("timestamps not monotone: %v", st.Levels)
 		}
 	}
 }
@@ -176,15 +178,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TS0 != st.TS0 || len(got.Seqs) != len(st.Seqs) {
+	if got.TS0 != st.TS0 || len(got.Levels) != len(st.Levels) {
 		t.Fatalf("header mismatch: %+v vs %+v", got, st)
 	}
-	for l := range st.Seqs {
-		if got.Seqs[l].TS != st.Seqs[l].TS || got.Seqs[l].Ones != st.Seqs[l].Ones {
+	gotSeqs, wantSeqs := got.Sequences(), st.Sequences()
+	for l := range wantSeqs {
+		if gotSeqs[l].TS != wantSeqs[l].TS || gotSeqs[l].Ones != wantSeqs[l].Ones {
 			t.Fatalf("level %d mismatch", l)
 		}
-		for b := 0; b < st.Seqs[l].Len; b++ {
-			if got.Seqs[l].get(b) != st.Seqs[l].get(b) {
+		for b := 0; b < wantSeqs[l].Len; b++ {
+			if gotSeqs[l].get(b) != wantSeqs[l].get(b) {
 				t.Fatalf("bit %d of level %d differs", b, l)
 			}
 		}
@@ -200,8 +203,8 @@ func TestDecodeShortBuffer(t *testing.T) {
 func TestNonPowerOfTwoN(t *testing.T) {
 	st, _ := build(t, 10, [2]float64{7, 3}, [2]float64{9, 5})
 	// Sizes: 10, 5, 2.
-	if len(st.Seqs) != 3 || st.Seqs[1].Len != 5 || st.Seqs[2].Len != 2 {
-		t.Fatalf("levels = %+v", st.Seqs)
+	if len(st.Levels) != 3 || st.Levels[1].Len != 5 || st.Levels[2].Len != 2 {
+		t.Fatalf("levels = %+v", st.Levels)
 	}
 	act, ids := st.Locate(0, nil)
 	if act != InvalidateSet || len(ids) != 2 {
@@ -329,10 +332,11 @@ func TestLevelNesting(t *testing.T) {
 	}
 	st := new(Builder).Build(100, d)
 	prev := map[int32]bool{}
-	for l := len(st.Seqs) - 1; l >= 0; l-- {
+	seqs := st.Sequences()
+	for l := len(seqs) - 1; l >= 0; l-- {
 		ids := st.IDsAtLevel(l, nil)
-		if len(ids) != st.Seqs[l].Ones {
-			t.Fatalf("level %d: %d ids vs %d ones", l, len(ids), st.Seqs[l].Ones)
+		if len(ids) != seqs[l].Ones {
+			t.Fatalf("level %d: %d ids vs %d ones", l, len(ids), seqs[l].Ones)
 		}
 		cur := map[int32]bool{}
 		for _, id := range ids {

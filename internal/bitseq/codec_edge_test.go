@@ -1,30 +1,17 @@
 package bitseq
 
 import (
+	"slices"
 	"testing"
 
 	"mobicache/internal/bitio"
 	"mobicache/internal/db"
 )
 
-// structsEqual compares two structures field by field, including the
-// packed words, so codec tests catch any bit-level drift.
+// structsEqual compares two structures field by field, the whole depth
+// table included; the level bits are a function of those fields.
 func structsEqual(a, b *Structure) bool {
-	if a.N != b.N || a.TS0 != b.TS0 || len(a.Seqs) != len(b.Seqs) {
-		return false
-	}
-	for i := range a.Seqs {
-		sa, sb := &a.Seqs[i], &b.Seqs[i]
-		if sa.TS != sb.TS || sa.Len != sb.Len || sa.Ones != sb.Ones {
-			return false
-		}
-		for w := range sa.Bits {
-			if sa.Bits[w] != sb.Bits[w] {
-				return false
-			}
-		}
-	}
-	return true
+	return a.N == b.N && a.TS0 == b.TS0 && slices.Equal(a.Levels, b.Levels) && slices.Equal(a.Depth, b.Depth)
 }
 
 // TestCodecEdgeCases round-trips the structures the normal path rarely
@@ -54,9 +41,9 @@ func TestCodecEdgeCases(t *testing.T) {
 				if s.TS0 != Epoch {
 					t.Fatalf("TS0 = %v, want epoch", s.TS0)
 				}
-				for i := range s.Seqs {
-					if s.Seqs[i].Ones != 0 {
-						t.Fatalf("level %d has %d marks in an empty structure", i, s.Seqs[i].Ones)
+				for i, seq := range s.Sequences() {
+					if seq.Ones != 0 {
+						t.Fatalf("level %d has %d marks in an empty structure", i, seq.Ones)
 					}
 				}
 			}
@@ -99,7 +86,7 @@ func TestLocateBoundaryTimestamps(t *testing.T) {
 	}
 	// Tlb exactly at the top level's timestamp selects it (boundary is
 	// inclusive); one ulp below drops the whole cache.
-	top := s.Seqs[0].TS
+	top := s.Levels[0].TS
 	if top == Epoch {
 		t.Fatalf("top level timestamp is the epoch; structure %+v", s)
 	}
@@ -112,9 +99,9 @@ func TestLocateBoundaryTimestamps(t *testing.T) {
 	// Equality at a deeper level's timestamp must pick that deeper level:
 	// its set is smaller, and soundness still holds because the level
 	// marks everything updated after its TS.
-	if len(s.Seqs) > 1 && s.Seqs[1].TS > s.Seqs[0].TS {
-		_, idsDeep := s.Locate(s.Seqs[1].TS, nil)
-		_, idsTop := s.Locate(s.Seqs[1].TS-1e-9, nil)
+	if len(s.Levels) > 1 && s.Levels[1].TS > s.Levels[0].TS {
+		_, idsDeep := s.Locate(s.Levels[1].TS, nil)
+		_, idsTop := s.Locate(s.Levels[1].TS-1e-9, nil)
 		if len(idsDeep) > len(idsTop) {
 			t.Fatalf("boundary Tlb invalidates more (%d) than the level above (%d)",
 				len(idsDeep), len(idsTop))

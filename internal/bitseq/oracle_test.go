@@ -1,6 +1,8 @@
 package bitseq
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"mobicache/internal/bitio"
@@ -8,9 +10,50 @@ import (
 )
 
 // This file keeps the straightforward forms of the client decode, the
-// server build and the wire encoder as test oracles: the production paths
-// (Level with Depths, Builder.Build, the word-level Encode) must agree
-// with them exactly.
+// server build, the wire encoder and the depth table as test oracles: the
+// production paths (Level with Depth, Builder.Build with Sequences, the
+// word-level Encode, Decode) must agree with them exactly.
+
+// wire is a structure in its wire form: the dummy timestamp and the
+// level bits.
+type wire struct {
+	n    int
+	ts0  float64
+	seqs []Sequence
+}
+
+func wireOf(s *Structure) wire { return wire{s.N, s.TS0, s.Sequences()} }
+
+// equal compares two wire forms field by field, including the packed
+// words and Ones, so codec tests catch any bit-level drift.
+func (a wire) equal(b wire) bool {
+	if a.n != b.n || a.ts0 != b.ts0 || len(a.seqs) != len(b.seqs) {
+		return false
+	}
+	for i := range a.seqs {
+		sa, sb := &a.seqs[i], &b.seqs[i]
+		if sa.Level != sb.Level || sa.Ones != sb.Ones || !slices.Equal(sa.Bits, sb.Bits) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkDepth is the reference depth table: ranks read off a MostRecent
+// walk, each id's depth the number of levels l with rank < N>>(l+1).
+func walkDepth(n int, src *db.Database) []uint8 {
+	levels := bits.Len(uint(n)) - 1
+	depth := make([]uint8, n)
+	rank := 0
+	src.MostRecent(n, func(id int32, _ float64) bool {
+		for l := 0; l < levels && rank < n>>(l+1); l++ {
+			depth[id]++
+		}
+		rank++
+		return true
+	})
+	return depth
+}
 
 // Locate implements the client-side BS algorithm (paper Figure 2): given
 // the client's last-report timestamp tlb, it returns the action and, for
@@ -19,22 +62,24 @@ func (s *Structure) Locate(tlb float64, dst []int32) (Action, []int32) {
 	if s.TS0 <= tlb {
 		return AllValid, dst
 	}
-	if len(s.Seqs) == 0 || tlb < s.Seqs[0].TS {
+	if len(s.Levels) == 0 || tlb < s.Levels[0].TS {
 		return DropAll, dst
 	}
 	// Deepest level with TS <= tlb; timestamps are non-decreasing with
 	// depth, so scan forward.
 	level := 0
-	for level+1 < len(s.Seqs) && s.Seqs[level+1].TS <= tlb {
+	for level+1 < len(s.Levels) && s.Levels[level+1].TS <= tlb {
 		level++
 	}
 	return InvalidateSet, s.IDsAtLevel(level, dst)
 }
 
 // IDsAtLevel appends the item ids marked at level li (0 = the top, N-bit
-// sequence) to dst, in ascending id order.
+// sequence) to dst, in ascending id order, reading the level bits rather
+// than Depth.
 func (s *Structure) IDsAtLevel(li int, dst []int32) []int32 {
-	top := &s.Seqs[0]
+	seqs := s.Sequences()
+	top := &seqs[0]
 	counters := make([]int, li+1)
 	for id := 0; id < top.Len; id++ {
 		if !top.get(id) {
@@ -46,7 +91,7 @@ func (s *Structure) IDsAtLevel(li int, dst []int32) []int32 {
 		pos := counters[0]
 		counters[0]++
 		for l := 1; l <= li; l++ {
-			if !s.Seqs[l].get(pos) {
+			if !seqs[l].get(pos) {
 				marked = false
 				break
 			}
@@ -64,15 +109,15 @@ func (s *Structure) IDsAtLevel(li int, dst []int32) []int32 {
 // sortBuild is the reference builder: it walks the recency list for the
 // marked items, sorts their recency ranks by item id and assigns the bits
 // level by level, reading no part of the database's depth index.
-func sortBuild(n int, src *db.Database) *Structure {
+func sortBuild(n int, src *db.Database) wire {
 	if n < 2 {
 		panic("bitseq: database too small")
 	}
-	st := &Structure{N: n}
+	st := wire{n: n}
 	if t := src.NewestUpdateTime(); t >= 0 {
-		st.TS0 = t
+		st.ts0 = t
 	} else {
-		st.TS0 = Epoch
+		st.ts0 = Epoch
 	}
 	type rec struct {
 		id int32
@@ -92,20 +137,20 @@ func sortBuild(n int, src *db.Database) *Structure {
 	for sz := n / 2; sz >= 2; sz /= 2 {
 		sizes = append(sizes, sz)
 	}
-	st.Seqs = make([]Sequence, len(sizes))
+	st.seqs = make([]Sequence, len(sizes))
 	marks := make([]int, len(sizes))
 	for l, size := range sizes {
-		st.Seqs[l].Len = size
-		st.Seqs[l].Bits = make([]uint64, (size+63)/64)
+		st.seqs[l].Len = size
+		st.seqs[l].Bits = make([]uint64, (size+63)/64)
 		m := size / 2
 		if m > avail {
 			m = avail
 		}
 		marks[l] = m
 		if m < len(items) {
-			st.Seqs[l].TS = items[m].ts
+			st.seqs[l].TS = items[m].ts
 		} else {
-			st.Seqs[l].TS = Epoch
+			st.seqs[l].TS = Epoch
 		}
 	}
 	ranks := make([]int, 0, avail) // recency ranks, sorted by item id
@@ -117,7 +162,7 @@ func sortBuild(n int, src *db.Database) *Structure {
 	for _, r := range ranks {
 		pos := int(items[r].id)
 		for l := 0; l < len(sizes) && r < marks[l]; l++ {
-			st.Seqs[l].set(pos)
+			st.seqs[l].set(pos)
 			pos = counters[l]
 			counters[l]++
 		}
@@ -127,10 +172,10 @@ func sortBuild(n int, src *db.Database) *Structure {
 
 // encodePerBit is the reference encoder: one WriteBool per bit, bit 0
 // of each level first.
-func encodePerBit(s *Structure, w *bitio.Writer) {
-	w.WriteFloat(s.TS0)
-	for i := range s.Seqs {
-		seq := &s.Seqs[i]
+func encodePerBit(s wire, w *bitio.Writer) {
+	w.WriteFloat(s.ts0)
+	for i := range s.seqs {
+		seq := &s.seqs[i]
 		w.WriteFloat(seq.TS)
 		for b := 0; b < seq.Len; b++ {
 			w.WriteBool(seq.get(b))

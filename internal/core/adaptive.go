@@ -127,9 +127,9 @@ func bsSizeBits(p Params) int {
 }
 
 type adaptiveClient struct {
-	p     Params
-	idx   tsIndex
-	bsIdx bsIndex
+	p         Params
+	idx       tsIndex
+	bsScratch bsScratch
 }
 
 // HandleReport implements ClientSide (the client halves of Figures 3/4).
@@ -149,7 +149,7 @@ func (c *adaptiveClient) HandleReport(st *ClientState, r report.Report, now floa
 	}
 	switch rep := r.(type) {
 	case *report.BSReport:
-		out := applyBS(st, rep, &c.bsIdx)
+		out := applyBS(st, rep, &c.bsScratch)
 		st.SentTlb = false
 		return out
 	case *report.TSReport:

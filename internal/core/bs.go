@@ -39,7 +39,7 @@ func (sv *bsServer) HandleControl(*db.Database, *ControlMsg, float64) *report.Va
 }
 
 type bsClient struct {
-	idx bsIndex
+	scratch bsScratch
 }
 
 // HandleReport implements ClientSide (paper Figure 2).
@@ -61,11 +61,11 @@ func (c *bsClient) HandleReport(st *ClientState, r report.Report, now float64) O
 	if degraded {
 		return degradeDrop(st, br.T)
 	}
-	return applyBS(st, br, &c.idx)
+	return applyBS(st, br, &c.scratch)
 }
 
 // applyBS runs the client-side BS step; shared with the adaptive schemes.
-func applyBS(st *ClientState, br *report.BSReport, x *bsIndex) Outcome {
+func applyBS(st *ClientState, br *report.BSReport, x *bsScratch) Outcome {
 	action, level := br.S.Level(st.Tlb)
 	switch action {
 	case bitseq.AllValid:
@@ -79,7 +79,7 @@ func applyBS(st *ClientState, br *report.BSReport, x *bsIndex) Outcome {
 	default: // InvalidateSet
 		had := st.Cache.Len()
 		if had > 0 {
-			x.invalidate(st.Cache, br.S, level)
+			x.invalidate(st.Cache, br.S.Depth, level)
 		}
 		st.Cache.TouchAll(br.T)
 		if st.Cache.Len() > 0 && had > 0 {
@@ -90,44 +90,25 @@ func applyBS(st *ClientState, br *report.BSReport, x *bsIndex) Outcome {
 	}
 }
 
-// bsIndex is the fan-out side of the Figure 2 invalidation step, the BS
-// counterpart of tsIndex: a dense id → marking-depth table over the N-item
-// space (Structure.Depths), filled once per bit-sequences report and shared
-// by every client a ClientSide serves. It is keyed by the structure's
-// pointer, which is sound because a report is immutable once delivered;
-// holding the pointer keeps its address from being reused. A server's
-// Builder hands out the same structure for every broadcast with no update
-// in between, so those reports share one fill.
-//
-// Fan-out cost: one O(N/64 + marked items × levels) fill per distinct
-// structure, paid lazily by the first client that reaches InvalidateSet
-// with a non-empty cache, then O(cache) per client.
-type bsIndex struct {
-	rep   *bitseq.Structure // the structure depth decodes; nil before the first fill
-	depth []uint8           // id -> number of leading levels marking it
-	ids   []int32           // scratch for the cache walk
+// bsScratch is the client half's reusable buffer for the Figure 2
+// invalidation step. The report carries its own dense id → depth table
+// (bitseq.Structure.Depth), so applying it costs a client O(cache) and
+// nothing per broadcast.
+type bsScratch struct {
+	ids []int32 // scratch for the cache walk
 }
 
-// invalidate discards every cached item marked at the given level of s,
-// walking the cache against the shared depth table. Removal never
-// reorders the survivors, so the result equals invalidating s's id list
-// for that level in id order.
-func (x *bsIndex) invalidate(c *cache.Cache, s *bitseq.Structure, level int) {
-	if s != x.rep {
-		if len(x.depth) < s.N {
-			//lint:allow hotalloc sized once per run at the item-space size N; every fill reuses it
-			x.depth = make([]uint8, s.N)
-		}
-		s.Depths(x.depth)
-		x.rep = s
-	}
+// invalidate discards every cached item that depth marks at the given
+// level. Removal never reorders the survivors, so the result equals
+// invalidating the level's id list in id order.
+func (x *bsScratch) invalidate(c *cache.Cache, depth []uint8, level int) {
 	if n := c.Len(); cap(x.ids) < n {
 		//lint:allow hotalloc grows at most to the largest cache capacity the ClientSide serves, then is reused
 		x.ids = make([]int32, 0, n)
 	}
 	x.ids = c.IDs(x.ids[:0])
 	for _, id := range x.ids {
-		if int(x.depth[id]) > level {
+		if int(depth[id]) > level {
 			c.Invalidate(id)
 		}
 	}

@@ -19,15 +19,6 @@ type SIGConfig struct {
 	MemberDenom int
 }
 
-// DefaultSIGConfig: 128 groups of 32-bit signatures with 1/16 membership.
-// Each item sits in ~8 groups, so with f recent updates an unchanged
-// item is falsely invalidated with probability roughly
-// (1-(1-1/16)^f)^8 — under 1% for f ≤ 10, degrading gracefully (toward
-// a full drop) for long sleepers, which is SIG's documented behaviour.
-func DefaultSIGConfig() SIGConfig {
-	return SIGConfig{Groups: 128, SigBits: 32, MemberDenom: 16}
-}
-
 // sigScheme is the Barbara–Imielinski combined-signatures method: an
 // extension beyond the paper's evaluated set (§1 mentions it as the
 // third stateless-server strategy). The report carries K combined
@@ -40,8 +31,13 @@ type sigScheme struct {
 	cfg SIGConfig
 }
 
-// SIG is the combined-signatures scheme with the default configuration.
-func SIG() Scheme { return sigScheme{cfg: DefaultSIGConfig()} }
+// SIG is the combined-signatures scheme with its default configuration:
+// 128 groups of 32-bit signatures with 1/16 membership. Each item sits in
+// ~8 groups, so with f recent updates an unchanged item is falsely
+// invalidated with probability roughly (1-(1-1/16)^f)^8 — under 1% for
+// f ≤ 10, degrading gracefully (toward a full drop) for long sleepers,
+// which is SIG's documented behaviour.
+func SIG() Scheme { return sigScheme{cfg: SIGConfig{Groups: 128, SigBits: 32, MemberDenom: 16}} }
 
 func (sigScheme) Name() string { return "sig" }
 

@@ -123,7 +123,7 @@ func TestSIGReportSizeConstant(t *testing.T) {
 	p := report.DefaultParams(10000)
 	r.d.Update(1, 5)
 	rep := r.server.BuildReport(r.d, 20)
-	cfg := DefaultSIGConfig()
+	cfg := SIG().(sigScheme).cfg
 	want := 64 + cfg.Groups*cfg.SigBits
 	if got := rep.SizeBits(p); got != want {
 		t.Fatalf("size = %d, want %d", got, want)

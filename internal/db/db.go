@@ -8,9 +8,9 @@
 //   - a recency-depth index for the bit-sequences structure (paper §2.3):
 //     level l (0 = the N-bit top) marks the N>>(l+1) most recently
 //     updated items, so each item's depth, the number of levels marking
-//     it, depends on its recency rank alone. Update keeps the depths, the
-//     bitmap of marked ids and each level's least recent marked item in
-//     O(levels), so a structure is built without walking the list, and
+//     it, depends on its recency rank alone. Update keeps the depths and
+//     each level's least recent marked item in O(levels), so a structure
+//     is built without walking the list, and
 //   - an append-only update log, chained per item, so the consistency
 //     checker can ask "what version was current at time t" and verify
 //     that no client ever serves a stale cache entry.
@@ -53,12 +53,10 @@ type Database struct {
 	updated    int // distinct items ever updated
 
 	// Recency-depth index: depth[id] is the number of levels marking id,
-	// top holds one bit per id with depth >= 1, and bound[l] is level l's
-	// least recent marked item once N>>(l+1) items were updated (nilIdx
-	// until then). The levels are those of the bit-sequences structure:
-	// n>>l >= 2 bits each.
+	// and bound[l] is level l's least recent marked item once N>>(l+1)
+	// items were updated (nilIdx until then). The levels are those of the
+	// bit-sequences structure: n>>l >= 2 bits each.
 	depth []uint8
-	top   []uint64
 	bound []int32
 
 	updates      int64   // total update operations
@@ -80,7 +78,6 @@ func New(n int, trackHistory bool) *Database {
 		next:         make([]int32, n),
 		prev:         make([]int32, n),
 		depth:        make([]uint8, n),
-		top:          make([]uint64, (n+63)/64),
 		bound:        make([]int32, bits.Len(uint(n))-1),
 		head:         nilIdx,
 		tail:         nilIdx,
@@ -158,9 +155,6 @@ func (d *Database) reindex(id, oldPrev int32) {
 		switch b := d.bound[l]; {
 		case b != nilIdx:
 			d.depth[b]--
-			if l == 0 {
-				d.top[b>>6] &^= 1 << (uint(b) & 63)
-			}
 			d.bound[l] = d.prev[b]
 		case d.updated == d.n>>(l+1):
 			d.bound[l] = d.tail
@@ -168,7 +162,6 @@ func (d *Database) reindex(id, oldPrev int32) {
 	}
 	if len(d.bound) > 0 {
 		d.depth[id] = uint8(len(d.bound))
-		d.top[id>>6] |= 1 << (uint(id) & 63)
 	}
 }
 
@@ -246,12 +239,11 @@ func (d *Database) MostRecent(max int, fn func(id int32, ts float64) bool) {
 	}
 }
 
-// DepthIndex returns the recency-depth index's views, valid until the
-// next Update and never to be modified: top holds one bit per item id
-// marked at level 0 (the N/2 most recently updated items), and depth[id]
-// is the number of leading levels marking id (0 when unmarked), so id is
-// marked at level l iff depth[id] > l.
-func (d *Database) DepthIndex() (top []uint64, depth []uint8) { return d.top, d.depth }
+// DepthIndex returns the recency-depth index, valid until the next Update
+// and never to be modified: depth[id] is the number of leading levels
+// marking id (0 when unmarked), so id is marked at level l iff
+// depth[id] > l.
+func (d *Database) DepthIndex() []uint8 { return d.depth }
 
 // LevelTS reports the bit-sequences timestamp TS(B_l): the update time of
 // the most recent item level l does not mark, or -1 when level l marks

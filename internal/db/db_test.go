@@ -103,12 +103,11 @@ func TestMostRecent(t *testing.T) {
 // TestDepthIndexMatchesRecencyWalk pins the recency-depth index against
 // ranks read off a MostRecent walk after every single update: depth[id]
 // must be #{l : rank < N>>(l+1)} (0 for ids never updated or ranked past
-// N/2), top must hold exactly the ids of depth >= 1, and LevelTS(l) must
-// be the update time of the item at rank min(N>>(l+1), updated), or -1
-// when no item holds that rank. The seeded streams draw from a pool of
-// N/3 ids (a history that never reaches N/2 distinct items), from all N
-// ids (one that passes it), and re-update the most recent item or a
-// level's least recent marked item every few steps.
+// N/2), and LevelTS(l) must be the update time of the item at rank
+// min(N>>(l+1), updated), or -1 when no item holds that rank. The seeded
+// streams draw from a pool of N/3 ids (a history that never reaches N/2
+// distinct items), from all N ids (one that passes it), and re-update the
+// most recent item or a level's least recent marked item every few steps.
 func TestDepthIndexMatchesRecencyWalk(t *testing.T) {
 	for _, n := range []int{2, 3, 7, 64, 65, 1000} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -147,7 +146,7 @@ func TestDepthIndexMatchesRecencyWalk(t *testing.T) {
 				for r, id := range recent {
 					rank[id] = r
 				}
-				top, depth := d.DepthIndex()
+				depth := d.DepthIndex()
 				for id := 0; id < n; id++ {
 					want := 0
 					for l := 0; l < levels && rank[id] < n>>(l+1); l++ {
@@ -156,10 +155,6 @@ func TestDepthIndexMatchesRecencyWalk(t *testing.T) {
 					if int(depth[id]) != want {
 						t.Fatalf("N=%d seed %d update %d: depth[%d] = %d, rank %d gives %d",
 							n, seed, i, id, depth[id], rank[id], want)
-					}
-					if inTop := top[id>>6]&(1<<(uint(id)&63)) != 0; inTop != (want >= 1) {
-						t.Fatalf("N=%d seed %d update %d: top bit of %d is %v at depth %d",
-							n, seed, i, id, inTop, want)
 					}
 				}
 				for l := 0; l < levels; l++ {

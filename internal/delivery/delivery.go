@@ -421,9 +421,6 @@ func (l *Link) partitionDrops() int64 {
 	return l.PartitionDrops
 }
 
-// Partitioned reports whether a partition is currently active (tests).
-func (a *Adversary) Partitioned() bool { return a != nil && a.inPart }
-
 // ResetStats zeroes the adversary's counters (warmup). Schedules and
 // randomness are untouched — only the tallies restart.
 func (a *Adversary) ResetStats() {

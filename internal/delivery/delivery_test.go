@@ -181,7 +181,7 @@ func TestPartitionCycleTracedAndHealed(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("nothing delivered outside partitions")
 	}
-	if adv.Partitioned() {
+	if adv.inPart {
 		// Possible but vanishingly unlikely to end mid-partition with
 		// MTTR 50 and 10000 s of post-traffic quiet; treat as a bug.
 		t.Fatal("run ended inside a partition that never healed")

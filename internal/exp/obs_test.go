@@ -305,7 +305,8 @@ func TestTimelineAgreesWithResults(t *testing.T) {
 // so every drop is a CacheDrop (a scheme call emptied the cache) or a
 // cold churn restart, and every salvage a CacheSalvage or a warm restart.
 // Every solo disconnect is a Disconnect; a churn storm's disconnects are
-// counted in StormDisconnects and not traced. A FaultCorrupt is a report a
+// traced only as its StormStart's cohort size, which
+// TestTraceAgreesWithResults sums. A FaultCorrupt is a report a
 // client failed to decode or an uplink message the server could not parse
 // (the agreement mixes corrupt no uplink traffic, so the second term is
 // 0 there). QueryShed = QueriesShed and
@@ -341,20 +342,46 @@ var traceRelations = []struct {
 	}},
 }
 
+// cohortSink sums the cohort sizes (A) of the StormStart events it sees.
+type cohortSink struct{ cohorts int64 }
+
+func (s *cohortSink) Write(e trace.Event) error {
+	if e.Kind == trace.StormStart {
+		s.cohorts += e.A
+	}
+	return nil
+}
+
 // TestTraceAgreesWithResults pins every traceRelations entry for all
 // seven schemes under both agreement mixes, and requires each relation to
-// be non-zero somewhere so none passes vacuously.
+// be non-zero somewhere so none passes vacuously. It also pins the storm
+// disconnects, which are not traced one by one: the StormStart cohort
+// sizes sum to StormDisconnects, so with Disconnect = SoloDisconnects
+// every disconnection is accounted for (Disconnect + Σ cohort =
+// Disconnections). That sum holds only while no storm catches a host
+// whose paced resume from the previous storm is still pending (the host
+// joins the cohort but is already down, so it counts no disconnect); both
+// mixes heal every cohort before the next storm.
 func TestTraceAgreesWithResults(t *testing.T) {
 	seen := make([]int64, len(traceRelations))
+	var stormed int64
 	for _, mix := range agreementMixes {
 		for _, scheme := range AllSchemes {
 			c := agreementConfig(scheme, mix.set)
-			tr := trace.New(1)
+			sink := &cohortSink{}
+			tr := trace.New(1).SetSink(sink)
 			c.Trace = tr
 			r, err := engine.Run(c)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", mix.name, scheme, err)
 			}
+			if sink.cohorts != r.StormDisconnects {
+				t.Errorf("%s/%s: StormStart cohorts sum to %d, Results.StormDisconnects = %d", mix.name, scheme, sink.cohorts, r.StormDisconnects)
+			}
+			if got := int64(tr.Count(trace.Disconnect)) + sink.cohorts; got != r.Disconnections {
+				t.Errorf("%s/%s: Disconnect + storm cohorts = %d, Results.Disconnections = %d", mix.name, scheme, got, r.Disconnections)
+			}
+			stormed += sink.cohorts
 			for i, rel := range traceRelations {
 				var got int64
 				for _, k := range rel.kinds {
@@ -371,5 +398,8 @@ func TestTraceAgreesWithResults(t *testing.T) {
 		if seen[i] == 0 {
 			t.Errorf("vacuous: trace %v = Results.%s is 0 in every run", rel.kinds, rel.field)
 		}
+	}
+	if stormed == 0 {
+		t.Error("vacuous: no storm disconnected anyone in any run")
 	}
 }

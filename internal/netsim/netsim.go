@@ -127,10 +127,9 @@ type Channel struct {
 	preempted int64
 	maxQueue  int
 
-	bits     [numClasses]float64
-	messages [numClasses]int64
-	lost     [numClasses]int64
-	shed     [numClasses]int64
+	bits [numClasses]float64
+	lost [numClasses]int64
+	shed [numClasses]int64
 
 	// Bounded-queue admission state. queueCap bounds the number of
 	// admitted-and-waiting data/control messages (reports are exempt);
@@ -244,7 +243,6 @@ func (c *Channel) SendObserved(class Class, bits float64, onTxStart func(sim.Tim
 		return false
 	}
 	c.bits[class] += bits
-	c.messages[class]++
 	if waits {
 		// Track the waiting population exactly: admitted-while-busy
 		// increments, first service start decrements.
@@ -352,7 +350,6 @@ func (c *Channel) complete() {
 // air only counts its remaining service toward the new window.
 func (c *Channel) ResetStats() {
 	c.bits = [numClasses]float64{}
-	c.messages = [numClasses]int64{}
 	c.lost = [numClasses]int64{}
 	c.shed = [numClasses]int64{}
 	c.maxLowWait = c.lowWait
@@ -377,13 +374,11 @@ func (c *Channel) TotalShed() int64 {
 	return t
 }
 
-// QueuedLow reports the admitted-and-waiting data/control population the
-// queue cap governs. Always 0 while no cap is set (the accounting only
-// runs on bounded channels).
-func (c *Channel) QueuedLow() int { return c.lowWait }
-
-// MaxQueuedLow reports the high-water mark of QueuedLow since the last
+// MaxQueuedLow reports the high-water mark of the admitted-and-waiting
+// data/control population the queue cap governs since the last
 // ResetStats; on a bounded channel it never exceeds the configured cap.
+// It is always 0 while no cap is set (the accounting only runs on bounded
+// channels).
 func (c *Channel) MaxQueuedLow() int { return c.maxLowWait }
 
 // TotalLost reports fault-destroyed messages across all classes.
@@ -437,9 +432,6 @@ func (c *Channel) RegisterMetrics(reg *metrics.Registry, prefix string, interval
 // Bits reports the total bits accepted for transmission in a class
 // (including any message still in flight).
 func (c *Channel) Bits(class Class) float64 { return c.bits[class] }
-
-// Messages reports the number of messages accepted in a class.
-func (c *Channel) Messages(class Class) int64 { return c.messages[class] }
 
 // TotalBits reports bits accepted across all classes.
 func (c *Channel) TotalBits() float64 {

@@ -90,8 +90,8 @@ func TestAccounting(t *testing.T) {
 	ch.Send(ClassControl, 50, nil)
 	ch.Send(ClassData, 8192, nil)
 	k.Run(sim.EndOfTime)
-	if ch.Bits(ClassReport) != 300 || ch.Messages(ClassReport) != 2 {
-		t.Fatalf("report class: %v bits, %d msgs", ch.Bits(ClassReport), ch.Messages(ClassReport))
+	if ch.Bits(ClassReport) != 300 {
+		t.Fatalf("report class: %v bits", ch.Bits(ClassReport))
 	}
 	if ch.Bits(ClassControl) != 50 {
 		t.Fatalf("control bits = %v", ch.Bits(ClassControl))
@@ -213,11 +213,11 @@ func TestBoundedChannelTailDrop(t *testing.T) {
 	if !ch.Send(ClassData, 1000, nil) || !ch.Send(ClassControl, 1000, nil) {
 		t.Fatal("send within cap rejected")
 	}
-	bits, msgs := ch.TotalBits(), ch.Messages(ClassData)
+	bits := ch.TotalBits()
 	if ch.Send(ClassData, 1000, nil) {
 		t.Fatal("send beyond cap admitted")
 	}
-	if ch.TotalBits() != bits || ch.Messages(ClassData) != msgs {
+	if ch.TotalBits() != bits {
 		t.Fatal("tail-dropped message charged to the accounting")
 	}
 	if ch.Shed(ClassData) != 1 || ch.TotalShed() != 1 {
@@ -226,12 +226,12 @@ func TestBoundedChannelTailDrop(t *testing.T) {
 	if len(shed) != 1 || shed[0] != ClassData {
 		t.Fatalf("shed hook saw %v", shed)
 	}
-	if ch.QueuedLow() != 2 || ch.MaxQueuedLow() != 2 {
-		t.Fatalf("waiting population %d/%d, want 2/2", ch.QueuedLow(), ch.MaxQueuedLow())
+	if ch.lowWait != 2 || ch.MaxQueuedLow() != 2 {
+		t.Fatalf("waiting population %d/%d, want 2/2", ch.lowWait, ch.MaxQueuedLow())
 	}
 	k.Run(sim.EndOfTime)
-	if ch.QueuedLow() != 0 {
-		t.Fatalf("drained channel still reports %d waiting", ch.QueuedLow())
+	if ch.lowWait != 0 {
+		t.Fatalf("drained channel still reports %d waiting", ch.lowWait)
 	}
 	if ch.Delivered() != 3 {
 		t.Fatalf("delivered %d, want 3", ch.Delivered())

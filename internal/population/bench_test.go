@@ -212,7 +212,7 @@ func TestHandleReportZeroAlloc(t *testing.T) {
 // handleReportBSRig is one client of scheme holding a full 200-slot cache
 // over Table 1's 10000-item space, with a Tlb that makes a bit-sequences
 // report select a middle level, so applying it walks the cache against
-// the shared depth table. The report marks only odd ids and the cache
+// the report's depth table. The report marks only odd ids and the cache
 // holds even ones, so nothing is invalidated and every call starts from
 // the same state once the returned Tlb is restored.
 func handleReportBSRig(scheme core.Scheme) (core.ClientSide, *core.ClientState, *report.BSReport, float64) {
@@ -223,7 +223,7 @@ func handleReportBSRig(scheme core.Scheme) (core.ClientSide, *core.ClientState, 
 	}
 	s := new(bitseq.Builder).Build(items, d)
 	r := &report.BSReport{T: items, S: s}
-	tlb := s.Seqs[len(s.Seqs)/2].TS
+	tlb := s.Levels[len(s.Levels)/2].TS
 	st := &core.ClientState{Cache: cache.New(capacity, items), Tlb: tlb}
 	for i := 0; i < capacity; i++ {
 		st.Cache.Put(int32(i*items/capacity), tlb, 1)
@@ -236,8 +236,8 @@ func handleReportBSRig(scheme core.Scheme) (core.ClientSide, *core.ClientState, 
 var bsReportSchemes = []core.Scheme{core.BS(), core.AFW()}
 
 // BenchmarkHandleReportBS measures one client's HandleReport against a
-// bit-sequences report. One op reapplies the same report, so the depth
-// table is filled once, as when a broadcast reaches a whole population.
+// bit-sequences report. One op reapplies the same report; it carries its
+// depth table, so each call costs the level choice and the cache walk.
 func BenchmarkHandleReportBS(b *testing.B) {
 	for _, scheme := range bsReportSchemes {
 		b.Run(scheme.Name(), func(b *testing.B) {
@@ -255,8 +255,7 @@ func BenchmarkHandleReportBS(b *testing.B) {
 
 // TestHandleReportBSZeroAlloc is BenchmarkHandleReportBS's allocation
 // contract in the ordinary test run: after the first call has sized the
-// depth table and the cache-walk scratch, applying a bit-sequences report
-// allocates nothing.
+// cache-walk scratch, applying a bit-sequences report allocates nothing.
 func TestHandleReportBSZeroAlloc(t *testing.T) {
 	for _, scheme := range bsReportSchemes {
 		side, st, r, tlb := handleReportBSRig(scheme)

@@ -2,6 +2,7 @@ package report
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mobicache/internal/bitio"
@@ -77,8 +78,8 @@ func TestCodecEdgeRoundTrips(t *testing.T) {
 				if r.S.TS0 != bitseq.Epoch {
 					t.Fatalf("TS0 = %v, want epoch", r.S.TS0)
 				}
-				for i := range r.S.Seqs {
-					if r.S.Seqs[i].Ones != 0 {
+				for i, seq := range r.S.Sequences() {
+					if seq.Ones != 0 {
 						t.Fatalf("level %d non-empty after round-trip", i)
 					}
 				}
@@ -89,8 +90,8 @@ func TestCodecEdgeRoundTrips(t *testing.T) {
 			rep:  &BSReport{T: 500, S: new(bitseq.Builder).Build(p.N, oneDB)},
 			check: func(t *testing.T, got Report) {
 				r := got.(*BSReport)
-				if r.S.Seqs[0].Ones != 1 || r.S.Seqs[0].Bits[0]&(1<<42) == 0 {
-					t.Fatalf("top level %+v, want only bit 42", r.S.Seqs[0])
+				if top := r.S.Sequences()[0]; top.Ones != 1 || top.Bits[0]&(1<<42) == 0 {
+					t.Fatalf("top level %+v, want only bit 42", top)
 				}
 			},
 		},
@@ -115,22 +116,24 @@ func TestMaxSizeBSRoundTrip(t *testing.T) {
 		d.Update(int32(i), float64(i+1))
 	}
 	s := new(bitseq.Builder).Build(n, d)
-	if s.Seqs[0].Ones != n/2 {
-		t.Fatalf("top level has %d marks, want saturated %d", s.Seqs[0].Ones, n/2)
+	seqs := s.Sequences()
+	if seqs[0].Ones != n/2 {
+		t.Fatalf("top level has %d marks, want saturated %d", seqs[0].Ones, n/2)
 	}
 	p := DefaultParams(n)
 	rep := &BSReport{T: 1e6, S: s}
 	got := roundTrip(t, p, rep).(*BSReport)
-	if got.T != rep.T || got.S.N != n || len(got.S.Seqs) != len(s.Seqs) {
+	gotSeqs := got.S.Sequences()
+	if got.T != rep.T || got.S.N != n || len(gotSeqs) != len(seqs) || !slices.Equal(got.S.Depth, s.Depth) {
 		t.Fatalf("round-trip shape mismatch: %+v", got)
 	}
-	for l := range s.Seqs {
-		if got.S.Seqs[l].Ones != s.Seqs[l].Ones || got.S.Seqs[l].TS != s.Seqs[l].TS {
+	for l := range seqs {
+		if gotSeqs[l].Ones != seqs[l].Ones || gotSeqs[l].TS != seqs[l].TS {
 			t.Fatalf("level %d mismatch: got ones=%d ts=%v, want ones=%d ts=%v",
-				l, got.S.Seqs[l].Ones, got.S.Seqs[l].TS, s.Seqs[l].Ones, s.Seqs[l].TS)
+				l, gotSeqs[l].Ones, gotSeqs[l].TS, seqs[l].Ones, seqs[l].TS)
 		}
-		for w := range s.Seqs[l].Bits {
-			if got.S.Seqs[l].Bits[w] != s.Seqs[l].Bits[w] {
+		for w := range seqs[l].Bits {
+			if gotSeqs[l].Bits[w] != seqs[l].Bits[w] {
 				t.Fatalf("level %d word %d differs", l, w)
 			}
 		}

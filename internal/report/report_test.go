@@ -149,14 +149,11 @@ func TestBSRoundTrip(t *testing.T) {
 	p := DefaultParams(256)
 	r := &BSReport{T: now + 1, S: new(bitseq.Builder).Build(256, d)}
 	got := roundTrip(t, p, r).(*BSReport)
-	if got.T != r.T || got.S.N != r.S.N || got.S.TS0 != r.S.TS0 || len(got.S.Seqs) != len(r.S.Seqs) {
+	if got.T != r.T || got.S.N != r.S.N || got.S.TS0 != r.S.TS0 || !slices.Equal(got.S.Levels, r.S.Levels) {
 		t.Fatalf("bs header mismatch")
 	}
-	for l, want := range r.S.Seqs {
-		g := got.S.Seqs[l]
-		if g.TS != want.TS || g.Len != want.Len || g.Ones != want.Ones || !slices.Equal(g.Bits, want.Bits) {
-			t.Fatalf("level %d: got %+v, want %+v", l, g, want)
-		}
+	if !slices.Equal(got.S.Depth, r.S.Depth) {
+		t.Fatalf("depth table: got %v, want %v", got.S.Depth, r.S.Depth)
 	}
 }
 

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Counter accumulates a monotonically growing total (events, bits, ...).
@@ -20,22 +19,11 @@ type Counter struct {
 // Add records one occurrence of weight v.
 func (c *Counter) Add(v float64) { c.n++; c.total += v }
 
-// Inc records one occurrence of weight 1.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Count reports the number of occurrences recorded.
 func (c *Counter) Count() int64 { return c.n }
 
 // Total reports the accumulated weight.
 func (c *Counter) Total() float64 { return c.total }
-
-// Rate reports total per unit of elapsed, or 0 when elapsed <= 0.
-func (c *Counter) Rate(elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return c.total / elapsed
-}
 
 // Tally accumulates moments of an observation stream using Welford's
 // algorithm, which is numerically stable for long runs.
@@ -88,7 +76,7 @@ func (t *Tally) Min() float64 { return t.min }
 func (t *Tally) Max() float64 { return t.max }
 
 // TimeWeighted tracks a piecewise-constant quantity (queue length, cache
-// occupancy) and integrates it over simulated time. The first Set call
+// occupancy) and integrates it over simulated time. The first Add call
 // anchors the observation window.
 type TimeWeighted struct {
 	value    float64
@@ -98,20 +86,17 @@ type TimeWeighted struct {
 	started  bool
 }
 
-// Set records that the tracked quantity changed to v at time now.
-func (w *TimeWeighted) Set(v, now float64) {
+// Add shifts the tracked quantity by dv at time now.
+func (w *TimeWeighted) Add(dv, now float64) {
 	if w.started {
 		w.integral += w.value * (now - w.lastT)
 	} else {
 		w.firstT = now
 	}
-	w.value = v
+	w.value += dv
 	w.lastT = now
 	w.started = true
 }
-
-// Add shifts the tracked quantity by dv at time now.
-func (w *TimeWeighted) Add(dv, now float64) { w.Set(w.value+dv, now) }
 
 // Value reports the current quantity.
 func (w *TimeWeighted) Value() float64 { return w.value }
@@ -126,13 +111,12 @@ func (w *TimeWeighted) Mean(now float64) float64 {
 	return total / (now - w.firstT)
 }
 
-// Histogram is a fixed-width bin histogram over [Lo, Hi); out-of-range
-// observations land in the under/over-flow bins.
+// Histogram is a fixed-width bin histogram over [Lo, Hi). Observations
+// below Lo count as underflow; those at or above Hi count only in N.
 type Histogram struct {
 	Lo, Hi   float64
 	bins     []int64
 	under    int64
-	over     int64
 	observed int64
 }
 
@@ -144,11 +128,11 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, bins: make([]int64, n)}
 }
 
-// Reset zeroes every bin and the under/over/observed counts in place,
-// keeping the shape and the bin storage.
+// Reset zeroes every bin and the under/observed counts in place, keeping
+// the shape and the bin storage.
 func (h *Histogram) Reset() {
 	clear(h.bins)
-	h.under, h.over, h.observed = 0, 0, 0
+	h.under, h.observed = 0, 0
 }
 
 // Observe records one value.
@@ -158,7 +142,7 @@ func (h *Histogram) Observe(v float64) {
 	case v < h.Lo:
 		h.under++
 	case v >= h.Hi:
-		h.over++
+		// Overflow: counted in observed alone.
 	default:
 		idx := int(float64(len(h.bins)) * (v - h.Lo) / (h.Hi - h.Lo))
 		if idx == len(h.bins) { // guard the v == Hi-epsilon rounding edge
@@ -177,11 +161,8 @@ func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
 // Bins reports the number of bins.
 func (h *Histogram) Bins() int { return len(h.bins) }
 
-// Under reports observations below Lo; Over reports those at or above Hi.
+// Under reports observations below Lo.
 func (h *Histogram) Under() int64 { return h.under }
-
-// Over reports observations at or above Hi.
-func (h *Histogram) Over() int64 { return h.over }
 
 // Quantile reports an approximate q-quantile (0..1) assuming observations
 // are uniform within each bin. Underflow maps to Lo and overflow to Hi.
@@ -261,18 +242,4 @@ func (b *BatchMeans) CI95() float64 {
 func Summary(name string, t *Tally) string {
 	return fmt.Sprintf("%s: n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
 		name, t.N(), t.Mean(), t.Std(), t.Min(), t.Max())
-}
-
-// Median reports the median of xs without modifying it.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
