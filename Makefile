@@ -64,6 +64,7 @@ adversary-smoke:
 # stream, run manifest), each validated, then the manifest fed back to
 # verify the replay digest. ts-check under chaos exercises fetch retries
 # and validity-path salvages, so their timeline columns must be non-zero.
+# The same run's -json record is itself a manifest and must replay too.
 obs-smoke:
 	rm -rf results-obs && mkdir -p results-obs
 	$(GO) run ./cmd/mobisim -scheme ts-check -chaos 4 -simtime 4000 -timeline results-obs/timeline.csv \
@@ -74,6 +75,8 @@ obs-smoke:
 		results-obs/timeline.csv || (echo "retries or salvages column is all zero" && exit 1)
 	test -s results-obs/events.jsonl || (echo "empty JSONL stream" && exit 1)
 	$(GO) run ./cmd/mobisim -from-manifest results-obs/run.json | grep -q 'replay verified'
+	$(GO) run ./cmd/mobisim -scheme ts-check -chaos 4 -simtime 4000 -json > results-obs/run-json.json
+	$(GO) run ./cmd/mobisim -from-manifest results-obs/run-json.json 2>&1 | grep -q 'replay verified'
 
 # Span/AoI smoke: one chaos run exporting per-query causal spans, the
 # file re-validated as Perfetto-loadable trace-event JSON, the run's

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -92,7 +93,7 @@ func run(args []string, out *os.File) error {
 	validateSpans := fs.String("validate-spans", "", "validate the trace-event schema of an existing span file and exit")
 	seeds := fs.Int("seeds", 1, "replication count; N > 1 runs N seeds derived from -seed and averages them")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers for -seeds > 1 (results are identical at any setting)")
-	jsonOut := fs.Bool("json", false, "emit the results as JSON (for scripting)")
+	jsonOut := fs.Bool("json", false, "emit the run as one JSON record: its manifest keys plus \"results\" (replays with -from-manifest)")
 	verbose := fs.Bool("v", false, "print the full metric breakdown")
 
 	if err := fs.Parse(args); err != nil {
@@ -175,6 +176,10 @@ func run(args []string, out *os.File) error {
 			c.Spans = &engine.SpanOptions{}
 		}
 		c.Spans.Keep = true
+	}
+
+	if *jsonOut && *traceN > 0 {
+		return fmt.Errorf("-trace prints text after the JSON; use -trace-jsonl with -json")
 	}
 
 	if *seeds > 1 {
@@ -316,10 +321,12 @@ func run(args []string, out *os.File) error {
 		}
 	}
 
+	verdict := out
 	if *jsonOut {
-		if err := writeJSON(out, r); err != nil {
+		if err := writeJSON(out, newJSONRun(r)); err != nil {
 			return err
 		}
+		verdict = os.Stderr // stdout holds one JSON value
 	} else {
 		printResults(out, r, *verbose)
 	}
@@ -327,7 +334,7 @@ func run(args []string, out *os.File) error {
 		if err := replay.VerifyReplay(r); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "replay verified: digest matches %s\n", *fromManifest)
+		fmt.Fprintf(verdict, "replay verified: digest matches %s\n", *fromManifest)
 	}
 	if tr != nil && *traceN > 0 {
 		fmt.Fprintf(out, "--- last %d of %d protocol events ---\n", len(tr.Events()), tr.Total())
@@ -338,236 +345,28 @@ func run(args []string, out *os.File) error {
 	return runErr // a failed audit, reported after the results it judged
 }
 
-// jsonResults is the -json view of a run: Results marshals too, but this
-// type gives mobisim's output names and the identifying config scalars.
-// Every exported engine.Results field must appear here under its own
-// name — TestJSONCoversAllResultFields enforces it, so new metrics
-// cannot be silently dropped from -json output.
-type jsonResults struct {
-	Scheme   string  `json:"scheme"`
-	Workload string  `json:"workload"`
-	DBSize   int     `json:"db_size"`
-	Clients  int     `json:"clients"`
-	SimTime  float64 `json:"sim_time"`
-	Seed     uint64  `json:"seed"`
-
-	QueriesAnswered      int64   `json:"queries_answered"`
-	UplinkValidationBits float64 `json:"uplink_validation_bits"`
-	UplinkBitsPerQuery   float64 `json:"uplink_bits_per_query"`
-	ValidationUplinkMsgs int64   `json:"validation_uplink_msgs"`
-	ThroughputCI95       float64 `json:"throughput_ci95"`
-
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	HitRatio    float64 `json:"hit_ratio"`
-	Drops       int64   `json:"cache_drops"`
-	Salvages    int64   `json:"cache_salvages"`
-
-	ReportsSent map[string]int64   `json:"reports_sent"`
-	ReportBits  map[string]float64 `json:"report_bits"`
-	IROverruns  int64              `json:"ir_overruns"`
-
-	DownReportBits  float64 `json:"down_report_bits"`
-	DownControlBits float64 `json:"down_control_bits"`
-	DownDataBits    float64 `json:"down_data_bits"`
-	UpControlBits   float64 `json:"up_control_bits"`
-	UpDataBits      float64 `json:"up_data_bits"`
-	DownUtilization float64 `json:"down_utilization"`
-	UpUtilization   float64 `json:"up_utilization"`
-
-	ReportsCorrupted    int64   `json:"reports_corrupted"`
-	UplinkMsgsLost      int64   `json:"uplink_msgs_lost"`
-	UplinkMsgsCorrupted int64   `json:"uplink_msgs_corrupted"`
-	Retries             int64   `json:"retries"`
-	RetriesPerQuery     float64 `json:"retries_per_query"`
-	EpochDegrades       int64   `json:"epoch_degrades"`
-	ServerCrashes       int64   `json:"server_crashes"`
-	ServerDowntime      float64 `json:"server_downtime_s"`
-	MeanRecoveryLatency float64 `json:"mean_recovery_latency_s"`
-
-	ReportsLost          int64   `json:"reports_lost"`
-	MeanResponse         float64 `json:"mean_response_s"`
-	MaxResponse          float64 `json:"max_response_s"`
-	RespP50              float64 `json:"resp_p50_s"`
-	RespP95              float64 `json:"resp_p95_s"`
-	RespP99              float64 `json:"resp_p99_s"`
-	Disconnections       int64   `json:"disconnections"`
-	MeanDisconnectedFor  float64 `json:"mean_disconnected_for_s"`
-	ItemsFromCache       int64   `json:"items_from_cache"`
-	ItemsFetched         int64   `json:"items_fetched"`
-	StaleValidityDropped int64   `json:"stale_validity_dropped"`
-
-	QueriesIssued    int64 `json:"queries_issued"`
-	QueriesTimedOut  int64 `json:"queries_timed_out"`
-	QueriesShed      int64 `json:"queries_shed"`
-	QueriesInFlight  int64 `json:"queries_in_flight"`
-	BusyHeard        int64 `json:"busy_heard"`
-	UpShedMsgs       int64 `json:"up_shed_msgs"`
-	DownShedMsgs     int64 `json:"down_shed_msgs"`
-	UpPeakQueue      int   `json:"up_peak_queue"`
-	DownPeakQueue    int   `json:"down_peak_queue"`
-	CoalescedFetches int64 `json:"coalesced_fetches"`
-	BusyReplies      int64 `json:"busy_replies"`
-	RepliesShed      int64 `json:"replies_shed"`
-
-	IRGaps           int64 `json:"ir_gaps"`
-	IRDuplicates     int64 `json:"ir_duplicates"`
-	IRReorders       int64 `json:"ir_reorders"`
-	SkewDegrades     int64 `json:"skew_degrades"`
-	Partitions       int64 `json:"partitions"`
-	PartitionDrops   int64 `json:"partition_drops"`
-	DeliveryDelayed  int64 `json:"delivery_delayed"`
-	DeliveryReorders int64 `json:"delivery_reorders"`
-	DeliveryDups     int64 `json:"delivery_dups"`
-
-	Storms           int64 `json:"storms"`
-	StormDisconnects int64 `json:"storm_disconnects"`
-	SoloDisconnects  int64 `json:"solo_disconnects"`
-	ClientCrashes    int64 `json:"client_crashes"`
-	RestartsWarm     int64 `json:"restarts_warm"`
-	RestartsCold     int64 `json:"restarts_cold"`
-	SnapshotRejects  int64 `json:"snapshot_rejects"`
-	CrashedAtEnd     int64 `json:"crashed_at_end"`
-	PacedResumes     int64 `json:"paced_resumes"`
-	OfflineDrops     int64 `json:"offline_drops"`
-
-	Spans      *span.Summary `json:"spans,omitempty"`
-	AoISamples int64         `json:"aoi_samples,omitempty"`
-	AoIMean    float64       `json:"aoi_mean_s,omitempty"`
-	AoIP50     float64       `json:"aoi_p50_s,omitempty"`
-	AoIP95     float64       `json:"aoi_p95_s,omitempty"`
-	AoIP99     float64       `json:"aoi_p99_s,omitempty"`
-
-	Handoffs int64              `json:"handoffs,omitempty"`
-	PerCell  []engine.CellStats `json:"per_cell,omitempty"`
-
-	MeasuredTime          float64 `json:"measured_time_s"`
-	Events                uint64  `json:"events"`
-	PeakEventQueue        int     `json:"peak_event_queue"`
-	ConsistencyViolations int64   `json:"consistency_violations"`
-	FirstViolation        string  `json:"first_violation,omitempty"`
+// jsonRun is the -json record of one run: the run's manifest, embedded
+// so its keys stay top-level, and its Results as they marshal, under Go
+// field names. The record is itself a manifest, so -from-manifest replays
+// it. It is left unstamped, so the output is deterministic.
+type jsonRun struct {
+	*engine.Manifest
+	Results *engine.Results `json:"results"`
 }
 
-func writeJSON(out *os.File, r *engine.Results) error {
+func newJSONRun(r *engine.Results) jsonRun { return jsonRun{engine.NewManifest(r), r} }
+
+func writeJSON(out io.Writer, v any) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(toJSONResults(r))
-}
-
-func toJSONResults(r *engine.Results) jsonResults {
-	v := jsonResults{
-		Scheme:   r.Config.Scheme,
-		Workload: r.Config.Workload.Name,
-		DBSize:   r.Config.DBSize,
-		Clients:  r.Config.Clients,
-		SimTime:  r.Config.SimTime,
-		Seed:     r.Config.Seed,
-
-		QueriesAnswered:      r.QueriesAnswered,
-		UplinkValidationBits: r.UplinkValidationBits,
-		UplinkBitsPerQuery:   r.UplinkBitsPerQuery,
-		ValidationUplinkMsgs: r.ValidationUplinkMsgs,
-		ThroughputCI95:       r.ThroughputCI95,
-
-		CacheHits:   r.CacheHits,
-		CacheMisses: r.CacheMisses,
-		HitRatio:    r.HitRatio,
-		Drops:       r.Drops,
-		Salvages:    r.Salvages,
-
-		ReportsSent: r.ReportsSent,
-		ReportBits:  r.ReportBits,
-		IROverruns:  r.IROverruns,
-
-		DownReportBits:  r.DownReportBits,
-		DownControlBits: r.DownControlBits,
-		DownDataBits:    r.DownDataBits,
-		UpControlBits:   r.UpControlBits,
-		UpDataBits:      r.UpDataBits,
-		DownUtilization: r.DownUtilization,
-		UpUtilization:   r.UpUtilization,
-
-		ReportsCorrupted:    r.ReportsCorrupted,
-		UplinkMsgsLost:      r.UplinkMsgsLost,
-		UplinkMsgsCorrupted: r.UplinkMsgsCorrupted,
-		Retries:             r.Retries,
-		RetriesPerQuery:     r.RetriesPerQuery,
-		EpochDegrades:       r.EpochDegrades,
-		ServerCrashes:       r.ServerCrashes,
-		ServerDowntime:      r.ServerDowntime,
-		MeanRecoveryLatency: r.MeanRecoveryLatency,
-
-		ReportsLost:          r.ReportsLost,
-		MeanResponse:         r.MeanResponse,
-		MaxResponse:          r.MaxResponse,
-		RespP50:              r.RespP50,
-		RespP95:              r.RespP95,
-		RespP99:              r.RespP99,
-		Disconnections:       r.Disconnections,
-		MeanDisconnectedFor:  r.MeanDisconnectedFor,
-		ItemsFromCache:       r.ItemsFromCache,
-		ItemsFetched:         r.ItemsFetched,
-		StaleValidityDropped: r.StaleValidityDropped,
-
-		QueriesIssued:    r.QueriesIssued,
-		QueriesTimedOut:  r.QueriesTimedOut,
-		QueriesShed:      r.QueriesShed,
-		QueriesInFlight:  r.QueriesInFlight,
-		BusyHeard:        r.BusyHeard,
-		UpShedMsgs:       r.UpShedMsgs,
-		DownShedMsgs:     r.DownShedMsgs,
-		UpPeakQueue:      r.UpPeakQueue,
-		DownPeakQueue:    r.DownPeakQueue,
-		CoalescedFetches: r.CoalescedFetches,
-		BusyReplies:      r.BusyReplies,
-		RepliesShed:      r.RepliesShed,
-
-		IRGaps:           r.IRGaps,
-		IRDuplicates:     r.IRDuplicates,
-		IRReorders:       r.IRReorders,
-		SkewDegrades:     r.SkewDegrades,
-		Partitions:       r.Partitions,
-		PartitionDrops:   r.PartitionDrops,
-		DeliveryDelayed:  r.DeliveryDelayed,
-		DeliveryReorders: r.DeliveryReorders,
-		DeliveryDups:     r.DeliveryDups,
-
-		Storms:           r.Storms,
-		StormDisconnects: r.StormDisconnects,
-		SoloDisconnects:  r.SoloDisconnects,
-		ClientCrashes:    r.ClientCrashes,
-		RestartsWarm:     r.RestartsWarm,
-		RestartsCold:     r.RestartsCold,
-		SnapshotRejects:  r.SnapshotRejects,
-		CrashedAtEnd:     r.CrashedAtEnd,
-		PacedResumes:     r.PacedResumes,
-		OfflineDrops:     r.OfflineDrops,
-
-		Spans:      r.Spans,
-		AoISamples: r.AoISamples,
-		AoIMean:    r.AoIMean,
-		AoIP50:     r.AoIP50,
-		AoIP95:     r.AoIP95,
-		AoIP99:     r.AoIP99,
-
-		Handoffs:              r.Handoffs,
-		PerCell:               r.PerCell,
-		MeasuredTime:          r.MeasuredTime,
-		Events:                r.Events,
-		PeakEventQueue:        r.PeakEventQueue,
-		ConsistencyViolations: r.ConsistencyViolations,
-	}
-	if r.FirstViolation != nil {
-		v.FirstViolation = r.FirstViolation.String()
-	}
-	return v
+	return enc.Encode(v)
 }
 
 // runMulti runs count replications of c, seeding replication i with
 // rng.DeriveSeed(root, i) so each seed depends only on its index, fans
 // them out across workers, and prints per-seed summaries in seed order
 // followed by the cross-seed averages. Output is bit-identical at any
-// worker count. With -json it emits an array of per-seed result objects.
+// worker count. With -json it emits an array of per-seed jsonRun records.
 func runMulti(out *os.File, c engine.Config, count, workers int, root uint64, jsonOut bool) error {
 	results := make([]*engine.Results, count)
 	audits := make([]error, count) // a failed audit is reported after the summaries
@@ -586,13 +385,11 @@ func runMulti(out *os.File, c engine.Config, count, workers int, root uint64, js
 	}
 
 	if jsonOut {
-		vs := make([]jsonResults, count)
+		recs := make([]jsonRun, count)
 		for i, r := range results {
-			vs[i] = toJSONResults(r)
+			recs[i] = newJSONRun(r)
 		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(vs); err != nil {
+		if err := writeJSON(out, recs); err != nil {
 			return err
 		}
 	} else {

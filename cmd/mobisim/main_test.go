@@ -5,9 +5,9 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -30,6 +30,55 @@ func runCapture(t *testing.T, args ...string) (string, error) {
 		t.Fatal(err)
 	}
 	return string(data), runErr
+}
+
+// decodeOne decodes out strictly into v and requires it to be the only
+// JSON value on stdout: an unknown key fails, and so does any trailing
+// text.
+func decodeOne(t *testing.T, out string, v any) {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(out))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("-json output does not decode: %v\n%s", err, out)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		t.Fatalf("-json output goes on after its value (%v):\n%s", err, out)
+	}
+}
+
+// checkRecord requires a -json record's digest to be engine.Digest of the
+// Results it carries, and its measured time to be the whole horizon (no
+// test run has a warmup).
+func checkRecord(t *testing.T, rec jsonRun) {
+	t.Helper()
+	if rec.Manifest == nil || rec.Results == nil {
+		t.Fatalf("record lacks its manifest or results: %+v", rec)
+	}
+	if d, err := engine.Digest(rec.Results); err != nil || d != rec.Digest {
+		t.Fatalf("Digest(results) = %s (%v), record says %s", d, err, rec.Digest)
+	}
+	if rec.Results.MeasuredTime != rec.SimTime {
+		t.Fatalf("measured %v != simtime %v with no warmup", rec.Results.MeasuredTime, rec.SimTime)
+	}
+}
+
+// replays writes a -json record to a file and requires -from-manifest to
+// replay it and verify the digest.
+func replays(t *testing.T, out string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.json")
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rout, err := runCapture(t, "-from-manifest", path)
+	if err != nil {
+		t.Fatalf("replay of the -json record failed: %v\n%s", err, rout)
+	}
+	if !strings.Contains(rout, "replay verified") {
+		t.Fatalf("no replay verification in output:\n%s", rout)
+	}
 }
 
 func TestRunBasic(t *testing.T) {
@@ -104,14 +153,22 @@ func TestRunMultiSeed(t *testing.T) {
 	if n := strings.Count(ref, "\nseed "); n != 3 {
 		t.Fatalf("want 3 per-seed lines, got %d:\n%s", n, ref)
 	}
-	for _, workers := range []int{2, 8} {
-		out, err := runCapture(t, "-simtime", "1000", "-seeds", "3",
-			"-workers", fmt.Sprint(workers))
-		if err != nil {
-			t.Fatal(err)
+	for _, form := range [][]string{nil, {"-json"}} {
+		want := ref
+		if form != nil {
+			if want, err = runCapture(t, append(form, "-simtime", "1000", "-seeds", "3", "-workers", "1")...); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if out != ref {
-			t.Fatalf("workers=%d output differs from serial:\n%s\n---\n%s", workers, out, ref)
+		for _, workers := range []int{2, 8} {
+			out, err := runCapture(t, append(form, "-simtime", "1000", "-seeds", "3",
+				"-workers", fmt.Sprint(workers))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != want {
+				t.Fatalf("%v workers=%d output differs from serial:\n%s\n---\n%s", form, workers, out, want)
+			}
 		}
 	}
 }
@@ -121,16 +178,15 @@ func TestRunMultiSeedJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vs []jsonResults
-	if err := json.Unmarshal([]byte(out), &vs); err != nil {
-		t.Fatalf("-seeds -json is not a JSON array: %v\n%s", err, out)
+	var recs []jsonRun
+	decodeOne(t, out, &recs)
+	if len(recs) != 2 || recs[0].Seed == recs[1].Seed {
+		t.Fatalf("want 2 distinct-seed records, got %d:\n%s", len(recs), out)
 	}
-	if len(vs) != 2 || vs[0].Seed == vs[1].Seed {
-		t.Fatalf("want 2 distinct-seed results, got %+v", vs)
-	}
-	for _, v := range vs {
-		if v.QueriesAnswered <= 0 {
-			t.Fatalf("implausible replication: %+v", v)
+	for _, rec := range recs {
+		checkRecord(t, rec)
+		if rec.Results.QueriesAnswered <= 0 {
+			t.Fatalf("implausible replication: %+v", rec.Results)
 		}
 	}
 }
@@ -168,7 +224,7 @@ func TestRunJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"queries_answered"`, `"scheme": "aaw"`, `"hit_ratio"`} {
+	for _, want := range []string{`"scheme": "aaw"`, `"digest"`, `"results"`, `"QueriesAnswered"`, `"HitRatio"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("json missing %q:\n%s", want, out)
 		}
@@ -322,47 +378,45 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestJSONCoversAllResultFields guards -json against silent metric loss:
-// every exported engine.Results field must have a same-named counterpart
-// in jsonResults (Config is flattened into the identity fields).
-func TestJSONCoversAllResultFields(t *testing.T) {
-	jt := reflect.TypeOf(jsonResults{})
-	rt := reflect.TypeOf(engine.Results{})
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		if f.Name == "Config" {
-			continue // flattened: scheme/workload/db/clients/simtime/seed
-		}
-		if _, ok := jt.FieldByName(f.Name); !ok {
-			t.Errorf("engine.Results.%s is not exported by -json; add it to jsonResults", f.Name)
-		}
-	}
-	// And every jsonResults field carries a json tag.
-	for i := 0; i < jt.NumField(); i++ {
-		if tag := jt.Field(i).Tag.Get("json"); tag == "" || tag == "-" {
-			t.Errorf("jsonResults.%s has no json tag", jt.Field(i).Name)
-		}
-	}
-}
-
-// TestJSONRoundTrip decodes -json output strictly: an unknown or
-// misspelled key in the emitted JSON fails the decode.
+// TestJSONRoundTrip decodes -json output strictly into jsonRun (an
+// unknown or misspelled key fails the decode), checks its digest against
+// its Results, and replays it as a manifest.
 func TestJSONRoundTrip(t *testing.T) {
 	out, err := runCapture(t, "-simtime", "2000", "-json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(strings.NewReader(out))
-	dec.DisallowUnknownFields()
-	var v jsonResults
-	if err := dec.Decode(&v); err != nil {
-		t.Fatalf("-json output does not round-trip into jsonResults: %v", err)
+	var rec jsonRun
+	decodeOne(t, out, &rec)
+	checkRecord(t, rec)
+	if r := rec.Results; r.QueriesAnswered <= 0 || r.Events == 0 || r.PeakEventQueue <= 0 {
+		t.Fatalf("round-tripped results implausible: %+v", r)
 	}
-	if v.QueriesAnswered <= 0 || v.Events == 0 || v.PeakEventQueue <= 0 {
-		t.Fatalf("round-tripped results implausible: %+v", v)
+	if rec.WallClockSec != 0 {
+		t.Fatalf("-json record is stamped (wall clock %v s), so it is not deterministic", rec.WallClockSec)
 	}
-	if v.MeasuredTime != v.SimTime {
-		t.Fatalf("measured %v != simtime %v with no warmup", v.MeasuredTime, v.SimTime)
+	replays(t, out)
+}
+
+// TestJSONStdoutIsOneValue: under -json, stdout holds exactly one JSON
+// value. A replay's verdict goes to stderr, and -trace, whose dump is
+// text, is refused in favour of -trace-jsonl.
+func TestJSONStdoutIsOneValue(t *testing.T) {
+	man := filepath.Join(t.TempDir(), "run.json")
+	if _, err := runCapture(t, "-simtime", "1000", "-manifest", man); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCapture(t, "-from-manifest", man, "-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jsonRun
+	decodeOne(t, out, &rec)
+	checkRecord(t, rec)
+
+	_, err = runCapture(t, "-simtime", "1000", "-json", "-trace", "2")
+	if err == nil || !strings.Contains(err.Error(), "-trace-jsonl") {
+		t.Fatalf("-json -trace 2 gave %v, want a refusal naming -trace-jsonl", err)
 	}
 }
 
@@ -412,16 +466,15 @@ func TestSpansJSONCarriesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(strings.NewReader(out))
-	dec.DisallowUnknownFields()
-	var v jsonResults
-	if err := dec.Decode(&v); err != nil {
-		t.Fatal(err)
+	var rec jsonRun
+	decodeOne(t, out, &rec)
+	checkRecord(t, rec)
+	r := rec.Results
+	if !rec.SpansEnabled || r.Spans == nil || r.Spans.Answered == 0 {
+		t.Fatalf("span summary missing from -json: enabled %v, %+v", rec.SpansEnabled, r.Spans)
 	}
-	if v.Spans == nil || v.Spans.Answered == 0 {
-		t.Fatalf("span summary missing from -json: %+v", v.Spans)
+	if r.AoISamples == 0 || r.AoIP95 < r.AoIP50 {
+		t.Fatalf("AoI fields implausible: %+v", r)
 	}
-	if v.AoISamples == 0 || v.AoIP95 < v.AoIP50 {
-		t.Fatalf("AoI fields implausible: %+v", v)
-	}
+	replays(t, out)
 }

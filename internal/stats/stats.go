@@ -1,29 +1,11 @@
 // Package stats provides the statistics collectors used by the simulator:
-// event counters, observation tallies, time-weighted averages and
-// histograms, plus batch-means confidence intervals for steady-state
-// output analysis. It plays the role of CSIM's built-in statistics
-// facilities in the original paper's toolchain.
+// observation tallies and fixed-bin histograms, plus batch-means
+// confidence intervals for steady-state output analysis. It plays the
+// role of CSIM's built-in statistics facilities in the original paper's
+// toolchain.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
-// Counter accumulates a monotonically growing total (events, bits, ...).
-type Counter struct {
-	n     int64
-	total float64
-}
-
-// Add records one occurrence of weight v.
-func (c *Counter) Add(v float64) { c.n++; c.total += v }
-
-// Count reports the number of occurrences recorded.
-func (c *Counter) Count() int64 { return c.n }
-
-// Total reports the accumulated weight.
-func (c *Counter) Total() float64 { return c.total }
+import "math"
 
 // Tally accumulates moments of an observation stream using Welford's
 // algorithm, which is numerically stable for long runs.
@@ -74,42 +56,6 @@ func (t *Tally) Min() float64 { return t.min }
 
 // Max reports the largest observation, or 0 with no observations.
 func (t *Tally) Max() float64 { return t.max }
-
-// TimeWeighted tracks a piecewise-constant quantity (queue length, cache
-// occupancy) and integrates it over simulated time. The first Add call
-// anchors the observation window.
-type TimeWeighted struct {
-	value    float64
-	firstT   float64
-	lastT    float64
-	integral float64
-	started  bool
-}
-
-// Add shifts the tracked quantity by dv at time now.
-func (w *TimeWeighted) Add(dv, now float64) {
-	if w.started {
-		w.integral += w.value * (now - w.lastT)
-	} else {
-		w.firstT = now
-	}
-	w.value += dv
-	w.lastT = now
-	w.started = true
-}
-
-// Value reports the current quantity.
-func (w *TimeWeighted) Value() float64 { return w.value }
-
-// Mean reports the time average over [first observation, now]. With no
-// elapsed span it reports the current value.
-func (w *TimeWeighted) Mean(now float64) float64 {
-	if !w.started || now <= w.firstT {
-		return w.value
-	}
-	total := w.integral + w.value*(now-w.lastT)
-	return total / (now - w.firstT)
-}
 
 // Histogram is a fixed-width bin histogram over [Lo, Hi). Observations
 // below Lo count as underflow; those at or above Hi count only in N.
@@ -236,10 +182,4 @@ func (b *BatchMeans) CI95() float64 {
 		t.Observe(m)
 	}
 	return 1.96 * t.Std() / math.Sqrt(float64(len(b.batches)))
-}
-
-// Summary is a compact formatted description of a tally, used by the CLIs.
-func Summary(name string, t *Tally) string {
-	return fmt.Sprintf("%s: n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
-		name, t.N(), t.Mean(), t.Std(), t.Min(), t.Max())
 }

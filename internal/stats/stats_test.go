@@ -2,19 +2,9 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(1)
-	c.Add(4)
-	if c.Count() != 2 || c.Total() != 5 {
-		t.Fatalf("count=%d total=%v", c.Count(), c.Total())
-	}
-}
 
 func TestTallyMoments(t *testing.T) {
 	var ta Tally
@@ -76,44 +66,6 @@ func TestTallyMatchesTwoPass(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTimeWeighted(t *testing.T) {
-	var w TimeWeighted
-	w.Add(0, 0)
-	w.Add(2, 10) // value 0 for 10s
-	w.Add(2, 20) // value 2 for 10s
-	// Integral so far: 0*10 + 2*10 = 20, plus 4*10 up to t=30 -> 60/30 = 2.
-	if got := w.Mean(30); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("mean=%v", got)
-	}
-	if w.Value() != 4 {
-		t.Fatalf("value=%v", w.Value())
-	}
-}
-
-func TestTimeWeightedAdd(t *testing.T) {
-	var w TimeWeighted
-	w.Add(1, 0)
-	w.Add(2, 5)
-	if w.Value() != 3 {
-		t.Fatalf("value=%v", w.Value())
-	}
-	// 1*5 + 3*5 = 20 over 10s.
-	if got := w.Mean(10); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("mean=%v", got)
-	}
-}
-
-func TestTimeWeightedDegenerate(t *testing.T) {
-	var w TimeWeighted
-	if w.Mean(5) != 0 {
-		t.Fatal("unstarted mean should be 0")
-	}
-	w.Add(7, 3)
-	if w.Mean(3) != 7 {
-		t.Fatal("zero-span mean should be current value")
 	}
 }
 
@@ -244,16 +196,6 @@ func TestBatchMeansPanics(t *testing.T) {
 		}
 	}()
 	NewBatchMeans(0)
-}
-
-func TestSummary(t *testing.T) {
-	var ta Tally
-	ta.Observe(1)
-	ta.Observe(3)
-	s := Summary("resp", &ta)
-	if !strings.Contains(s, "resp") || !strings.Contains(s, "n=2") {
-		t.Fatalf("summary=%q", s)
-	}
 }
 
 func TestHistogramQuantileEmpty(t *testing.T) {
