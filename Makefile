@@ -118,9 +118,10 @@ bench-smoke:
 # Parallel-harness scaling: the sweep benchmark at 1/2/4 workers (compare
 # ns/op across the sub-benchmarks on a multi-core machine) plus the
 # kernel, channel, server fetch-shed and cache hot-path benchmarks, which
-# fail on any allocation, and the bit-sequences ones: a rebuild fails on
-# any allocation beyond its structure, level headers and depth copy, and
-# an unchanged build on any.
+# fail on any allocation; the server's admitted fetch, which fails on any
+# beyond its pending-fetch record and completion; and the bit-sequences
+# ones: a rebuild fails on any allocation beyond its structure, level
+# headers and depth copy, and an unchanged build on any.
 par-bench:
 	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel|BenchmarkServer|BenchmarkCache|BenchmarkBitseq' -benchmem -run='^$$' .
 

@@ -469,11 +469,11 @@ func (benchReceiver) DeliverBusy(int32, sim.Time)                      {}
 
 // BenchmarkServerFetchShed measures a fetch under admission control that
 // the saturated bounded downlink sheds: one item in service and the queue
-// at its cap, so every requested item is admitted to the pending table
-// and then tail-dropped. Most fetches of an overloaded run end this way,
-// so the contract requires the path to be allocation-free: the shed
-// returns its pending-fetch record to the server's freelist for the next
-// fetch to reuse.
+// at its cap, so every requested item is tail-dropped. Most fetches of an
+// overloaded run end this way, so the contract requires the path to be
+// allocation-free: the server sends before it writes the pending table,
+// so a shed fetch never enters it, and the shed returns its pending-fetch
+// record to the server's freelist for the next fetch to reuse.
 func BenchmarkServerFetchShed(b *testing.B) {
 	k := sim.New()
 	down := netsim.NewChannel(k, "down", 1e6)
@@ -503,6 +503,42 @@ func BenchmarkServerFetchShed(b *testing.B) {
 	}
 	if testing.AllocsPerRun(100, fetch) != 0 {
 		b.Fatal("shed fetch path allocates")
+	}
+}
+
+// BenchmarkServerFetchAdmit measures a fetch under admission control
+// that the idle downlink admits, drained through the kernel: the record
+// enters the pending table and goes on the air, and its completion tears
+// the entry down and delivers the item. An admitted record is never
+// recycled (the delivery adversary may run its completion twice), so the
+// contract pins the path at exactly two allocations: the record, which
+// holds its first waiter inline, and its bound completion. ItemTxStart is
+// not traced, so the transmission-start observer is never bound.
+func BenchmarkServerFetchAdmit(b *testing.B) {
+	k := sim.New()
+	down := netsim.NewChannel(k, "down", 1e6)
+	srv := server.New(k, db.New(1000, false), down, server.Config{
+		ItemBits: 8192, PendingCap: 64, Coalesce: true,
+	}, rng.New(1))
+	srv.Attach(benchReceiver{})
+	ids := []int32{7}
+	fetch := func() {
+		srv.OnFetch(0, ids, k.Now())
+		for k.Step() {
+		}
+	}
+	fetch() // warms the kernel's event freelist
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	if got, want := srv.ItemsServed, int64(b.N+1); got != want {
+		b.Fatalf("%d of %d fetches served", got, want)
+	}
+	if got := testing.AllocsPerRun(100, fetch); got != 2 {
+		b.Fatalf("admitted fetch path makes %v allocs/op, want 2 (the record and its completion)", got)
 	}
 }
 

@@ -90,7 +90,7 @@ func run(args []string, out *os.File) error {
 	churnSev := fs.Float64("churn", 0, "population churn severity 0..4: mass-disconnect storms, client crash/restart with persisted-snapshot faults, paced resync (requires a recovery path, e.g. -query-deadline)")
 	chaos := fs.Float64("chaos", 0, "compound fault intensity 0..4: bursty loss/corruption on both channels plus server crashes, with the validated retry policy armed")
 	spansOut := fs.String("spans", "", "assemble per-query causal spans and write them to this file as Chrome trace-event JSON (Perfetto-loadable)")
-	validateSpans := fs.String("validate-spans", "", "validate the trace-event schema of an existing span file and exit")
+	validateSpans := fs.String("validate-spans", "", "validate the trace-event schema of an existing span file and exit (with -json, print {\"trace_events\": N})")
 	seeds := fs.Int("seeds", 1, "replication count; N > 1 runs N seeds derived from -seed and averages them")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers for -seeds > 1 (results are identical at any setting)")
 	jsonOut := fs.Bool("json", false, "emit the run as one JSON record: its manifest keys plus \"results\" (replays with -from-manifest)")
@@ -109,6 +109,11 @@ func run(args []string, out *os.File) error {
 		f.Close()
 		if err != nil {
 			return err
+		}
+		if *jsonOut {
+			return writeJSON(out, struct {
+				TraceEvents int `json:"trace_events"`
+			}{n})
 		}
 		fmt.Fprintf(out, "spans file OK: %d trace events\n", n)
 		return nil

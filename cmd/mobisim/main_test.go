@@ -399,8 +399,9 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 // TestJSONStdoutIsOneValue: under -json, stdout holds exactly one JSON
-// value. A replay's verdict goes to stderr, and -trace, whose dump is
-// text, is refused in favour of -trace-jsonl.
+// value. A replay's verdict goes to stderr, -trace, whose dump is text, is
+// refused in favour of -trace-jsonl, and -validate-spans reports its
+// event count as {"trace_events": N}, the count its text line gives.
 func TestJSONStdoutIsOneValue(t *testing.T) {
 	man := filepath.Join(t.TempDir(), "run.json")
 	if _, err := runCapture(t, "-simtime", "1000", "-manifest", man); err != nil {
@@ -417,6 +418,26 @@ func TestJSONStdoutIsOneValue(t *testing.T) {
 	_, err = runCapture(t, "-simtime", "1000", "-json", "-trace", "2")
 	if err == nil || !strings.Contains(err.Error(), "-trace-jsonl") {
 		t.Fatalf("-json -trace 2 gave %v, want a refusal naming -trace-jsonl", err)
+	}
+
+	spans := filepath.Join(t.TempDir(), "spans.json")
+	if _, err := runCapture(t, "-simtime", "1000", "-spans", spans); err != nil {
+		t.Fatal(err)
+	}
+	text, err := runCapture(t, "-validate-spans", spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = runCapture(t, "-validate-spans", spans, "-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v struct {
+		TraceEvents int `json:"trace_events"`
+	}
+	decodeOne(t, out, &v)
+	if want := fmt.Sprintf("spans file OK: %d trace events\n", v.TraceEvents); v.TraceEvents == 0 || text != want {
+		t.Fatalf("-validate-spans -json counted %d trace events; the text form says %q", v.TraceEvents, text)
 	}
 }
 

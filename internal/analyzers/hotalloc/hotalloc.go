@@ -71,8 +71,11 @@ var knownHot = map[string][]string{
 	"internal/core":   {"bsScratch.invalidate"},
 	"internal/bitseq": {"Structure.Level", "Builder.Build"},
 	// BenchmarkServerFetchShed pins a fetch the bounded downlink sheds at
-	// 0 allocs/op: the pending-fetch record comes off the freelist.
-	"internal/server": {"Server.admitFetch"},
+	// 0 allocs/op: the pending-fetch record comes off the freelist and
+	// never enters the table. BenchmarkServerFetchAdmit pins an admitted
+	// fetch at its record and completion, and its completion's fan-out at
+	// nothing.
+	"internal/server": {"Server.admitFetch", "pendingFetch.deliver"},
 }
 
 // Analyzer is the hotalloc check.

@@ -85,25 +85,28 @@ type Config struct {
 // The epoch stamp keeps the table's population counter exact across
 // server crashes: a crash clears the table (in-memory state loss), and
 // completions from a previous epoch must not decrement the new count.
-// txStart and complete are the record's onTxStart and deliver methods,
-// bound once when the record is created, so re-admitting a recycled
-// record builds no closures.
+// w0 is the requester of record, the admitting client; more holds the
+// waiters coalesced on later, in arrival order. complete is the record's
+// deliver method, bound once when the record is created; txStart is its
+// onTxStart method, bound the first time the record is admitted while
+// ItemTxStart is traced. A recycled record keeps both, so re-admitting it
+// builds no closures.
 type pendingFetch struct {
-	s       *Server
-	id      int32
-	epoch   int32
-	waiters []Receiver
+	s     *Server
+	id    int32
+	epoch int32
+	w0    Receiver
+	more  []Receiver
 
 	txStart  func(sim.Time)
 	complete func()
 }
 
 // onTxStart traces the transmission's start, attributed to the requester
-// of record (the admitting client, waiters[0]); waiters coalesced on
-// later share the service phase and get no transmission stamp of their
-// own.
+// of record (w0); waiters coalesced on later share the service phase and
+// get no transmission stamp of their own.
 func (p *pendingFetch) onTxStart(t sim.Time) {
-	p.s.traceItem(trace.ItemTxStart, t, p.waiters[0].ID(), p.id)
+	p.s.traceItem(trace.ItemTxStart, t, p.w0.ID(), p.id)
 }
 
 // deliver is the transmission's completion: it tears down the table
@@ -114,7 +117,7 @@ func (p *pendingFetch) onTxStart(t sim.Time) {
 func (p *pendingFetch) deliver() {
 	s := p.s
 	if s.pending[p.id] == p {
-		delete(s.pending, p.id)
+		s.pending[p.id] = nil
 	}
 	if p.epoch == s.epoch {
 		s.pendingN--
@@ -126,7 +129,8 @@ func (p *pendingFetch) deliver() {
 	}
 	ver := s.db.Version(p.id)
 	done := s.k.Now()
-	for _, w := range p.waiters {
+	p.w0.DeliverItem(p.id, ver, ts, done)
+	for _, w := range p.more {
 		w.DeliverItem(p.id, ver, ts, done)
 	}
 }
@@ -137,25 +141,29 @@ type Server struct {
 	k    *sim.Kernel
 	db   *db.Database
 	down *netsim.Channel
-	rcv  map[int32]Receiver
-	all  []Receiver
+	// rcv is the uplink endpoint table, indexed by client id; a nil slot
+	// is an unknown client. all is the broadcast fan-out in attach order.
+	rcv []Receiver
+	all []Receiver
 
 	updRNG     *rng.Source
 	updScratch []int32
 
-	// Admission-control state (used only when PendingCap or Coalesce is
-	// set): the pending-fetch table keyed by item id, and its population.
-	// pendingN counts admitted transmissions, which can briefly exceed
-	// len(pending) when, without coalescing, a second fetch for an
-	// already-pending item overwrites the map entry (each transmission
-	// still completes and decrements exactly once, epoch-guarded).
-	pending  map[int32]*pendingFetch
+	// Admission-control state (allocated only when PendingCap or
+	// Coalesce is set): the pending-fetch table indexed by item id (nil =
+	// nothing pending), and its population. pendingN counts admitted
+	// transmissions, which can briefly exceed the non-nil slots when,
+	// without coalescing, a second fetch for an already-pending item
+	// overwrites the slot (each transmission still completes and
+	// decrements exactly once, epoch-guarded).
+	pending  []*pendingFetch
 	pendingN int
 	// freeFetch is the pending-fetch freelist. Only a record whose send
 	// the downlink shed comes back here: the channel keeps nothing from a
-	// shed send, so reuse is exact. It goes back in the same admitFetch
-	// call that took it, so the list never holds more than one record and
-	// one slot suffices. An admitted record is never recycled, because
+	// shed send, so reuse is exact, and the record never entered the
+	// table. The list never holds more than one record (admitFetch takes
+	// it, and gives it back only when the send is shed), so one slot
+	// suffices. An admitted record is never recycled, because
 	// the delivery adversary may run its completion twice (a duplicate)
 	// or never (a partition), and a duplicate must reach the same waiters
 	// with the same side effects as the first run: Cache.Put through
@@ -216,33 +224,47 @@ func New(k *sim.Kernel, d *db.Database, down *netsim.Channel, cfg Config, updRNG
 		k:           k,
 		db:          d,
 		down:        down,
-		rcv:         make(map[int32]Receiver),
-		pending:     make(map[int32]*pendingFetch),
 		updRNG:      updRNG,
 		ReportsSent: make(map[report.Kind]int64),
 		ReportBits:  make(map[report.Kind]float64),
+	}
+	if cfg.PendingCap > 0 || cfg.Coalesce {
+		s.pending = make([]*pendingFetch, d.N())
 	}
 	s.updateFn, s.broadcastFn = s.update, s.broadcast
 	return s
 }
 
 // Attach registers a client as a broadcast receiver and uplink endpoint.
+// The endpoint table grows to the highest id attached.
 func (s *Server) Attach(r Receiver) {
-	if _, dup := s.rcv[r.ID()]; dup {
+	id := r.ID()
+	if n := int(id) + 1; n > len(s.rcv) {
+		s.rcv = append(s.rcv, make([]Receiver, n-len(s.rcv))...)
+	}
+	if s.rcv[id] != nil {
 		panic("server: duplicate client id")
 	}
-	s.rcv[r.ID()] = r
+	s.rcv[id] = r
 	s.all = append(s.all, r)
+}
+
+// receiver returns the attached client with the given id, or nil.
+func (s *Server) receiver(id int32) Receiver {
+	if id < 0 || int(id) >= len(s.rcv) {
+		return nil
+	}
+	return s.rcv[id]
 }
 
 // Detach removes a client (it moved to another cell). Unknown ids are
 // ignored: a validity reply or fetch already queued for a departed client
 // is delivered into the void by the caller's choice, not an error here.
 func (s *Server) Detach(id int32) {
-	if _, ok := s.rcv[id]; !ok {
+	if s.receiver(id) == nil {
 		return
 	}
-	delete(s.rcv, id)
+	s.rcv[id] = nil
 	for i, r := range s.all {
 		if r.ID() == id {
 			s.all = append(s.all[:i], s.all[i+1:]...)
@@ -496,8 +518,8 @@ func (s *Server) OnControl(msg *core.ControlMsg, now sim.Time) {
 		return
 	}
 	s.ChecksServed++
-	rc, ok := s.rcv[v.Client]
-	if !ok {
+	rc := s.receiver(v.Client)
+	if rc == nil {
 		panic("server: validity reply for unknown client")
 	}
 	bits := float64(v.SizeBits(s.cfg.Params.Rep))
@@ -539,8 +561,8 @@ func (s *Server) OnFetch(clientID int32, ids []int32, now sim.Time) {
 		s.DroppedWhileDown++
 		return
 	}
-	rc, ok := s.rcv[clientID]
-	if !ok {
+	rc := s.receiver(clientID)
+	if rc == nil {
 		panic("server: fetch from unknown client")
 	}
 	for _, id := range ids {
@@ -571,51 +593,53 @@ func (s *Server) OnFetch(clientID int32, ids []int32, now sim.Time) {
 
 // admitFetch routes one requested item through the pending-fetch table:
 // coalesce onto an already-pending transmission of the same item, reject
-// with a busy reply beyond the high-water mark, or admit a new downlink
+// with a busy reply beyond the high-water mark, or send a new downlink
 // transmission whose completion is fanned out to every coalesced waiter.
+// Only an admitted send enters the table: nothing reads it between the
+// send and its completion, which the channel always schedules.
 //
 // hot path: once per requested item under admission control; a fetch the
-// bounded downlink sheds reuses a freelist record and allocates nothing
-// (BenchmarkServerFetchShed).
+// bounded downlink sheds reuses a freelist record, touches no table and
+// allocates nothing (BenchmarkServerFetchShed); an admitted one allocates
+// its record and completion (BenchmarkServerFetchAdmit).
 func (s *Server) admitFetch(rc Receiver, id int32, now sim.Time) {
-	if p, ok := s.pending[id]; ok && s.cfg.Coalesce {
-		//lint:allow hotalloc a coalesced waiter joins an admitted record, which is never recycled; its waiters grow once per coalesced fetch, never on the shed path
-		p.waiters = append(p.waiters, rc)
-		s.CoalescedFetches++
-		s.traceItem(trace.Coalesced, now, rc.ID(), id)
-		return
+	if s.cfg.Coalesce {
+		if p := s.pending[id]; p != nil {
+			//lint:allow hotalloc a coalesced waiter joins an admitted record, which is never recycled; more grows only past the inline first waiter, never on the shed path
+			p.more = append(p.more, rc)
+			s.CoalescedFetches++
+			s.traceItem(trace.Coalesced, now, rc.ID(), id)
+			return
+		}
 	}
 	if s.cfg.PendingCap > 0 && s.pendingN >= s.cfg.PendingCap {
 		s.busyReply(rc, id, now)
 		return
 	}
 	p := s.freeFetch
-	if p != nil {
-		s.freeFetch = nil
-		p.waiters = p.waiters[:1]
-		p.waiters[0] = rc
-	} else {
-		//lint:allow hotalloc freelist miss is the cold fill path; a shed send returns its record, so the shed path reuses one
-		p = &pendingFetch{s: s, waiters: []Receiver{rc}}
-		p.txStart, p.complete = p.onTxStart, p.deliver
+	if p == nil {
+		//lint:allow hotalloc freelist miss is the admitted path's record, its first waiter inline and its completion bound once (txStart only when traced); a shed send returns its record, so the shed path reuses one
+		p = &pendingFetch{s: s}
+		p.complete = p.deliver
 	}
-	p.id, p.epoch = id, s.epoch
-	s.pending[id] = p
-	s.pendingN++
+	p.id, p.epoch, p.w0 = id, s.epoch, rc
 	var onTx func(sim.Time)
 	if s.cfg.Tracer.Enabled(trace.ItemTxStart) {
+		if p.txStart == nil {
+			p.txStart = p.onTxStart
+		}
 		onTx = p.txStart
 	}
 	if !s.down.SendObserved(netsim.ClassData, s.cfg.ItemBits, onTx, p.complete) {
-		// Tail-dropped by a bounded downlink: undo the admission and
-		// recycle the record. The requester's retry or deadline recovers.
-		if s.pending[id] == p {
-			delete(s.pending, id)
-		}
-		s.pendingN--
-		clear(p.waiters)
+		// Tail-dropped by a bounded downlink: recycle the record. The
+		// requester's retry or deadline recovers.
+		p.w0 = nil
 		s.freeFetch = p
+		return
 	}
+	s.freeFetch = nil
+	s.pending[id] = p
+	s.pendingN++
 }
 
 // traceItem records a per-item fetch event: a transmission start, a

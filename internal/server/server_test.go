@@ -45,7 +45,9 @@ func (f *fakeReceiver) DeliverBusy(id int32, now sim.Time) {
 	f.busy = append(f.busy, id)
 }
 
-func newTestServer(t *testing.T, schemeName string, downBps float64) (*sim.Kernel, *Server, *db.Database) {
+// newTestServer builds an unstarted server for the named scheme on a
+// 1000-item database; each opt edits the Config before New sees it.
+func newTestServer(t *testing.T, schemeName string, downBps float64, opts ...func(*Config)) (*sim.Kernel, *Server, *db.Database) {
 	t.Helper()
 	scheme, err := core.Lookup(schemeName)
 	if err != nil {
@@ -55,14 +57,18 @@ func newTestServer(t *testing.T, schemeName string, downBps float64) (*sim.Kerne
 	k := sim.New()
 	d := db.New(1000, false)
 	down := netsim.NewChannel(k, "down", downBps)
-	srv := New(k, d, down, Config{
+	cfg := Config{
 		Scheme:                 scheme.NewServer(params),
 		Params:                 params,
 		ItemBits:               8192,
 		UpdateAccess:           workload.UniformAccess{N: 1000},
 		UpdateItems:            rng.Fixed{N: 5},
 		MeanUpdateInterarrival: 100,
-	}, rng.New(7))
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	srv := New(k, d, down, cfg, rng.New(7))
 	return k, srv, d
 }
 
@@ -221,6 +227,38 @@ func TestUnknownClientPanics(t *testing.T) {
 	}()
 	_ = k
 	srv.OnFetch(99, []int32{1}, 0)
+}
+
+// TestDetachReattach pins the dense endpoint table: Detach ignores ids
+// never attached (inside and beyond the table) and removes a client from
+// the broadcast fan-out and the uplink; the id can then attach again.
+func TestDetachReattach(t *testing.T) {
+	k, srv, _ := newTestServer(t, "ts", 1e9)
+	a := &fakeReceiver{id: 0, connected: true}
+	c := &fakeReceiver{id: 2, connected: true}
+	srv.Attach(a)
+	srv.Attach(c)
+	srv.Detach(1)  // an empty slot
+	srv.Detach(7)  // beyond the table
+	srv.Detach(-1) // never a client id
+	srv.Detach(2)
+	if len(srv.all) != 1 || srv.all[0] != a {
+		t.Fatalf("broadcast fan-out after detaching 2: %d receivers", len(srv.all))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("fetch from a detached client accepted")
+			}
+		}()
+		srv.OnFetch(2, []int32{1}, 0)
+	}()
+	srv.Attach(c)
+	srv.OnFetch(2, []int32{1}, 0)
+	k.Run(1)
+	if len(c.items) != 1 || c.items[0] != 1 {
+		t.Fatalf("reattached client got %v, want item 1", c.items)
+	}
 }
 
 func TestReportBitsAccounting(t *testing.T) {
