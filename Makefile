@@ -121,9 +121,11 @@ bench-smoke:
 # fail on any allocation; the server's admitted fetch, which fails on any
 # beyond its pending-fetch record and completion; and the bit-sequences
 # ones: a rebuild fails on any allocation beyond its structure, level
-# headers and depth copy, and an unchanged build on any.
+# headers and depth copy, and an unchanged build on any; and the run
+# set-up pass on a reused engine.Scratch, which fails when it saves less
+# than nine tenths of a fresh pass's cache and database arenas.
 par-bench:
-	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel|BenchmarkServer|BenchmarkCache|BenchmarkBitseq' -benchmem -run='^$$' .
+	$(GO) test -bench='BenchmarkSweepParallel|BenchmarkKernel|BenchmarkChannel|BenchmarkServer|BenchmarkCache|BenchmarkBitseq|BenchmarkRunSetupReused' -benchmem -run='^$$' .
 
 # Coverage gate: full suite with -coverprofile; fails if total statement
 # coverage drops below the floor.

@@ -8,6 +8,7 @@ package mobicache
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mobicache/internal/bitio"
@@ -346,23 +347,76 @@ func BenchmarkCacheTouchAll(b *testing.B) {
 // that horizon a run is mostly its set-up, so B/op tracks the per-run
 // arenas: the client caches and the database with its update log.
 func BenchmarkRunSetup(b *testing.B) {
+	cfgs := runSetupConfigs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for j, scheme := range []string{"bs", "afw", "ts-check"} {
-			c := engine.Default()
-			c.Scheme = scheme
-			c.Workload = workload.HotCold(c.DBSize)
-			c.MeanUpdate = 10
-			c.ProbDisc = 0.3
-			c.MeanDisc = 1000
-			c.SimTime = 2 * c.Period
-			c.Seed = rng.DeriveSeed(1, uint64(j))
-			c.ConsistencyCheck = true
-			if _, err := engine.Run(c); err != nil {
-				b.Fatal(err)
-			}
+		runSetup(b, cfgs, engine.Run)
+	}
+}
+
+// BenchmarkRunSetupReused is BenchmarkRunSetup with every run on one
+// engine.Scratch, as a sweep worker runs its cells: B/op is what a run
+// costs once the scratch holds its arenas. It fails when a reused pass
+// saves less than nine tenths of the cache and database arenas a fresh
+// pass allocates.
+func BenchmarkRunSetupReused(b *testing.B) {
+	cfgs := runSetupConfigs()
+	var s engine.Scratch
+	reused := func() { runSetup(b, cfgs, s.Run) }
+	reused() // the scratch now holds the largest arenas of the three
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reused()
+	}
+	b.StopTimer()
+
+	fresh := allocBytes(func() { runSetup(b, cfgs, engine.Run) })
+	arenas := allocBytes(func() {
+		for _, c := range cfgs {
+			new(cache.Arena).NewSet(c.Clients, c.CacheCapacity(), c.DBSize)
+			db.New(c.DBSize, c.ConsistencyCheck)
+		}
+	})
+	if got, ceiling := allocBytes(reused), fresh-arenas*9/10; got > ceiling {
+		b.Fatalf("a reused set-up pass allocates %d B, above the ceiling of %d B (fresh %d B less 9/10 of its %d B of arenas)",
+			got, ceiling, fresh, arenas)
+	}
+}
+
+// runSetupConfigs is mobibench update-heavy's set-up pass.
+func runSetupConfigs() []engine.Config {
+	var cfgs []engine.Config
+	for j, scheme := range []string{"bs", "afw", "ts-check"} {
+		c := engine.Default()
+		c.Scheme = scheme
+		c.Workload = workload.HotCold(c.DBSize)
+		c.MeanUpdate = 10
+		c.ProbDisc = 0.3
+		c.MeanDisc = 1000
+		c.SimTime = 2 * c.Period
+		c.Seed = rng.DeriveSeed(1, uint64(j))
+		c.ConsistencyCheck = true
+		cfgs = append(cfgs, c)
+	}
+	return cfgs
+}
+
+func runSetup(b *testing.B, cfgs []engine.Config, run func(engine.Config) (*engine.Results, error)) {
+	for _, c := range cfgs {
+		if _, err := run(c); err != nil {
+			b.Fatal(err)
 		}
 	}
+}
+
+// allocBytes reports the bytes fn allocates on the heap.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func BenchmarkKernelEventThroughput(b *testing.B) {

@@ -375,10 +375,11 @@ func writeJSON(out io.Writer, v any) error {
 func runMulti(out *os.File, c engine.Config, count, workers int, root uint64, jsonOut bool) error {
 	results := make([]*engine.Results, count)
 	audits := make([]error, count) // a failed audit is reported after the summaries
+	scratches := engine.NewScratches(parallel.ClampWorkers(workers, count))
 	err := parallel.ForEach(count, workers, func(i int) error {
 		rc := c
 		rc.Seed = rng.DeriveSeed(root, uint64(i))
-		r, err := engine.Run(rc)
+		r, err := scratches.Run(rc)
 		if r == nil {
 			return fmt.Errorf("replication %d (seed %d): %w", i, rc.Seed, err)
 		}

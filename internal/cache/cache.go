@@ -5,6 +5,8 @@
 // invalidation algorithms compare against report entries.
 package cache
 
+import "mobicache/internal/reuse"
+
 // Entry is one cached item.
 type Entry struct {
 	ID int32
@@ -43,8 +45,8 @@ type slot struct {
 // FuzzCache pins LRU order, hit/miss accounting, entry contents and
 // Reload panics against a map-indexed reference LRU.
 //
-// The zero value is unusable; call New, or NewSet to carve many caches
-// from shared arenas.
+// The zero value is unusable; call New, or an Arena's NewSet to carve
+// many caches from shared arenas (reusing them from a previous set).
 type Cache struct {
 	capacity int
 	bits     []uint64 // presence, one bit per item id
@@ -62,12 +64,24 @@ type Cache struct {
 
 // New creates a standalone cache holding at most capacity of the items
 // item ids (capacity >= 1, items >= 1).
-func New(capacity, items int) *Cache { return &NewSet(1, capacity, items)[0] }
+func New(capacity, items int) *Cache { return &new(Arena).NewSet(1, capacity, items)[0] }
 
-// NewSet creates n caches like New, carving all of them from three shared
-// arenas — presence bitmaps, slots, fresh-slot bitmaps — so a million
-// caches cost four allocations.
-func NewSet(n, capacity, items int) []Cache {
+// Arena is the storage a cache set is carved from: the presence bitmaps,
+// the slots, the fresh-slot bitmaps and the Cache headers. The zero value
+// holds nothing, so a set carved from a new Arena is freshly allocated
+// and a million caches cost four allocations. NewSet reuses each array
+// that is large enough and allocates the others, so a run that follows
+// another on the same arena allocates nothing for its caches when it
+// fits. A set is valid until its arena carves the next one.
+type Arena struct {
+	bits, fresh []uint64
+	slots       []slot
+	caches      []Cache
+}
+
+// NewSet carves n caches like New from a's storage, reinitialised
+// exactly as fresh allocation would leave it.
+func (a *Arena) NewSet(n, capacity, items int) []Cache {
 	if capacity < 1 {
 		panic("cache: capacity must be at least 1")
 	}
@@ -76,19 +90,19 @@ func NewSet(n, capacity, items int) []Cache {
 	}
 	words := (items + 63) / 64
 	freshWords := (capacity + 63) / 64
-	bits := make([]uint64, words*n)
-	slots := make([]slot, capacity*n)
-	fresh := make([]uint64, freshWords*n)
-	cs := make([]Cache, n)
-	for i := range cs {
-		c := &cs[i]
+	a.bits = reuse.Slice(a.bits, words*n)
+	a.slots = reuse.Slice(a.slots, capacity*n)
+	a.fresh = reuse.Slice(a.fresh, freshWords*n)
+	a.caches = reuse.Slice(a.caches, n)
+	for i := range a.caches {
+		c := &a.caches[i]
 		c.capacity = capacity
-		c.bits = bits[i*words : (i+1)*words]
-		c.slots = slots[i*capacity : (i+1)*capacity]
-		c.fresh = fresh[i*freshWords : (i+1)*freshWords]
+		c.bits = a.bits[i*words : (i+1)*words]
+		c.slots = a.slots[i*capacity : (i+1)*capacity]
+		c.fresh = a.fresh[i*freshWords : (i+1)*freshWords]
 		c.resetSlots()
 	}
-	return cs
+	return a.caches
 }
 
 // resetSlots empties the slot structure without touching statistics:

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -219,13 +220,65 @@ func TestNewSetFootprint(t *testing.T) {
 	}
 	var sink []Cache
 	for _, n := range []int{1, 10, 1000} {
-		allocs := testing.AllocsPerRun(10, func() { sink = NewSet(n, 65, 1000) })
+		allocs := testing.AllocsPerRun(10, func() { sink = new(Arena).NewSet(n, 65, 1000) })
 		if allocs != 4 {
-			t.Errorf("NewSet(%d, ...) makes %v allocations, want 4", n, allocs)
+			t.Errorf("fresh NewSet(%d, ...) makes %v allocations, want 4", n, allocs)
 		}
 	}
 	if len(sink) != 1000 {
 		t.Fatalf("last set has %d caches", len(sink))
+	}
+	// A set carved from an arena that already holds one as large makes
+	// none, smaller or not.
+	var a Arena
+	a.NewSet(1000, 65, 1000)
+	for _, n := range []int{1000, 10, 1} {
+		if allocs := testing.AllocsPerRun(10, func() { sink = a.NewSet(n, 65, 1000) }); allocs != 0 {
+			t.Errorf("reused NewSet(%d, ...) makes %v allocations, want 0", n, allocs)
+		}
+	}
+}
+
+// TestArenaReuseIsFresh fills a set, carves sets of other shapes from the
+// same arena, and requires each to read exactly as a freshly allocated
+// one: empty, no statistics, and the same LRU behaviour under one
+// operation sequence.
+func TestArenaReuseIsFresh(t *testing.T) {
+	var a Arena
+	for _, shape := range [][3]int{{8, 40, 500}, {3, 10, 64}, {12, 65, 1000}, {8, 40, 500}} {
+		n, capacity, items := shape[0], shape[1], shape[2]
+		reused, fresh := a.NewSet(n, capacity, items), new(Arena).NewSet(n, capacity, items)
+		src := rng.New(uint64(n * capacity))
+		for i := range reused {
+			r, f := &reused[i], &fresh[i]
+			if r.Len() != 0 || r.Hits() != 0 || r.Misses() != 0 {
+				t.Fatalf("shape %v cache %d: reused cache not empty", shape, i)
+			}
+			for op := 0; op < 4*capacity; op++ {
+				id := int32(src.Intn(items))
+				switch src.Intn(4) {
+				case 0:
+					r.Put(id, float64(op), int32(op))
+					f.Put(id, float64(op), int32(op))
+				case 1:
+					r.TouchAll(float64(op))
+					f.TouchAll(float64(op))
+				case 2:
+					if r.Invalidate(id) != f.Invalidate(id) {
+						t.Fatalf("shape %v cache %d op %d: Invalidate differs", shape, i, op)
+					}
+				default:
+					re, rok := r.Lookup(id)
+					fe, fok := f.Lookup(id)
+					if re != fe || rok != fok {
+						t.Fatalf("shape %v cache %d op %d: Lookup %v,%v, fresh %v,%v", shape, i, op, re, rok, fe, fok)
+					}
+				}
+			}
+			if got, want := r.Entries(nil), f.Entries(nil); !slices.Equal(got, want) {
+				t.Fatalf("shape %v cache %d: entries %v, fresh %v", shape, i, got, want)
+			}
+		}
 	}
 }
 

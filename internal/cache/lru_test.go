@@ -450,12 +450,12 @@ func TestBitmapResetStats(t *testing.T) {
 }
 
 // TestBitmapArenaIsolation pins the shared-arena construction: caches
-// carved by NewSet must never bleed into a neighbour's slots, even at full
+// carved by an Arena's NewSet must never bleed into a neighbour's slots, even at full
 // capacity churn on both sides of the carve boundary, and each must track
 // its own reference.
 func TestBitmapArenaIsolation(t *testing.T) {
 	const n, capacity, items = 3, 4, 128
-	caches := NewSet(n, capacity, items)
+	caches := new(Arena).NewSet(n, capacity, items)
 	var refs [n]*lru
 	for i := range refs {
 		refs[i] = newLRU(capacity)

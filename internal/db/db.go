@@ -16,7 +16,11 @@
 //     that no client ever serves a stale cache entry.
 package db
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"mobicache/internal/reuse"
+)
 
 // UpdateEntry is one (item, last-update time) pair, as carried in
 // timestamp-window invalidation reports.
@@ -68,17 +72,30 @@ type Database struct {
 // enables the update log (needed by VersionAt; costs one int32 per item
 // plus memory proportional to total updates).
 func New(n int, trackHistory bool) *Database {
+	d := new(Database)
+	d.Reset(n, trackHistory)
+	return d
+}
+
+// Reset makes d a database of n items, none updated yet, exactly as New
+// builds one, but reusing every array of d's that is large enough: the
+// per-item arrays, the level bounds and the update log's storage. A run
+// that follows another on the same Database then allocates nothing for it
+// when it fits.
+func (d *Database) Reset(n int, trackHistory bool) {
 	if n <= 0 {
 		panic("db: need at least one item")
 	}
-	d := &Database{
+	*d = Database{
 		n:            n,
-		lastUpdate:   make([]float64, n),
-		version:      make([]int32, n),
-		next:         make([]int32, n),
-		prev:         make([]int32, n),
-		depth:        make([]uint8, n),
-		bound:        make([]int32, bits.Len(uint(n))-1),
+		lastUpdate:   reuse.Slice(d.lastUpdate, n),
+		version:      reuse.Slice(d.version, n),
+		log:          d.log[:0],
+		newest:       d.newest[:0],
+		next:         reuse.Slice(d.next, n),
+		prev:         reuse.Slice(d.prev, n),
+		depth:        reuse.Slice(d.depth, n),
+		bound:        reuse.Slice(d.bound, bits.Len(uint(n))-1),
 		head:         nilIdx,
 		tail:         nilIdx,
 		trackHistory: trackHistory,
@@ -92,9 +109,8 @@ func New(n int, trackHistory bool) *Database {
 		d.bound[l] = nilIdx
 	}
 	if trackHistory {
-		d.newest = make([]int32, n)
+		d.newest = reuse.Slice(d.newest, n)
 	}
-	return d
 }
 
 // N reports the database size.

@@ -356,3 +356,56 @@ func TestRecencyListIntegrity(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// TestResetIsFresh runs one update sequence on a Database reused through
+// Reset and on a fresh one, across shrinking and growing sizes with the
+// history toggled, and requires every view to agree after each update.
+func TestResetIsFresh(t *testing.T) {
+	var d Database
+	for _, shape := range []struct {
+		n     int
+		track bool
+	}{{1000, true}, {64, false}, {7, true}, {1000, false}, {300, true}} {
+		d.Reset(shape.n, shape.track)
+		fresh := New(shape.n, shape.track)
+		src := rng.New(uint64(shape.n))
+		now := 0.0
+		for i := 0; i < 2*shape.n+5; i++ {
+			id := int32(src.Intn(shape.n))
+			now += src.Exp(1)
+			d.Update(id, now)
+			fresh.Update(id, now)
+			if d.Updates() != fresh.Updates() || d.DistinctUpdated() != fresh.DistinctUpdated() ||
+				d.NewestUpdateTime() != fresh.NewestUpdateTime() {
+				t.Fatalf("N=%d update %d: counters differ from a fresh database", shape.n, i)
+			}
+			for l := range bits.Len(uint(shape.n)) - 1 {
+				if d.LevelTS(l) != fresh.LevelTS(l) {
+					t.Fatalf("N=%d update %d: LevelTS(%d) differs", shape.n, i, l)
+				}
+			}
+		}
+		for id := int32(0); int(id) < shape.n; id++ {
+			if d.LastUpdate(id) != fresh.LastUpdate(id) || d.Version(id) != fresh.Version(id) ||
+				d.DepthIndex()[id] != fresh.DepthIndex()[id] {
+				t.Fatalf("N=%d: item %d differs from a fresh database", shape.n, id)
+			}
+			if shape.track && d.VersionAt(id, now/2) != fresh.VersionAt(id, now/2) {
+				t.Fatalf("N=%d: VersionAt(%d) differs from a fresh database", shape.n, id)
+			}
+		}
+		got, want := d.UpdatedSince(now/3, nil), fresh.UpdatedSince(now/3, nil)
+		if len(got) != len(want) {
+			t.Fatalf("N=%d: UpdatedSince has %d entries, fresh %d", shape.n, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("N=%d: UpdatedSince[%d] = %v, fresh %v", shape.n, i, got[i], want[i])
+			}
+		}
+	}
+	// Every shape above fits the storage the first one left, log included.
+	if allocs := testing.AllocsPerRun(10, func() { d.Reset(500, true) }); allocs != 0 {
+		t.Errorf("Reset into storage that fits makes %v allocations, want 0", allocs)
+	}
+}

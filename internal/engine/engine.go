@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"mobicache/internal/cache"
 	"mobicache/internal/churn"
 	"mobicache/internal/core"
 	"mobicache/internal/db"
@@ -462,8 +463,22 @@ type cell struct {
 // Run executes the simulation described by c and audits the results. A
 // run that fails its audit returns its Results together with the error,
 // so the caller can still show what went wrong; a config error returns
-// nil Results.
-func Run(c Config) (*Results, error) {
+// nil Results. It is a run on a Scratch of its own.
+func Run(c Config) (*Results, error) { return new(Scratch).Run(c) }
+
+// Scratch is the storage a run leaves behind for the next one: the
+// clients' cache arenas and the database's arrays. A run on a scratch
+// reinitialises that storage in place, exactly as fresh allocation would
+// leave it, so cells run one after another on one scratch allocate it
+// once. A scratch runs one run at a time, and nothing a run returns
+// aliases it (DESIGN.md §7). The zero value is ready to use.
+type Scratch struct {
+	caches cache.Arena
+	db     db.Database
+}
+
+// Run is the package-level Run on s's storage.
+func (s *Scratch) Run(c Config) (*Results, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -515,7 +530,8 @@ func Run(c Config) (*Results, error) {
 
 	k := sim.New()
 	root := rng.New(c.Seed)
-	d := db.New(c.DBSize, c.ConsistencyCheck)
+	d := &s.db
+	d.Reset(c.DBSize, c.ConsistencyCheck)
 
 	var crashRNG *rng.Source
 	if c.Faults.CrashMTBF > 0 {
@@ -665,7 +681,7 @@ func Run(c Config) (*Results, error) {
 			where[i] = next
 			res.Handoffs++
 		},
-	}, root)
+	}, root, &s.caches)
 	for i := 0; i < c.Clients; i++ {
 		// Clock errors are drawn in client index order, interleaved with
 		// the attach and the start event, so assignments and event
@@ -890,4 +906,26 @@ func Run(c Config) (*Results, error) {
 	res.Events = k.Executed()
 	res.PeakEventQueue = k.MaxPending()
 	return res, audit(res)
+}
+
+// Scratches is a fixed set of scratches shared by a pool of workers: Run
+// holds one for the length of a run. With one scratch per worker, every
+// running cell has one, and each reuses the storage its worker's previous
+// cell left.
+type Scratches chan *Scratch
+
+// NewScratches makes n scratches, one per worker of a pool of n.
+func NewScratches(n int) Scratches {
+	p := make(Scratches, n)
+	for range n {
+		p <- new(Scratch)
+	}
+	return p
+}
+
+// Run runs c on a scratch of p's, waiting for one to be free.
+func (p Scratches) Run(c Config) (*Results, error) {
+	s := <-p
+	defer func() { p <- s }()
+	return s.Run(c)
 }

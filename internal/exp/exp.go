@@ -343,6 +343,9 @@ func (r *Runner) RunSweep(s *Sweep) (*SweepResult, error) {
 	}
 
 	runs := make([]*engine.Results, len(jobs))
+	// One scratch per worker: each cell builds its run in the storage its
+	// worker's previous cell left.
+	scratches := engine.NewScratches(parallel.ClampWorkers(r.Opts.Workers, len(jobs)))
 	var progressMu sync.Mutex
 	err := parallel.ForEach(len(jobs), r.Opts.Workers, func(i int) error {
 		j := jobs[i]
@@ -355,7 +358,7 @@ func (r *Runner) RunSweep(s *Sweep) (*SweepResult, error) {
 		if r.Opts.TimelineDir != "" {
 			c.Metrics = metrics.New()
 		}
-		run, err := engine.Run(c)
+		run, err := scratches.Run(c)
 		if err != nil {
 			return fmt.Errorf("sweep %s x=%v scheme=%s: %w", s.ID, j.x, j.scheme, err)
 		}

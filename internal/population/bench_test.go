@@ -43,7 +43,7 @@ func benchPopulation(n int) (*Population, *sim.Kernel, uint64) {
 		MeanThink:     100,
 		MeanDisc:      400,
 		ProbDisc:      0.1,
-	}, rng.New(1))
+	}, rng.New(1), new(cache.Arena))
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	bytes := after.HeapAlloc - before.HeapAlloc

@@ -71,7 +71,7 @@ func newRig(t *testing.T, schemeName string, mod func(*Config)) *rig {
 	if mod != nil {
 		mod(&cfg)
 	}
-	p := New(k, netsim.NewChannel(k, "up", 1e9), srv, cfg, rng.New(3))
+	p := New(k, netsim.NewChannel(k, "up", 1e9), srv, cfg, rng.New(3), new(cache.Arena))
 	r := &rig{k: k, srv: srv, p: p, h: p.Handle(0), cnt: p.Count(0), st: p.State(0), d: db.New(1000, false)}
 	// Auto-serve fetches instantly (the engine routes them through the
 	// downlink; unit tests shortcut it).

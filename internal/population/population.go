@@ -21,6 +21,7 @@ package population
 
 import (
 	"math"
+	"slices"
 
 	"mobicache/internal/bitio"
 	"mobicache/internal/cache"
@@ -248,8 +249,9 @@ type Population struct {
 
 	queryIDs  [][]int32
 	missIDs   [][]int32
-	fetchIDs  [][]int32        // ids of the outstanding fetch, request order
-	fetchWant []map[int32]bool // ids still undelivered (retry mode only)
+	fetchIDs  [][]int32 // ids of the outstanding fetch, request order
+	fetchWant [][]bool  // per fetchIDs entry: still undelivered (retry mode only)
+	wantN     []int32   // set entries of fetchWant
 
 	// Cached per-client closures: the wake (every hold and release
 	// schedules it) and the query-deadline event, both built once at
@@ -262,21 +264,22 @@ type Population struct {
 	fetchTx []func(sim.Time)
 }
 
-// New builds the population: states, caches (shared arenas), RNG
+// New builds the population: states, caches (carved from arena, which
+// the population holds until its arena carves the next set), RNG
 // substreams and cached closures, with every client routed to up and
-// server. Client i's stream is root.Split(1000+i); rng.Source.Split is
-// non-mutating, so construction consumes no randomness and the
+// server. Client i's stream is root.Derive(1000+i); deriving does not
+// advance root, so construction consumes no randomness and the
 // substreams are a pure function of the root seed. Call SetClock
 // (optional), then Attach the handles and StartClient each client in id
 // order.
-func New(k *sim.Kernel, up *netsim.Channel, server ServerAPI, cfg Config, root *rng.Source) *Population {
+func New(k *sim.Kernel, up *netsim.Channel, server ServerAPI, cfg Config, root *rng.Source, arena *cache.Arena) *Population {
 	n := cfg.Clients
 	p := &Population{
 		k: k, cfg: cfg,
 		routes:       []route{{up: up, server: server}},
 		cell:         make([]int32, n),
 		states:       make([]core.ClientState, n),
-		caches:       cache.NewSet(n, cfg.CacheCapacity, cfg.Params.N),
+		caches:       arena.NewSet(n, cfg.CacheCapacity, cfg.Params.N),
 		srcs:         make([]rng.Source, n),
 		handles:      make([]Handle, n),
 		counts:       make([]Counters, n),
@@ -299,13 +302,14 @@ func New(k *sim.Kernel, up *netsim.Channel, server ServerAPI, cfg Config, root *
 		queryIDs:     make([][]int32, n),
 		missIDs:      make([][]int32, n),
 		fetchIDs:     make([][]int32, n),
-		fetchWant:    make([]map[int32]bool, n),
+		fetchWant:    make([][]bool, n),
+		wantN:        make([]int32, n),
 		wakes:        make([]func(), n),
 		deadlineFns:  make([]func(), n),
 	}
 	for i := 0; i < n; i++ {
 		p.states[i] = core.ClientState{ID: int32(i), Cache: &p.caches[i]}
-		p.srcs[i] = *root.Split(1000 + uint64(i))
+		p.srcs[i] = root.Derive(1000 + uint64(i))
 		p.ge[i] = faults.NewGE(cfg.DownLoss, &p.srcs[i])
 		p.handles[i] = Handle{p: p, i: int32(i)}
 		p.connected[i] = true
@@ -581,12 +585,12 @@ func (p *Population) serveQuery(i int32) {
 		p.fetchSeq[i]++
 		p.fetchIDs[i] = append(p.fetchIDs[i][:0], miss...)
 		if p.cfg.Retry.Enabled() {
-			if p.fetchWant[i] == nil {
-				p.fetchWant[i] = make(map[int32]bool, len(p.fetchIDs[i]))
+			want := p.fetchWant[i][:0]
+			for range miss {
+				want = append(want, true)
 			}
-			for _, id := range p.fetchIDs[i] {
-				p.fetchWant[i][id] = true
-			}
+			p.fetchWant[i] = want
+			p.wantN[i] = int32(len(want))
 		}
 		if !p.sendFetch(i, 0) && !p.cfg.Retry.Enabled() {
 			// The bounded uplink tail-dropped the only fetch request this
@@ -666,6 +670,7 @@ func (p *Population) abandonFetch(i int32) {
 	p.fetchSeq[i]++
 	p.pending[i] = 0
 	clear(p.fetchWant[i])
+	p.wantN[i] = 0
 }
 
 // sendFetch transmits a data request for the current fetch's missing
@@ -684,8 +689,8 @@ func (p *Population) sendFetch(i int32, attempt int) bool {
 	// in retry mode the backoff timer below still arms.
 	if !p.offline(i) {
 		ids := make([]int32, 0, len(p.fetchIDs[i]))
-		for _, id := range p.fetchIDs[i] {
-			if attempt == 0 || p.fetchWant[i][id] {
+		for k, id := range p.fetchIDs[i] {
+			if attempt == 0 || p.fetchWant[i][k] {
 				ids = append(ids, id)
 			}
 		}
@@ -952,11 +957,14 @@ func (p *Population) deliverItem(i, id, version int32, ts float64, now sim.Time)
 	p.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ItemDelivered,
 		Client: p.states[i].ID, A: int64(id)})
 	p.states[i].Cache.Put(id, ts, version)
-	if len(p.fetchWant[i]) > 0 {
-		if !p.fetchWant[i][id] {
+	if p.wantN[i] > 0 {
+		// A query's ids are distinct, so id names at most one entry.
+		k := slices.Index(p.fetchIDs[i], id)
+		if k < 0 || !p.fetchWant[i][k] {
 			return
 		}
-		delete(p.fetchWant[i], id)
+		p.fetchWant[i][k] = false
+		p.wantN[i]--
 	}
 	if p.pending[i] > 0 {
 		p.observeAoI(i, now-ts, version)

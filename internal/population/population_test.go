@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mobicache/internal/cache"
 	"mobicache/internal/core"
 	"mobicache/internal/netsim"
 	"mobicache/internal/rng"
@@ -36,7 +37,7 @@ func newTestPopulation(t *testing.T, clients int) (*Population, *sim.Kernel) {
 		MeanThink:     100,
 		MeanDisc:      400,
 		ProbDisc:      0.1,
-	}, rng.New(1)), k
+	}, rng.New(1), new(cache.Arena)), k
 }
 
 // TestPopulationResetStatsZeroesEveryCounter reflect-guards the warmup

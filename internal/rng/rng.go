@@ -51,16 +51,24 @@ func (s *Source) reseed(seed uint64) {
 	}
 }
 
-// Split derives an independent child stream identified by stream.
-// Children with distinct stream ids, or from parents with distinct seeds,
-// are statistically independent for simulation purposes.
+// Split derives an independent child stream identified by stream, as
+// Derive does, and returns it on the heap.
 func (s *Source) Split(stream uint64) *Source {
+	c := s.Derive(stream)
+	return &c
+}
+
+// Derive returns the independent child stream identified by stream by
+// value, for callers that store it in place. Children with distinct
+// stream ids, or from parents with distinct seeds, are statistically
+// independent for simulation purposes. The parent is not advanced.
+func (s *Source) Derive(stream uint64) Source {
 	// Mix the parent's state with the stream id through SplitMix64 so that
 	// (seed, stream) pairs map to well-separated child states.
 	st := s.s0 ^ rotl(s.s2, 17) ^ (stream * 0x9e3779b97f4a7c15)
 	var c Source
 	c.reseed(splitmix64(&st) ^ stream)
-	return &c
+	return c
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

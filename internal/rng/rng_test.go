@@ -53,6 +53,23 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// TestDeriveIsSplit pins the child stream: Derive by value and Split on
+// the heap are one derivation, and its first draws are those every
+// recorded digest was produced with.
+func TestDeriveIsSplit(t *testing.T) {
+	root := New(9)
+	a, b := root.Derive(5), root.Split(5)
+	if a != *b {
+		t.Fatal("Derive and Split give different children")
+	}
+	if got := [2]uint64{a.Uint64(), a.Uint64()}; got != [2]uint64{0xb893a8726470a5a9, 0x690f5eed1fecaec9} {
+		t.Fatalf("child of (9, 5) draws %#x", got)
+	}
+	if *root != *New(9) {
+		t.Fatal("Derive advanced its parent")
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 10000; i++ {
