@@ -63,12 +63,10 @@ var knownHot = map[string][]string{
 	},
 	"internal/cache": {
 		"Cache.Lookup", "Cache.Peek", "Cache.Put", "Cache.Invalidate", "Cache.TouchAll",
+		"Cache.InvalidateIf",
 	},
-	// TestHandleReportBSZeroAlloc pins a client's bit-sequences report
-	// application at 0 allocs/op, and BenchmarkBitseqBuild pins the
-	// server's build at the report's own storage (none for an unchanged
-	// database).
-	"internal/core":   {"bsScratch.invalidate"},
+	// BenchmarkBitseqBuild pins the server's build at the report's own
+	// storage (none for an unchanged database).
 	"internal/bitseq": {"Structure.Level", "Builder.Build"},
 	// BenchmarkServerFetchShed pins a fetch the bounded downlink sheds at
 	// 0 allocs/op: the pending-fetch record comes off the freelist and

@@ -302,13 +302,45 @@ func (c *Cache) Invalidate(id int32) bool {
 	if !c.present(id) {
 		return false
 	}
-	s := c.slotOf(id)
+	c.release(c.slotOf(id))
+	return true
+}
+
+// InvalidateIf removes every cached entry stale marks and reports how
+// many it removed. It walks the recency list once, MRU first, so the
+// freed slots join the free chain exactly as Invalidate calls in that
+// order would leave it; removal never reorders the survivors. stale must
+// not modify the cache.
+//
+// Hot path: every report application that walks the cache (Figures 1 and
+// 2, SIG) sweeps it here in one pass.
+//
+//mobicache:hot
+func (c *Cache) InvalidateIf(stale func(Entry) bool) int {
+	removed := 0
+	for s := c.head; s != nilSlot; {
+		next := c.slots[s].next
+		if stale(c.entryAt(s)) {
+			c.release(s)
+			removed++
+		}
+		s = next
+	}
+	return removed
+}
+
+// release unlinks the occupied slot s, clears its presence bit and pushes
+// it onto the free chain.
+//
+// Hot path: list surgery only.
+//
+//mobicache:hot
+func (c *Cache) release(s int32) {
 	c.unlink(s)
-	c.clearBit(id)
+	c.clearBit(c.slots[s].id)
 	c.slots[s].next = c.free
 	c.free = s
 	c.n--
-	return true
 }
 
 // DropAll empties the cache (the client could not prove validity and must
@@ -323,9 +355,8 @@ func (c *Cache) DropAll() {
 }
 
 // Entries appends every cached entry, MRU first, to dst — the churn
-// layer's snapshot encoder walks it into the persisted bitstream. Like
-// IDs it allocates nothing beyond dst's growth, so callers reusing a
-// scratch slice pay zero steady-state allocations.
+// layer's snapshot encoder walks it into the persisted bitstream. It
+// allocates nothing beyond dst's growth.
 func (c *Cache) Entries(dst []Entry) []Entry {
 	for s := c.head; s != nilSlot; s = c.slots[s].next {
 		dst = append(dst, c.entryAt(s))

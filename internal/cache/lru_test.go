@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // The bitmap Cache is trusted only because everything observable about
 // it — LRU order, hit/miss accounting, entry contents, reload semantics —
@@ -138,6 +141,19 @@ func (c *lru) Invalidate(id int32) bool {
 	return true
 }
 
+// InvalidateIf states the sweep as the copy-then-invalidate it replaces:
+// snapshot the entries MRU first, then invalidate each one stale marks.
+func (c *lru) InvalidateIf(stale func(Entry) bool) int {
+	removed := 0
+	for _, e := range c.Entries(nil) {
+		if stale(e) {
+			c.Invalidate(e.ID)
+			removed++
+		}
+	}
+	return removed
+}
+
 func (c *lru) DropAll() { c.reset() }
 
 func (c *lru) Entries(dst []Entry) []Entry {
@@ -243,6 +259,33 @@ func (p *pair) invalidate(id int32) {
 	}
 }
 
+// invalidateIf sweeps both sides with the same predicate: an entry is
+// stale when bit ID%8 of mask is set or its timestamp is below cutoff.
+// Both sides must show the predicate the same entries in the same (MRU)
+// order and report the same count; check then compares the survivors.
+func (p *pair) invalidateIf(mask uint8, cutoff float64) {
+	p.t.Helper()
+	var seen [2][]Entry
+	sweep := func(side int) func(Entry) bool {
+		return func(e Entry) bool {
+			seen[side] = append(seen[side], e)
+			return mask&(1<<(uint32(e.ID)%8)) != 0 || e.TS < cutoff
+		}
+	}
+	n1, n2 := p.ref.InvalidateIf(sweep(0)), p.c.InvalidateIf(sweep(1))
+	if n1 != n2 {
+		p.t.Fatalf("InvalidateIf(%#x, %v) removed ref=%d cache=%d", mask, cutoff, n1, n2)
+	}
+	if len(seen[0]) != len(seen[1]) {
+		p.t.Fatalf("InvalidateIf visited ref=%v cache=%v", seen[0], seen[1])
+	}
+	for i := range seen[0] {
+		if seen[0][i] != seen[1][i] {
+			p.t.Fatalf("InvalidateIf visit %d diverged: ref=%v cache=%v", i, seen[0], seen[1])
+		}
+	}
+}
+
 func (p *pair) put(id int32, ts float64, ver int32) {
 	p.ref.Put(id, ts, ver)
 	p.c.Put(id, ts, ver)
@@ -264,8 +307,10 @@ func (p *pair) reload(keep int, ts float64) {
 
 // fuzzOps is the number of operations step chooses from; an op byte's
 // quotient by it ages a Put's timestamp by that many seconds, so a Put
-// can land below an earlier TouchAll's time.
-const fuzzOps = 9
+// can land below an earlier TouchAll's time, and sets how far below the
+// op clock an InvalidateIf's timestamp cutoff lies (none for a zero
+// quotient).
+const fuzzOps = 10
 
 // step applies one fuzz-chosen operation to both sides.
 func (p *pair) step(op byte, id int32, ts float64, ver int32) {
@@ -287,6 +332,12 @@ func (p *pair) step(op byte, id int32, ts float64, ver int32) {
 		p.c.DropAll()
 	case 8:
 		p.reload(int(id), ts)
+	case 9:
+		cutoff := math.Inf(-1)
+		if age := op / fuzzOps; age > 0 {
+			cutoff = ts - float64(age)
+		}
+		p.invalidateIf(uint8(id), cutoff)
 	}
 	p.check()
 }
@@ -301,6 +352,7 @@ const (
 	opTouch      = 6
 	opDrop       = 7
 	opReload     = 8
+	opSweep      = 9
 	opPutOld     = opPut + 4*fuzzOps
 )
 
@@ -324,8 +376,10 @@ func fillOps(n int) []byte {
 // presence bitmap (ids 0, 63, 64), capacity-1 eviction pressure, and the
 // touch-time bookkeeping: Puts and refreshes after a TouchAll (including
 // timestamps older than the touch), promotion of touched entries, a freed
-// slot reused across a touch, DropAll and Reload after a touch, and the
-// fresh bitmap's word edge at capacities 64 and 65.
+// slot reused across a touch, DropAll and Reload after a touch, the
+// fresh bitmap's word edge at capacities 64 and 65, and InvalidateIf
+// sweeps by id and by timestamp, each followed by inserts that reuse the
+// slots it freed.
 func FuzzCache(f *testing.F) {
 	f.Add(uint8(4), uint8(200), []byte{3, 0, 3, 63, 3, 64, 0, 63, 5, 0, 7, 7})
 	f.Add(uint8(1), uint8(100), []byte{3, 1, 3, 2, 3, 3, 0, 1, 0, 3})
@@ -343,6 +397,14 @@ func FuzzCache(f *testing.F) {
 	f.Add(uint8(3), uint8(99), []byte{opPut, 1, opPut, 2, opTouch, 0, opDrop, 0, opPutOld, 5, opPeek, 5, opPeek, 1})
 	// Reload after a touch, then a touch and Put over the reloaded entries.
 	f.Add(uint8(3), uint8(99), []byte{opPut, 1, opPut, 2, opPut, 3, opTouch, 0, opReload, 2, opPut, 7, opTouch, 0, opReload, 3, opPutOld, 1})
+	// A sweep by id mask over entries of mixed recency, then a refill that
+	// takes the freed slots from the chain the sweep left.
+	f.Add(uint8(6), uint8(99), []byte{opPut, 1, opPut, 2, opPut, 3, opPut, 4, opLookup, 2, opSweep, 0x0a, opPut, 5, opPut, 6, opPut, 7})
+	// A sweep by timestamp across a touch: touched entries read the touch
+	// time, a later old Put keeps its own.
+	f.Add(uint8(4), uint8(99), []byte{opPut, 1, opPut, 2, opTouch, 0, opPutOld, 3, opSweep + 2*fuzzOps, 0, opPut, 9, opPeek, 1})
+	// A sweep that empties the cache, then eviction pressure.
+	f.Add(uint8(2), uint8(99), []byte{opPut, 8, opPut, 16, opSweep, 0x01, opPut, 1, opPut, 2, opPut, 3})
 	f.Add(uint8(63), uint8(255), fillOps(64))
 	f.Add(uint8(64), uint8(255), fillOps(65))
 	f.Fuzz(func(t *testing.T, capRaw, itemsRaw uint8, ops []byte) {

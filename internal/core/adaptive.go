@@ -127,9 +127,8 @@ func bsSizeBits(p Params) int {
 }
 
 type adaptiveClient struct {
-	p         Params
-	idx       tsIndex
-	bsScratch bsScratch
+	p   Params
+	idx tsIndex
 }
 
 // HandleReport implements ClientSide (the client halves of Figures 3/4).
@@ -149,7 +148,7 @@ func (c *adaptiveClient) HandleReport(st *ClientState, r report.Report, now floa
 	}
 	switch rep := r.(type) {
 	case *report.BSReport:
-		out := applyBS(st, rep, &c.bsScratch)
+		out := applyBS(st, rep)
 		st.SentTlb = false
 		return out
 	case *report.TSReport:

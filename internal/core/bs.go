@@ -38,9 +38,7 @@ func (sv *bsServer) HandleControl(*db.Database, *ControlMsg, float64) *report.Va
 	panic("core: bs server received a control message")
 }
 
-type bsClient struct {
-	scratch bsScratch
-}
+type bsClient struct{}
 
 // HandleReport implements ClientSide (paper Figure 2).
 func (c *bsClient) HandleReport(st *ClientState, r report.Report, now float64) Outcome {
@@ -61,57 +59,30 @@ func (c *bsClient) HandleReport(st *ClientState, r report.Report, now float64) O
 	if degraded {
 		return degradeDrop(st, br.T)
 	}
-	return applyBS(st, br, &c.scratch)
+	return applyBS(st, br)
 }
 
-// applyBS runs the client-side BS step; shared with the adaptive schemes.
-func applyBS(st *ClientState, br *report.BSReport, x *bsScratch) Outcome {
+// applyBS runs the client-side BS step (paper Figure 2); shared with the
+// adaptive schemes. The report carries its own dense id → depth table
+// (bitseq.Structure.Depth), so applying it costs a client one sweep of
+// its cache and nothing per broadcast.
+func applyBS(st *ClientState, br *report.BSReport) Outcome {
 	action, level := br.S.Level(st.Tlb)
 	switch action {
 	case bitseq.AllValid:
 		st.Cache.TouchAll(br.T)
-		validate(st, br.T)
-		return Outcome{Ready: true}
 	case bitseq.DropAll:
 		dropAll(st)
-		validate(st, br.T)
-		return Outcome{Ready: true}
-	default: // InvalidateSet
-		had := st.Cache.Len()
-		if had > 0 {
-			x.invalidate(st.Cache, br.S.Depth, level)
-		}
+	default: // InvalidateSet: discard every cached item marked above level
+		depth := br.S.Depth
+		st.Cache.InvalidateIf(func(e cache.Entry) bool { return int(depth[e.ID]) > level })
 		st.Cache.TouchAll(br.T)
-		if st.Cache.Len() > 0 && had > 0 {
+		if st.Cache.Len() > 0 {
 			st.Salvages++
 		}
-		validate(st, br.T)
-		return Outcome{Ready: true}
 	}
-}
-
-// bsScratch is the client half's reusable buffer for the Figure 2
-// invalidation step. The report carries its own dense id → depth table
-// (bitseq.Structure.Depth), so applying it costs a client O(cache) and
-// nothing per broadcast.
-type bsScratch struct {
-	ids []int32 // scratch for the cache walk
-}
-
-// invalidate discards every cached item that depth marks at the given
-// level. Removal never reorders the survivors, so the result equals
-// invalidating the level's id list in id order.
-func (x *bsScratch) invalidate(c *cache.Cache, depth []uint8, level int) {
-	if n := c.Len(); cap(x.ids) < n {
-		//lint:allow hotalloc grows at most to the largest cache capacity the ClientSide serves, then is reused
-		x.ids = make([]int32, 0, n)
-	}
-	x.ids = c.IDs(x.ids[:0])
-	for _, id := range x.ids {
-		if int(depth[id]) > level {
-			c.Invalidate(id)
-		}
-	}
+	validate(st, br.T)
+	return Outcome{Ready: true}
 }
 
 // HandleValidity implements ClientSide.

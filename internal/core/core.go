@@ -189,10 +189,9 @@ type Scheme interface {
 // pointer also keeps the report alive, so its address cannot be reused by
 // a different broadcast.
 type tsIndex struct {
-	n       int              // item-space size N
-	rep     *report.TSReport // the report ts indexes; nil before the first build
-	ts      []float64        // id -> newest update TS in rep, -Inf where rep lists none
-	entries []cache.Entry    // scratch for the cache walk
+	n   int              // item-space size N
+	rep *report.TSReport // the report ts indexes; nil before the first build
+	ts  []float64        // id -> newest update TS in rep, -Inf where rep lists none
 }
 
 // index returns the table for r, rebuilding it only when r is not the
@@ -231,16 +230,16 @@ func (x *tsIndex) index(r *report.TSReport) []float64 {
 // cached item the report lists with a newer update timestamp, then stamp
 // the survivors as validated at the report time. It walks whichever of
 // the cache and the report is shorter. Both walks invalidate the same set
-// and removal never reorders the survivors; only the order of the
-// Invalidate calls differs (MRU order against report order).
+// and removal never reorders the survivors; only the order in which the
+// slots are freed differs (MRU order against report order).
 //
 // Fan-out cost: applying a TS report costs a client O(min(Len, entries))
-// cache operations — nothing for an empty cache, a walk of its own
-// Entries against the report's shared index when it holds fewer items
-// than the report lists, one Peek per entry otherwise — plus one
-// O(entries) index build per broadcast, shared by every client of the
-// ClientSide. The index is keyed by the report pointer, which relies on
-// reports being immutable once delivered (see package report).
+// cache operations — nothing for an empty cache, one sweep of the cache
+// against the report's shared index when it holds fewer items than the
+// report lists, one Peek per entry otherwise — plus one O(entries) index
+// build per broadcast, shared by every client of the ClientSide. The
+// index is keyed by the report pointer, which relies on reports being
+// immutable once delivered (see package report).
 //
 // Hot path: once per client per broadcast.
 //
@@ -258,23 +257,15 @@ func (x *tsIndex) applyTSEntries(st *ClientState, r *report.TSReport) {
 	st.Cache.TouchAll(r.T)
 }
 
-// invalidateByCache checks each cached entry against r's index.
+// invalidateByCache sweeps the cache against r's index.
 //
 // Hot path: O(cache) per client plus the shared index build.
 //
 //mobicache:hot
 func (x *tsIndex) invalidateByCache(c *cache.Cache, r *report.TSReport) {
 	ts := x.index(r)
-	if n := c.Len(); cap(x.entries) < n {
-		//lint:allow hotalloc grows at most to the largest cache capacity the ClientSide serves, then is reused
-		x.entries = make([]cache.Entry, 0, n)
-	}
-	x.entries = c.Entries(x.entries[:0])
-	for _, e := range x.entries {
-		if e.TS < ts[e.ID] {
-			c.Invalidate(e.ID)
-		}
-	}
+	//lint:allow hotalloc the predicate does not escape InvalidateIf, so it stays on the stack
+	c.InvalidateIf(func(e cache.Entry) bool { return e.TS < ts[e.ID] })
 }
 
 // invalidateByReport probes the cache once per report entry.

@@ -82,9 +82,9 @@ func TestReportIndexReuse(t *testing.T) {
 }
 
 // TestBSReportIndexReuse is TestReportIndexReuse for bit-sequences
-// reports: one ClientSide, whose cache-walk scratch persists across
-// calls, sees structures A, E, B, A, A, each handed to a fresh client
-// holding items 7, 50 and N−1 with Tlb 391. That Tlb selects the level
+// reports: one ClientSide, reused across calls, sees structures A, E,
+// B, A, A, each handed to a fresh client holding items 7, 50 and N−1
+// with Tlb 391. That Tlb selects the level
 // marking each structure's three newest updates, so item 7, which A marks
 // only at shallower levels, must survive A. An id only A marks must
 // survive B, A must invalidate it again afterwards, and the never-updated

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mobicache/internal/cache"
 	"mobicache/internal/db"
 	"mobicache/internal/report"
 )
@@ -168,8 +169,6 @@ type sigClient struct {
 	// function of (item, group), so the table is shared by every client
 	// served by this ClientSide (the kernel is single-threaded).
 	members map[int32][]int16
-	// ids is scratch for the cache walk, reused across clients.
-	ids []int32
 }
 
 // groupsOf returns (memoized) the groups containing id.
@@ -235,35 +234,19 @@ func (c *sigClient) HandleReport(st *ClientState, r report.Report, now float64) 
 	if len(ext.prev) != len(sr.Sigs) {
 		panic("core: sig group count changed mid-run")
 	}
-	// Mismatched groups: some member was updated since the previous
-	// report the client heard.
-	changed := make([]uint64, (len(sr.Sigs)+63)/64)
-	for j := range sr.Sigs {
-		if ext.prev[j] != sr.Sigs[j] {
-			changed[j>>6] |= 1 << (uint(j) & 63)
-		}
-	}
-	var stale []int32
-	c.ids = st.Cache.IDs(c.ids[:0])
-	for _, id := range c.ids {
-		gs := c.groupsOf(id)
-		vouched := false
-		for _, j := range gs {
-			if changed[j>>6]&(1<<(uint(j)&63)) == 0 {
-				vouched = true
-				break
+	// An item is vouched for by any group whose signature matches the
+	// previous report's: no member was updated since. An item in no group
+	// cannot be vouched for.
+	stale := st.Cache.InvalidateIf(func(e cache.Entry) bool {
+		for _, j := range c.groupsOf(e.ID) {
+			if ext.prev[j] == sr.Sigs[j] {
+				return false
 			}
 		}
-		if len(gs) == 0 || !vouched {
-			stale = append(stale, id)
-		}
-	}
-	had := st.Cache.Len()
-	for _, id := range stale {
-		st.Cache.Invalidate(id)
-	}
+		return true
+	})
 	st.Cache.TouchAll(sr.T)
-	if had > 0 && st.Cache.Len() > 0 && len(stale) > 0 {
+	if st.Cache.Len() > 0 && stale > 0 {
 		st.Salvages++
 	}
 	ext.prev = append(ext.prev[:0], sr.Sigs...)

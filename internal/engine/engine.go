@@ -236,6 +236,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: invalid disconnection probability")
 	case c.Workload.Query == nil || c.Workload.Update == nil:
 		return fmt.Errorf("engine: workload not set")
+	case c.Workload.Query.Items() > c.DBSize || c.Workload.Update.Items() > c.DBSize:
+		return fmt.Errorf("engine: workload draws from %d query and %d update items, more than the %d in the database",
+			c.Workload.Query.Items(), c.Workload.Update.Items(), c.DBSize)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err

@@ -261,6 +261,35 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsWorkloadBeyondDB pins that a workload drawing ids
+// the database does not hold is a configuration error, on either side and
+// for every access pattern, rather than an index panic on the first query
+// or update; a workload over a smaller space than the database is fine.
+func TestValidateRejectsWorkloadBeyondDB(t *testing.T) {
+	small := Default()
+	small.DBSize = 2000 // Default's workload still spans 10000 items
+	zipf := Default()
+	zipf.Workload.Query = workload.Zipf(zipf.DBSize+1, 0.8).Query
+	hot := Default()
+	hot.Workload.Query = workload.HotColdAccess{N: 50, HotLo: 0, HotHi: int32(hot.DBSize), HotProb: 0.8}
+	update := Default()
+	update.Workload.Update = workload.UniformAccess{N: update.DBSize + 1}
+	for i, c := range []Config{small, zipf, hot, update} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("config %d: accepted a workload beyond the %d-item database", i, c.DBSize)
+		}
+		if _, err := Run(c); err == nil {
+			t.Errorf("config %d ran", i)
+		}
+	}
+	c := Default()
+	c.SimTime = 2000
+	c.Workload = workload.HotCold(c.DBSize / 2)
+	if _, err := Run(c); err != nil {
+		t.Fatalf("workload over half the database: %v", err)
+	}
+}
+
 func TestCacheCapacity(t *testing.T) {
 	c := Default()
 	if c.CacheCapacity() != 200 { // 2% of 10000

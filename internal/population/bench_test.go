@@ -254,8 +254,8 @@ func BenchmarkHandleReportBS(b *testing.B) {
 }
 
 // TestHandleReportBSZeroAlloc is BenchmarkHandleReportBS's allocation
-// contract in the ordinary test run: after the first call has sized the
-// cache-walk scratch, applying a bit-sequences report allocates nothing.
+// contract in the ordinary test run: applying a bit-sequences report
+// sweeps the cache in place and allocates nothing.
 func TestHandleReportBSZeroAlloc(t *testing.T) {
 	for _, scheme := range bsReportSchemes {
 		side, st, r, tlb := handleReportBSRig(scheme)
@@ -272,5 +272,50 @@ func TestHandleReportBSZeroAlloc(t *testing.T) {
 		if st.Cache.Len() != 200 || st.Salvages == 0 {
 			t.Errorf("%s: cache holds %d, %d salvages after the calls", scheme.Name(), st.Cache.Len(), st.Salvages)
 		}
+	}
+}
+
+// TestHandleReportSIGZeroAlloc is the combined-signatures counterpart of
+// TestHandleReportBSZeroAlloc. One SIG client holds a full 200-slot cache
+// over Table 1's 10000-item space and hears two reports, alternately,
+// that differ in group 0 only, so every call diffs the signatures and
+// sweeps the cache. The first report sets the diff baseline; the cache
+// is filled after it, and two warm-up rounds memoize the cached items'
+// groups and remove any item no group but 0 covers. After them every
+// cached item is vouched for, the state repeats, and applying a report
+// allocates nothing.
+func TestHandleReportSIGZeroAlloc(t *testing.T) {
+	const items, capacity, groups = 10000, 200, 128
+	side := core.SIG().NewClient(core.DefaultParams(items))
+	st := &core.ClientState{Cache: cache.New(capacity, items)}
+	var rs [2]*report.SIGReport
+	for i := range rs {
+		rs[i] = &report.SIGReport{T: float64(i + 1), Sigs: make([]uint64, groups), SigBits: 32}
+	}
+	rs[1].Sigs[0] = 1
+	calls := 0
+	apply := func() {
+		r := rs[calls&1]
+		calls++
+		if out := side.HandleReport(st, r, r.T); !out.Ready {
+			t.Fatalf("call %d: outcome %+v", calls, out)
+		}
+	}
+	apply() // the baseline: a client without one drops its cache
+	for i := 0; i < capacity; i++ {
+		st.Cache.Put(int32(i*items/capacity), 0, 1)
+	}
+	for i := 0; i < 4; i++ {
+		apply()
+	}
+	held := st.Cache.Len()
+	if held == 0 {
+		t.Fatal("warm-up emptied the cache")
+	}
+	if avg := testing.AllocsPerRun(100, apply); avg != 0 {
+		t.Errorf("%v allocs per HandleReport", avg)
+	}
+	if st.Cache.Len() != held || st.Drops != 0 {
+		t.Errorf("cache holds %d after the calls (want %d), %d drops", st.Cache.Len(), held, st.Drops)
 	}
 }

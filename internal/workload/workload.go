@@ -21,6 +21,9 @@ type Access interface {
 	Sample(src *rng.Source, k int, dst []int32) []int32
 	// Name identifies the pattern in result tables.
 	Name() string
+	// Items is the size of the id space Sample draws from: every id it
+	// returns lies in [0, Items()).
+	Items() int
 }
 
 // UniformAccess draws uniformly from [0, N).
@@ -30,6 +33,9 @@ type UniformAccess struct {
 
 // Name implements Access.
 func (u UniformAccess) Name() string { return "uniform" }
+
+// Items implements Access.
+func (u UniformAccess) Items() int { return u.N }
 
 // Sample implements Access.
 func (u UniformAccess) Sample(src *rng.Source, k int, dst []int32) []int32 {
@@ -50,6 +56,9 @@ type HotColdAccess struct {
 
 // Name implements Access.
 func (h HotColdAccess) Name() string { return "hotcold" }
+
+// Items implements Access; a hot region reaching past N widens the space.
+func (h HotColdAccess) Items() int { return max(h.N, int(h.HotHi)+1) }
 
 func (h HotColdAccess) hotSize() int { return int(h.HotHi-h.HotLo) + 1 }
 
@@ -95,6 +104,9 @@ type ZipfAccess struct {
 
 // Name implements Access.
 func (z ZipfAccess) Name() string { return fmt.Sprintf("zipf(%.2f)", z.Z.Theta()) }
+
+// Items implements Access.
+func (z ZipfAccess) Items() int { return z.Z.N() }
 
 // Sample implements Access.
 func (z ZipfAccess) Sample(src *rng.Source, k int, dst []int32) []int32 {

@@ -203,3 +203,33 @@ func TestParse(t *testing.T) {
 		}
 	}
 }
+
+// TestItemsBoundsSample pins Items as the id space Sample draws from:
+// every pattern of every parsed workload reports its database size and
+// samples inside it, and a hot region reaching past N widens the space.
+func TestItemsBoundsSample(t *testing.T) {
+	src := rng.New(9)
+	for _, name := range []string{"uniform", "hotcold", "zipf:0.8"} {
+		for _, n := range []int{1, 64, 1000} {
+			w, err := Parse(name, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range []Access{w.Query, w.Update} {
+				if a.Items() != n {
+					t.Fatalf("%s over %d items: %s reports %d", name, n, a.Name(), a.Items())
+				}
+				for trial := 0; trial < 50; trial++ {
+					distinctInRange(t, a.Sample(src, 10, nil), a.Items())
+				}
+			}
+		}
+	}
+	wide := HotColdAccess{N: 10, HotLo: 5, HotHi: 19, HotProb: 1}
+	if wide.Items() != 20 {
+		t.Fatalf("hot region to 19 over 10 items: Items %d, want 20", wide.Items())
+	}
+	for trial := 0; trial < 50; trial++ {
+		distinctInRange(t, wide.Sample(src, 5, nil), wide.Items())
+	}
+}
