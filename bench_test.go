@@ -25,6 +25,7 @@ import (
 	"mobicache/internal/rng"
 	"mobicache/internal/server"
 	"mobicache/internal/sim"
+	"mobicache/internal/trace"
 	"mobicache/internal/workload"
 )
 
@@ -117,31 +118,61 @@ func BenchmarkBaseConfig(b *testing.B) {
 }
 
 // BenchmarkAdversarialMix runs the configs of mobibench's adversarial
-// workload: ts, ts-check and aaw under all four adversary layers at
-// severity 2 (ChaosFaults(2), OverloadGuardrails, delivery and churn
-// severity 2), with spans and a metrics registry, 20 000 s each, checker
-// armed. It carries the highest event volume of any workload, so its
-// B/op and allocs/op track the kernel calendar and the fetch path.
+// workload (adversarialConfig), 20 000 s each. It carries the highest
+// event volume of any workload, so its B/op and allocs/op track the
+// kernel calendar and the fetch path.
 func BenchmarkAdversarialMix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for j, scheme := range []string{"ts", "ts-check", "aaw"} {
-			c := engine.Default()
-			c.Scheme = scheme
-			c.MeanDisc = 400
-			c.Faults = exp.ChaosFaults(2)
-			exp.OverloadGuardrails(&c)
-			c.Delivery = delivery.Severity(2)
-			c.Churn = churn.Severity(2)
-			c.Spans = &engine.SpanOptions{}
-			c.Metrics = metrics.New()
-			c.SimTime = 20000
-			c.Seed = rng.DeriveSeed(1, uint64(j))
-			c.ConsistencyCheck = true
-			if _, err := engine.Run(c); err != nil {
+			if _, err := engine.Run(adversarialConfig(j, scheme, 20000)); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// adversarialConfig is mobibench's adversarial config j: the scheme under
+// all four adversary layers at severity 2 (ChaosFaults(2),
+// OverloadGuardrails, delivery and churn severity 2), with spans and a
+// metrics registry, checker armed, over the given horizon.
+func adversarialConfig(j int, scheme string, horizon float64) engine.Config {
+	c := engine.Default()
+	c.Scheme = scheme
+	c.MeanDisc = 400
+	c.Faults = exp.ChaosFaults(2)
+	exp.OverloadGuardrails(&c)
+	c.Delivery = delivery.Severity(2)
+	c.Churn = churn.Severity(2)
+	c.Spans = &engine.SpanOptions{}
+	c.Metrics = metrics.New()
+	c.SimTime = horizon
+	c.Seed = rng.DeriveSeed(1, uint64(j))
+	c.ConsistencyCheck = true
+	return c
+}
+
+// TestAdversarialAllocCeiling guards the typed-observer send path in
+// tier-1: one adversarial run (ts-check, 4 000 s) must stay under an
+// allocation ceiling a little above what it measures. Every transmission
+// used to bind one or two closures; a regression that brings them back
+// adds thousands of allocations here: the run measures 24 962 (25 508
+// under -race), against 35 981 when sends bound closures. The run is
+// single-goroutine and seeded, so the count does not vary between runs.
+func TestAdversarialAllocCeiling(t *testing.T) {
+	const ceiling = 26500
+	var err error
+	got := testing.AllocsPerRun(1, func() {
+		// Each run needs a fresh registry: a Config's Metrics is one
+		// run's timeline.
+		_, err = engine.Run(adversarialConfig(1, "ts-check", 4000))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%v allocs per run", got)
+	if got > ceiling {
+		t.Fatalf("one adversarial ts-check run makes %v allocations, ceiling %d", got, ceiling)
 	}
 }
 
@@ -466,7 +497,7 @@ func BenchmarkChannelSaturated(b *testing.B) {
 	send = func() {
 		if remaining > 0 {
 			remaining--
-			ch.Send(netsim.ClassData, 100, send)
+			ch.Send(netsim.ClassData, 100, nil, sim.Func(send))
 		}
 	}
 	b.ReportAllocs()
@@ -493,19 +524,19 @@ func BenchmarkChannelBoundedShed(b *testing.B) {
 	ch := netsim.NewChannel(k, "up", 1e6)
 	ch.SetQueueCap(4)
 	for i := 0; i < 5; i++ { // one in service + four queued = cap reached
-		if !ch.Send(netsim.ClassControl, 100, nil) {
+		if !ch.Send(netsim.ClassControl, 100, nil, nil) {
 			b.Fatal("prefill shed before the cap was reached")
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ch.Send(netsim.ClassControl, 100, nil) {
+		if ch.Send(netsim.ClassControl, 100, nil, nil) {
 			b.Fatal("send admitted past a full queue")
 		}
 	}
 	if testing.AllocsPerRun(100, func() {
-		ch.Send(netsim.ClassControl, 100, nil)
+		ch.Send(netsim.ClassControl, 100, nil, nil)
 	}) != 0 {
 		b.Fatal("shed path allocates")
 	}
@@ -539,7 +570,7 @@ func BenchmarkServerFetchShed(b *testing.B) {
 	}, rng.New(1))
 	srv.Attach(benchReceiver{})
 	for i := 0; i < 5; i++ { // one in service + four queued = cap reached
-		if !down.Send(netsim.ClassData, 100, nil) {
+		if !down.Send(netsim.ClassData, 100, nil, nil) {
 			b.Fatal("prefill shed before the cap was reached")
 		}
 	}
@@ -565,14 +596,28 @@ func BenchmarkServerFetchShed(b *testing.B) {
 // enters the pending table and goes on the air, and its completion tears
 // the entry down and delivers the item. An admitted record is never
 // recycled (the delivery adversary may run its completion twice), so the
-// contract pins the path at exactly two allocations: the record, which
-// holds its first waiter inline, and its bound completion. ItemTxStart is
-// not traced, so the transmission-start observer is never bound.
-func BenchmarkServerFetchAdmit(b *testing.B) {
+// contract pins the path at exactly one allocation: the record, which
+// holds its first waiter inline and is its own completion. ItemTxStart
+// is not traced, so the channel gets no transmission-start observer.
+func BenchmarkServerFetchAdmit(b *testing.B) { benchFetchAdmit(b, nil) }
+
+// BenchmarkServerFetchAdmitTraced is BenchmarkServerFetchAdmit with
+// ItemTxStart traced, as span assembly traces it: the record is also
+// its own transmission-start observer, so the pin stays at one
+// allocation. The tracer's ring is preallocated and never grows here.
+func BenchmarkServerFetchAdmitTraced(b *testing.B) {
+	tr := trace.New(64).Only(trace.ItemTxStart)
+	benchFetchAdmit(b, tr)
+	if tr.Count(trace.ItemTxStart) == 0 {
+		b.Fatal("no transmission start traced")
+	}
+}
+
+func benchFetchAdmit(b *testing.B, tr *trace.Tracer) {
 	k := sim.New()
 	down := netsim.NewChannel(k, "down", 1e6)
 	srv := server.New(k, db.New(1000, false), down, server.Config{
-		ItemBits: 8192, PendingCap: 64, Coalesce: true,
+		ItemBits: 8192, PendingCap: 64, Coalesce: true, Tracer: tr,
 	}, rng.New(1))
 	srv.Attach(benchReceiver{})
 	ids := []int32{7}
@@ -591,39 +636,46 @@ func BenchmarkServerFetchAdmit(b *testing.B) {
 	if got, want := srv.ItemsServed, int64(b.N+1); got != want {
 		b.Fatalf("%d of %d fetches served", got, want)
 	}
-	if got := testing.AllocsPerRun(100, fetch); got != 2 {
-		b.Fatalf("admitted fetch path makes %v allocs/op, want 2 (the record and its completion)", got)
+	if got := testing.AllocsPerRun(100, fetch); got != 1 {
+		b.Fatalf("admitted fetch path makes %v allocs/op, want 1 (the record)", got)
 	}
 }
 
 // BenchmarkDeliveryLinkDeliver measures the armed delivery hook: every
 // simulated message on an adversarial channel runs through Link.Deliver,
 // so the contract requires it to be allocation-free — jitter draws are
-// pure arithmetic and the postponed callback rides the kernel's event
-// freelist. Each iteration delivers one message and drains its event.
+// pure arithmetic, and a postponed delivery rides a carrier from the
+// link's pool on the kernel's event freelist. The event is typed, as
+// the channel's are. Each iteration delivers one message and drains its
+// event.
 func BenchmarkDeliveryLinkDeliver(b *testing.B) {
 	k := sim.New()
 	adv := delivery.New(k, delivery.Config{
 		Down: delivery.LinkParams{Jitter: 0.5, ReorderProb: 0.1, ReorderDelay: 25, DupProb: 0.05},
 	}, rng.New(9), nil)
 	l := adv.Down
-	cb := func() {}
-	for i := 0; i < 64; i++ { // warm the event freelist
-		l.Deliver(cb)
+	var ev benchEvent
+	for i := 0; i < 64; i++ { // warm the carrier pool and the event freelist
+		l.Deliver(&ev)
 	}
 	for k.Step() {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Deliver(cb)
+		l.Deliver(&ev)
 		k.Step()
 	}
 	b.StopTimer()
 	if testing.AllocsPerRun(100, func() {
-		l.Deliver(cb)
+		l.Deliver(&ev)
 		k.Step()
 	}) != 0 {
 		b.Fatal("armed delivery hook allocates")
 	}
 }
+
+// benchEvent is a typed sim.Event that counts its firings.
+type benchEvent int
+
+func (e *benchEvent) Fire() { *e++ }

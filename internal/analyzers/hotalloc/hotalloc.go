@@ -46,8 +46,9 @@ var knownHot = map[string][]string{
 		"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step",
 		"Kernel.push", "Kernel.remove", "Kernel.up", "Kernel.down",
 	},
-	"internal/netsim":   {"Channel.Send", "Channel.SendObserved", "Channel.dispatch", "Channel.complete", "line.push"},
-	"internal/delivery": {"Link.Deliver"},
+	"internal/netsim": {"Channel.Send", "Channel.dispatch", "Channel.complete", "line.push"},
+	// A postponed or duplicated delivery rides a pooled carrier.
+	"internal/delivery": {"Link.Deliver", "Link.schedule", "carrier.fire"},
 	"internal/metrics":  {"Histogram.Observe"},
 	"internal/bitio": {
 		"Writer.WriteBits", "Writer.WriteBool", "Writer.WriteFloat",
@@ -70,10 +71,10 @@ var knownHot = map[string][]string{
 	"internal/bitseq": {"Structure.Level", "Builder.Build"},
 	// BenchmarkServerFetchShed pins a fetch the bounded downlink sheds at
 	// 0 allocs/op: the pending-fetch record comes off the freelist and
-	// never enters the table. BenchmarkServerFetchAdmit pins an admitted
-	// fetch at its record and completion, and its completion's fan-out at
-	// nothing.
-	"internal/server": {"Server.admitFetch", "pendingFetch.deliver"},
+	// never enters the table. BenchmarkServerFetchAdmit and its traced
+	// variant pin an admitted fetch at its record, which is its own
+	// completion and observer, and its completion's fan-out at nothing.
+	"internal/server": {"Server.admitFetch", "pendingFetch.Fire"},
 }
 
 // Analyzer is the hotalloc check.

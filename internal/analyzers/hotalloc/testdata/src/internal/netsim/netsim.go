@@ -1,5 +1,5 @@
 // Package netsim is a stand-in for mobicache/internal/netsim: every
-// admitted message runs through SendObserved, so a per-message request
+// admitted message runs through Send, so a per-message request
 // or closure there is flagged even without a //hot annotation.
 package netsim
 
@@ -12,8 +12,8 @@ type Channel struct {
 	queue []*request
 }
 
-// SendObserved is in the known hot set: no annotation, still checked.
-func (c *Channel) SendObserved(bits float64, onTxStart func(float64), onDelivered func()) bool {
+// Send is in the known hot set: no annotation, still checked.
+func (c *Channel) Send(bits float64, onDelivered func()) bool {
 	r := &request{bits: bits} // want `composite literal may heap-allocate`
 	r.onDone = func() {       // want `closure creation allocates`
 		onDelivered()

@@ -231,7 +231,7 @@ type Clock struct {
 func (c Clock) Read(t float64) float64 { return t + c.Offset + c.Drift*t }
 
 // Link is one channel's delivery adversary: it intercepts the delivery
-// callback of every admitted message and applies partition destruction,
+// event of every admitted message and applies partition destruction,
 // jitter, reordering, and duplication. Like everything under the kernel
 // it is single-threaded; give each link its own randomness stream.
 type Link struct {
@@ -240,6 +240,8 @@ type Link struct {
 	src *rng.Source
 	// blocked marks an active partition severing this link.
 	blocked bool
+	// pool holds the carriers not on the calendar.
+	pool []*carrier
 
 	// Delayed counts messages whose delivery the adversary postponed;
 	// Reordered the subset pushed past the reorder window; Dups the
@@ -248,14 +250,52 @@ type Link struct {
 	Delayed, Reordered, Dups, PartitionDrops int64
 }
 
+// carrier holds one postponed or duplicated delivery on the calendar.
+// fn is its fire method, bound once when the carrier is made, so a
+// recycled carrier schedules without building a closure.
+type carrier struct {
+	l  *Link
+	ev sim.Event
+	fn func()
+}
+
+// fire returns the carrier to its link's pool, then fires the event it
+// carried. The event may deliver again on this link and reuse the
+// carrier at once.
+func (c *carrier) fire() {
+	ev := c.ev
+	c.ev = nil
+	//lint:allow hotalloc the pool never outgrows the link's high-water mark of postponed deliveries, so growth stops once it warms up
+	c.l.pool = append(c.l.pool, c)
+	ev.Fire()
+}
+
+// schedule fires ev after delay d on a carrier from the pool. Each
+// carrier is scheduled once per trip, so the kernel sees exactly one
+// Schedule(d, ...) per postponed delivery.
+func (l *Link) schedule(d float64, ev sim.Event) {
+	var c *carrier
+	if n := len(l.pool); n > 0 {
+		c = l.pool[n-1]
+		l.pool[n-1] = nil
+		l.pool = l.pool[:n-1]
+	} else {
+		//lint:allow hotalloc pool miss is the cold fill path; a carrier and its bound fire method are made once and then recycled
+		c = &carrier{l: l}
+		c.fn = c.fire
+	}
+	c.ev = ev
+	l.k.Schedule(d, c.fn)
+}
+
 // Deliver runs one message's delivery through the adversary: destroyed
-// during a partition, otherwise delivered via cb after the drawn delays
+// during a partition, otherwise fired after the drawn delays
 // (immediately when no delay applies), plus a possible duplicate. Only
 // armed links are consulted — the disabled layer never constructs a Link
 // — so every draw here is behind an explicit enable.
 //
 //mobicache:hot
-func (l *Link) Deliver(cb func()) {
+func (l *Link) Deliver(ev sim.Event) {
 	if l.blocked {
 		l.PartitionDrops++
 		return
@@ -270,9 +310,9 @@ func (l *Link) Deliver(cb func()) {
 	}
 	if d > 0 {
 		l.Delayed++
-		l.k.Schedule(d, cb)
+		l.schedule(d, ev)
 	} else {
-		cb()
+		ev.Fire()
 	}
 	if l.p.DupProb > 0 && l.src.Bool(l.p.DupProb) {
 		var d2 float64
@@ -280,7 +320,7 @@ func (l *Link) Deliver(cb func()) {
 			d2 = l.src.Uniform(0, l.p.Jitter)
 		}
 		l.Dups++
-		l.k.Schedule(d2, cb)
+		l.schedule(d2, ev)
 	}
 }
 

@@ -94,7 +94,7 @@ func deliverAll(seed uint64, n int) []float64 {
 	l := &Link{k: k, p: LinkParams{Jitter: 2, ReorderProb: 0.3, ReorderDelay: 25, DupProb: 0.2}, src: rng.New(seed)}
 	var times []float64
 	for i := 0; i < n; i++ {
-		k.Schedule(float64(i), func() { l.Deliver(func() { times = append(times, float64(k.Now())) }) })
+		k.Schedule(float64(i), func() { l.Deliver(sim.Func(func() { times = append(times, float64(k.Now())) })) })
 	}
 	k.Run(1e6)
 	return times
@@ -121,7 +121,7 @@ func TestLinkCountsAndPartitionDrop(t *testing.T) {
 	l := &Link{k: k, p: LinkParams{Jitter: 1, ReorderProb: 1, ReorderDelay: 10, DupProb: 1}, src: rng.New(7)}
 	fired := 0
 	for i := 0; i < 50; i++ {
-		l.Deliver(func() { fired++ })
+		l.Deliver(sim.Func(func() { fired++ }))
 	}
 	k.Run(1e6)
 	if fired != 100 {
@@ -131,7 +131,7 @@ func TestLinkCountsAndPartitionDrop(t *testing.T) {
 		t.Fatalf("counters dups=%d reordered=%d delayed=%d, want 50/50/50", l.Dups, l.Reordered, l.Delayed)
 	}
 	l.blocked = true
-	l.Deliver(func() { t.Fatal("partitioned link delivered") })
+	l.Deliver(sim.Func(func() { t.Fatal("partitioned link delivered") }))
 	if l.PartitionDrops != 1 {
 		t.Fatalf("PartitionDrops = %d, want 1", l.PartitionDrops)
 	}
@@ -153,8 +153,8 @@ func TestPartitionCycleTracedAndHealed(t *testing.T) {
 	var tick func()
 	tick = func() {
 		before := adv.Down.PartitionDrops + adv.Up.PartitionDrops
-		adv.Down.Deliver(func() { delivered++ })
-		adv.Up.Deliver(func() { delivered++ })
+		adv.Down.Deliver(sim.Func(func() { delivered++ }))
+		adv.Up.Deliver(sim.Func(func() { delivered++ }))
 		if adv.Down.PartitionDrops+adv.Up.PartitionDrops > before {
 			dropped++
 		}
@@ -207,21 +207,81 @@ func TestClockForSkipsDrawsWhenDisabled(t *testing.T) {
 }
 
 // The armed delivery hook must stay allocation-free: it runs once per
-// simulated message. The event freelist absorbs the Schedule calls once
-// warm, exactly like the kernel's own hot paths.
+// simulated message. Postponed deliveries ride the link's carrier pool
+// and the kernel's event freelist once both are warm.
 func TestDeliverAllocFree(t *testing.T) {
 	k := sim.New()
 	l := &Link{k: k, p: LinkParams{Jitter: 0.5}, src: rng.New(11)}
-	cb := func() {}
+	ev := sim.Func(func() {})
 	for i := 0; i < 64; i++ {
-		l.Deliver(cb)
+		l.Deliver(ev)
 	}
 	for k.Step() {
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		l.Deliver(cb)
+		l.Deliver(ev)
 		k.Step()
 	}); avg != 0 {
 		t.Fatalf("armed Deliver allocates %v per message, want 0", avg)
+	}
+}
+
+// firings is an Event that records the kernel time of each firing.
+type firings struct {
+	k     *sim.Kernel
+	times []float64
+}
+
+func (f *firings) Fire() { f.times = append(f.times, f.k.Now()) }
+
+// TestCarriersFireEachDeliveryTwice pins the carrier pool under DupProb 1
+// and jitter: every Deliver fires its event exactly twice, at the two
+// jitter draws a reference stream with the same seed makes, and every
+// carrier is back in the pool once the calendar drains. A partitioned
+// link schedules nothing and leaves the pool as it was.
+func TestCarriersFireEachDeliveryTwice(t *testing.T) {
+	const jitter, n = 3.0, 40
+	k := sim.New()
+	l := &Link{k: k, p: LinkParams{Jitter: jitter, DupProb: 1}, src: rng.New(21)}
+	ref := rng.New(21)
+	evs := make([]firings, n)
+	want := make([][2]float64, n)
+	for i := range evs {
+		evs[i].k = k
+		at := float64(i)
+		d := ref.Uniform(0, jitter)
+		d2 := ref.Uniform(0, jitter) // DupProb 1 draws no coin
+		want[i] = [2]float64{at + d, at + d2}
+		k.At(at, func() { l.Deliver(&evs[i]) })
+	}
+	k.Run(sim.EndOfTime)
+	for i, ev := range evs {
+		if len(ev.times) != 2 {
+			t.Fatalf("delivery %d fired %d times, want 2", i, len(ev.times))
+		}
+		lo, hi := min(want[i][0], want[i][1]), max(want[i][0], want[i][1])
+		if ev.times[0] != lo || ev.times[1] != hi {
+			t.Fatalf("delivery %d fired at %v, want %v and %v", i, ev.times, lo, hi)
+		}
+	}
+	if l.Delayed != n || l.Dups != n {
+		t.Fatalf("delayed %d, dups %d, want %d each", l.Delayed, l.Dups, n)
+	}
+	pooled := len(l.pool)
+	if pooled == 0 || pooled > 2*n {
+		t.Fatalf("%d carriers pooled after the drain, want 1..%d", pooled, 2*n)
+	}
+	for _, c := range l.pool {
+		if c.ev != nil {
+			t.Fatal("a pooled carrier still holds its event")
+		}
+	}
+
+	l.blocked = true
+	ev := firings{k: k}
+	l.Deliver(&ev)
+	if k.Pending() != 0 || len(l.pool) != pooled || len(ev.times) != 0 {
+		t.Fatalf("partitioned link: %d events pending, pool %d (was %d), %d firings",
+			k.Pending(), len(l.pool), pooled, len(ev.times))
 	}
 }

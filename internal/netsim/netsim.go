@@ -59,9 +59,9 @@ const idle Class = -1
 type message struct {
 	// remaining is the transmission time still owed; a preemption credits
 	// the time already served.
-	remaining   sim.Time
-	onTxStart   func(sim.Time)
-	onDelivered func()
+	remaining sim.Time
+	tx        TxObserver
+	ev        sim.Event
 	// waited marks a message counted in lowWait (admitted while the
 	// channel was busy); started marks its first service start, after
 	// which a resume fires no observer and touches no counter.
@@ -97,7 +97,7 @@ func (l *line) push() *message {
 }
 
 // pop removes and returns the head record, clearing its slot so the ring
-// holds no callbacks of completed messages.
+// holds no observers of completed messages.
 func (l *line) pop() message {
 	m := l.buf[l.head]
 	l.buf[l.head] = message{}
@@ -167,7 +167,7 @@ func (c *Channel) Bandwidth() float64 { return c.bw }
 // SetFaults installs a Gilbert–Elliott loss/corruption model consulted
 // once per completed transmission: a faulted message occupies the channel
 // for its full transmission time but never reaches its receiver (its
-// onDelivered callback is suppressed). onFault, if non-nil, observes each
+// delivery event is suppressed). onFault, if non-nil, observes each
 // non-Deliver verdict for counting and tracing. Pass ge == nil to remove
 // the model; a channel without one behaves exactly as before, consuming
 // no randomness.
@@ -177,7 +177,7 @@ func (c *Channel) SetFaults(ge *faults.GE, onFault func(class Class, v faults.Ve
 }
 
 // SetDelivery installs an adversarial-delivery link consulted after every
-// surviving transmission: the message's delivery callback runs through
+// surviving transmission: the message's delivery event runs through
 // the link's partition/jitter/reorder/duplication machinery instead of
 // firing directly. Ordering composes with SetFaults: the Gilbert–Elliott
 // verdict destroys the message on the channel first; only delivered
@@ -204,30 +204,32 @@ func (c *Channel) SetQueueCap(n int) {
 // through it). Pass nil to remove.
 func (c *Channel) SetShedHook(fn func(class Class)) { c.onShed = fn }
 
-// Send queues a message of the given size and class, reporting whether it
-// was admitted. onDelivered, if not nil, fires when the last bit has been
-// transmitted. The report class preempts in-progress lower-class
-// transmissions (preemptive-resume). With a queue capacity set
-// (SetQueueCap), a data or control message arriving while the channel is
-// busy and the cap is full is tail-dropped: Send returns false, nothing
-// is queued or charged to the bit accounting, and the caller must recover
-// (retry later or abandon the exchange). Neither path allocates once the
-// class's line has grown to the backlog.
-func (c *Channel) Send(class Class, bits float64, onDelivered func()) bool {
-	return c.SendObserved(class, bits, nil, onDelivered)
-}
+// TxObserver watches a message leave its queue: TxStart runs exactly
+// once, at the simulated instant the message's first bit goes on the air
+// (queueing over, transmission begun). A preempted-and-resumed message
+// does not run it again.
+type TxObserver interface{ TxStart(t sim.Time) }
 
-// SendObserved is Send with a transmission-start observer: onTxStart, if
-// not nil, fires exactly once, at the simulated instant the message's
-// first bit goes on the air (queueing over, transmission begun) — a
-// preempted-and-resumed message does not re-fire it. The observer adds no
-// kernel events and draws no randomness, so a send with a nil observer
-// is bit-identical to Send. Span assembly uses it to separate the
-// queueing phase from the transmit phase.
+// Send queues a message of the given size and class, reporting whether it
+// was admitted. tx, if not nil, observes the transmission's start; ev, if
+// not nil, fires when the last bit has been transmitted (after the fault
+// model and the delivery adversary rule on it). A record that already
+// exists can be both, so a send binds nothing; a closure rides as
+// sim.Func. Observers add no kernel events and draw no randomness. Span
+// assembly uses tx to separate the queueing phase from the transmit
+// phase.
+//
+// The report class preempts in-progress lower-class transmissions
+// (preemptive-resume). With a queue capacity set (SetQueueCap), a data or
+// control message arriving while the channel is busy and the cap is full
+// is tail-dropped: Send returns false, nothing is queued or charged to
+// the bit accounting, and the caller must recover (retry later or
+// abandon the exchange).
 //
 // hot path: one call per simulated message; 0 allocs/op on both the shed
-// and the admitted path (TestShedPathAllocFree, TestSendPathAllocFree).
-func (c *Channel) SendObserved(class Class, bits float64, onTxStart func(sim.Time), onDelivered func()) bool {
+// and the admitted path once the class's line has grown to the backlog
+// (TestShedPathAllocFree, TestSendPathAllocFree).
+func (c *Channel) Send(class Class, bits float64, tx TxObserver, ev sim.Event) bool {
 	if bits < 0 {
 		panic("netsim: negative message size")
 	}
@@ -256,8 +258,8 @@ func (c *Channel) SendObserved(class Class, bits float64, onTxStart func(sim.Tim
 	}
 	m := c.lines[class].push()
 	m.remaining = bits / c.bw
-	m.onTxStart = onTxStart
-	m.onDelivered = onDelivered
+	m.tx = tx
+	m.ev = ev
 	m.waited = waits
 	if n := c.QueueLen(); n > c.maxQueue {
 		c.maxQueue = n
@@ -303,8 +305,8 @@ func (c *Channel) dispatch() {
 			if m.waited {
 				c.lowWait--
 			}
-			if m.onTxStart != nil {
-				m.onTxStart(now)
+			if m.tx != nil {
+				m.tx.TxStart(now)
 			}
 		}
 		c.done = c.k.Schedule(m.remaining, c.completeFn)
@@ -334,11 +336,11 @@ func (c *Channel) complete() {
 			}
 		}
 	}
-	if delivered && m.onDelivered != nil {
+	if delivered && m.ev != nil {
 		if c.adv != nil {
-			c.adv.Deliver(m.onDelivered)
+			c.adv.Deliver(m.ev)
 		} else {
-			m.onDelivered()
+			m.ev.Fire()
 		}
 	}
 	c.dispatch()

@@ -15,7 +15,7 @@ func TestTransmissionTime(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "down", 10000)
 	var done sim.Time
-	ch.Send(ClassData, 8192, func() { done = k.Now() })
+	ch.Send(ClassData, 8192, nil, sim.Func(func() { done = k.Now() }))
 	k.Run(sim.EndOfTime)
 	if math.Abs(done-0.8192) > 1e-12 {
 		t.Fatalf("delivered at %v, want 0.8192", done)
@@ -30,7 +30,7 @@ func TestSharedChannelSerializes(t *testing.T) {
 	ch := NewChannel(k, "down", 1000)
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
-		ch.Send(ClassData, 1000, func() { times = append(times, k.Now()) })
+		ch.Send(ClassData, 1000, nil, sim.Func(func() { times = append(times, k.Now()) }))
 	}
 	k.Run(sim.EndOfTime)
 	for i, want := range []sim.Time{1, 2, 3} {
@@ -47,9 +47,9 @@ func TestReportPreemptsData(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "down", 1000)
 	var dataDone, reportDone sim.Time
-	ch.Send(ClassData, 10000, func() { dataDone = k.Now() })
+	ch.Send(ClassData, 10000, nil, sim.Func(func() { dataDone = k.Now() }))
 	k.Schedule(2, func() {
-		ch.Send(ClassReport, 1000, func() { reportDone = k.Now() })
+		ch.Send(ClassReport, 1000, nil, sim.Func(func() { reportDone = k.Now() }))
 	})
 	k.Run(sim.EndOfTime)
 	if math.Abs(reportDone-3) > 1e-12 {
@@ -68,10 +68,10 @@ func TestControlQueuesAheadOfData(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "up", 1000)
 	var order []string
-	ch.Send(ClassData, 3000, func() { order = append(order, "d1") })
-	ch.Send(ClassData, 3000, func() { order = append(order, "d2") })
+	ch.Send(ClassData, 3000, nil, sim.Func(func() { order = append(order, "d1") }))
+	ch.Send(ClassData, 3000, nil, sim.Func(func() { order = append(order, "d2") }))
 	k.Schedule(1, func() {
-		ch.Send(ClassControl, 1000, func() { order = append(order, "c") })
+		ch.Send(ClassControl, 1000, nil, sim.Func(func() { order = append(order, "c") }))
 	})
 	k.Run(sim.EndOfTime)
 	want := []string{"d1", "c", "d2"}
@@ -85,10 +85,10 @@ func TestControlQueuesAheadOfData(t *testing.T) {
 func TestAccounting(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "down", 10000)
-	ch.Send(ClassReport, 100, nil)
-	ch.Send(ClassReport, 200, nil)
-	ch.Send(ClassControl, 50, nil)
-	ch.Send(ClassData, 8192, nil)
+	ch.Send(ClassReport, 100, nil, nil)
+	ch.Send(ClassReport, 200, nil, nil)
+	ch.Send(ClassControl, 50, nil, nil)
+	ch.Send(ClassData, 8192, nil, nil)
 	k.Run(sim.EndOfTime)
 	if ch.Bits(ClassReport) != 300 {
 		t.Fatalf("report class: %v bits", ch.Bits(ClassReport))
@@ -107,7 +107,7 @@ func TestAccounting(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "down", 1000)
-	ch.Send(ClassData, 5000, nil)
+	ch.Send(ClassData, 5000, nil, nil)
 	k.Run(10)
 	if u := ch.Utilization(10); math.Abs(u-0.5) > 1e-9 {
 		t.Fatalf("utilization = %v", u)
@@ -118,7 +118,7 @@ func TestZeroSizeMessage(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "down", 1000)
 	fired := false
-	ch.Send(ClassData, 0, func() { fired = true })
+	ch.Send(ClassData, 0, nil, sim.Func(func() { fired = true }))
 	k.Run(sim.EndOfTime)
 	if !fired {
 		t.Fatal("zero-size message not delivered")
@@ -140,7 +140,7 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewChannel(sim.New(), "x", 1).Send(ClassData, -1, nil)
+	NewChannel(sim.New(), "x", 1).Send(ClassData, -1, nil, nil)
 }
 
 func TestBadClassPanics(t *testing.T) {
@@ -149,7 +149,7 @@ func TestBadClassPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewChannel(sim.New(), "x", 1).Send(Class(9), 1, nil)
+	NewChannel(sim.New(), "x", 1).Send(Class(9), 1, nil, nil)
 }
 
 func TestClassString(t *testing.T) {
@@ -177,12 +177,12 @@ func TestPeriodicReportsOnSaturatedChannel(t *testing.T) {
 	const L = 20.0
 	var reportDone []sim.Time
 	for i := 0; i < 100; i++ {
-		ch.Send(ClassData, 5000, nil) // 500s of demand: saturated
+		ch.Send(ClassData, 5000, nil, nil) // 500s of demand: saturated
 	}
 	for i := 1; i <= 5; i++ {
 		at := sim.Time(i) * L
 		k.At(at, func() {
-			ch.Send(ClassReport, 2000, func() { reportDone = append(reportDone, k.Now()) })
+			ch.Send(ClassReport, 2000, nil, sim.Func(func() { reportDone = append(reportDone, k.Now()) }))
 		})
 	}
 	k.Run(200)
@@ -207,14 +207,14 @@ func TestBoundedChannelTailDrop(t *testing.T) {
 	var shed []Class
 	ch.SetShedHook(func(c Class) { shed = append(shed, c) })
 
-	if !ch.Send(ClassData, 1000, nil) { // goes straight into service
+	if !ch.Send(ClassData, 1000, nil, nil) { // goes straight into service
 		t.Fatal("in-service send rejected")
 	}
-	if !ch.Send(ClassData, 1000, nil) || !ch.Send(ClassControl, 1000, nil) {
+	if !ch.Send(ClassData, 1000, nil, nil) || !ch.Send(ClassControl, 1000, nil, nil) {
 		t.Fatal("send within cap rejected")
 	}
 	bits := ch.TotalBits()
-	if ch.Send(ClassData, 1000, nil) {
+	if ch.Send(ClassData, 1000, nil, nil) {
 		t.Fatal("send beyond cap admitted")
 	}
 	if ch.TotalBits() != bits {
@@ -245,9 +245,9 @@ func TestBoundedChannelReportExempt(t *testing.T) {
 	ch := NewChannel(k, "down", 1000)
 	ch.SetQueueCap(1)
 	delivered := false
-	ch.Send(ClassData, 5000, nil)
-	ch.Send(ClassData, 5000, nil) // fills the cap
-	if !ch.Send(ClassReport, 1000, func() { delivered = true }) {
+	ch.Send(ClassData, 5000, nil, nil)
+	ch.Send(ClassData, 5000, nil, nil) // fills the cap
+	if !ch.Send(ClassReport, 1000, nil, sim.Func(func() { delivered = true })) {
 		t.Fatal("report rejected by a full bounded queue")
 	}
 	k.Run(sim.EndOfTime)
@@ -266,12 +266,12 @@ func TestBoundedChannelPreemptionKeepsBound(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "down", 1000)
 	ch.SetQueueCap(2)
-	ch.Send(ClassData, 10000, nil)
-	ch.Send(ClassData, 1000, nil)
-	ch.Send(ClassData, 1000, nil) // cap reached
+	ch.Send(ClassData, 10000, nil, nil)
+	ch.Send(ClassData, 1000, nil, nil)
+	ch.Send(ClassData, 1000, nil, nil) // cap reached
 	k.Schedule(2, func() {
-		ch.Send(ClassReport, 1000, nil) // preempts the first data message
-		if ch.Send(ClassData, 1000, nil) {
+		ch.Send(ClassReport, 1000, nil, nil) // preempts the first data message
+		if ch.Send(ClassData, 1000, nil, nil) {
 			t.Error("send admitted while preempted message holds its slot")
 		}
 	})
@@ -291,7 +291,7 @@ func TestResetStatsClearsHighWaterMarks(t *testing.T) {
 	ch := NewChannel(k, "up", 1000)
 	ch.SetQueueCap(8)
 	for i := 0; i < 6; i++ {
-		ch.Send(ClassData, 1000, nil)
+		ch.Send(ClassData, 1000, nil, nil)
 	}
 	k.Run(2.5) // two delivered, one in flight, three waiting
 	if ch.MaxQueueLen() != 5 || ch.MaxQueuedLow() != 5 {
@@ -315,11 +315,11 @@ func TestShedPathAllocFree(t *testing.T) {
 	ch := NewChannel(k, "up", 1000)
 	ch.SetQueueCap(1)
 	ch.SetShedHook(func(Class) {})
-	ch.Send(ClassData, 1000, nil)
-	ch.Send(ClassData, 1000, nil) // cap reached
+	ch.Send(ClassData, 1000, nil, nil)
+	ch.Send(ClassData, 1000, nil, nil) // cap reached
 	before := k.Pending()
 	if avg := testing.AllocsPerRun(1000, func() {
-		if ch.Send(ClassData, 1000, nil) {
+		if ch.Send(ClassData, 1000, nil, nil) {
 			t.Fatal("admitted beyond cap")
 		}
 	}); avg != 0 {
@@ -332,8 +332,9 @@ func TestShedPathAllocFree(t *testing.T) {
 
 // A steady report+control+data cycle, with one preemption, a fault model
 // and a delivery adversary armed, allocates nothing: each class's line
-// reuses its ring slots, completion is a method value bound once, and the
-// verdict and adversary run inline instead of in per-message closures.
+// reuses its ring slots, completion is a method value bound once, the
+// verdict runs inline, and the adversary's postponed deliveries ride
+// recycled carriers.
 func TestSendPathAllocFree(t *testing.T) {
 	k := sim.New()
 	ch := NewChannel(k, "down", 1000)
@@ -344,11 +345,11 @@ func TestSendPathAllocFree(t *testing.T) {
 	ch.SetDelivery(adv.Down)
 	delivered := 0
 	onDelivered := func() { delivered++ }
-	onTx := func(sim.Time) {}
-	sendReport := func() { ch.Send(ClassReport, 100, onDelivered) }
+	var tx txCounter
+	sendReport := func() { ch.Send(ClassReport, 100, nil, sim.Func(onDelivered)) }
 	cycle := func() {
-		ch.Send(ClassData, 1000, onDelivered)
-		ch.SendObserved(ClassControl, 100, onTx, onDelivered)
+		ch.Send(ClassData, 1000, nil, sim.Func(onDelivered))
+		ch.Send(ClassControl, 100, &tx, sim.Func(onDelivered))
 		k.Schedule(0.5, sendReport) // lands mid-data: one preemption
 		for k.Step() {
 		}
@@ -365,7 +366,15 @@ func TestSendPathAllocFree(t *testing.T) {
 	if delivered == 0 || ch.TotalLost() == 0 {
 		t.Fatalf("delivered %d, lost %d: fault model or receivers never ran", delivered, ch.TotalLost())
 	}
+	if tx != 117 {
+		t.Fatalf("transmission-start observer ran %d times over 117 cycles", tx)
+	}
 }
+
+// txCounter is a TxObserver that counts transmission starts.
+type txCounter int
+
+func (c *txCounter) TxStart(sim.Time) { *c++ }
 
 // TestChannelService pins the single-server discipline the channel
 // implements for the paper's three classes: strict class priority among
@@ -382,18 +391,18 @@ func TestChannelService(t *testing.T) {
 	}{{
 		name: "report-control-data-order",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
-			ch.Send(ClassReport, 5, log("r1"))
-			ch.Send(ClassData, 1, log("d"))
-			ch.Send(ClassControl, 1, log("c"))
-			ch.Send(ClassReport, 1, log("r2"))
+			ch.Send(ClassReport, 5, nil, sim.Func(log("r1")))
+			ch.Send(ClassData, 1, nil, sim.Func(log("d")))
+			ch.Send(ClassControl, 1, nil, sim.Func(log("c")))
+			ch.Send(ClassReport, 1, nil, sim.Func(log("r2")))
 			k.Run(sim.EndOfTime)
 		},
 		order: []string{"r1", "r2", "c", "d"},
 	}, {
 		name: "report-never-preempts-report",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
-			ch.Send(ClassReport, 10, log("a"))
-			k.Schedule(1, func() { ch.Send(ClassReport, 1, log("b")) })
+			ch.Send(ClassReport, 10, nil, sim.Func(log("a")))
+			k.Schedule(1, func() { ch.Send(ClassReport, 1, nil, sim.Func(log("b"))) })
 			k.Run(sim.EndOfTime)
 			if ch.Preemptions() != 0 || k.Now() != 11 {
 				t.Errorf("preemptions %d, drained at %v; want 0 and 11", ch.Preemptions(), k.Now())
@@ -403,10 +412,10 @@ func TestChannelService(t *testing.T) {
 	}, {
 		name: "preempted-resumes-first",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
-			ch.Send(ClassData, 10, log("victim"))
+			ch.Send(ClassData, 10, nil, sim.Func(log("victim")))
 			k.Schedule(2, func() {
-				ch.Send(ClassReport, 4, log("report"))
-				ch.Send(ClassData, 1, log("late"))
+				ch.Send(ClassReport, 4, nil, sim.Func(log("report")))
+				ch.Send(ClassData, 1, nil, sim.Func(log("late")))
 			})
 			k.Run(sim.EndOfTime)
 			if k.Now() != 15 {
@@ -417,7 +426,7 @@ func TestChannelService(t *testing.T) {
 	}, {
 		name: "zero-size-async",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
-			ch.Send(ClassData, 0, log("zero"))
+			ch.Send(ClassData, 0, nil, sim.Func(log("zero")))
 			if ch.Delivered() != 0 {
 				t.Error("zero-size message completed inside Send")
 			}
@@ -428,10 +437,10 @@ func TestChannelService(t *testing.T) {
 		name: "send-from-callback",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
 			first, second := log("first"), log("second")
-			ch.Send(ClassData, 5, func() {
+			ch.Send(ClassData, 5, nil, sim.Func(func() {
 				first()
-				ch.Send(ClassData, 5, second)
-			})
+				ch.Send(ClassData, 5, nil, sim.Func(second))
+			}))
 			k.Run(sim.EndOfTime)
 			if k.Now() != 10 {
 				t.Errorf("second delivered at %v, want 10", k.Now())
@@ -441,8 +450,8 @@ func TestChannelService(t *testing.T) {
 	}, {
 		name: "busy-utilization-max-queue",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
-			ch.Send(ClassData, 30, nil)
-			ch.Send(ClassData, 30, nil)
+			ch.Send(ClassData, 30, nil, nil)
+			ch.Send(ClassData, 30, nil, nil)
 			k.Run(100)
 			if math.Abs(ch.BusyTime()-60) > 1e-9 {
 				t.Errorf("busy %v, want 60", ch.BusyTime())
@@ -457,7 +466,7 @@ func TestChannelService(t *testing.T) {
 	}, {
 		name: "utilization-mid-service",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
-			ch.Send(ClassData, 100, nil)
+			ch.Send(ClassData, 100, nil, nil)
 			k.Run(50)
 			if u := ch.Utilization(50); math.Abs(u-1) > 1e-9 {
 				t.Errorf("mid-service utilization %v, want 1", u)
@@ -470,7 +479,7 @@ func TestChannelService(t *testing.T) {
 		name: "saturated-work-conserved",
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
 			for i := 0; i < 50; i++ {
-				ch.Send(ClassData, 10, nil)
+				ch.Send(ClassData, 10, nil, nil)
 			}
 			k.Run(200)
 			if u := ch.Utilization(200); math.Abs(u-1) > 1e-9 || ch.Delivered() != 20 {
@@ -482,11 +491,11 @@ func TestChannelService(t *testing.T) {
 		run: func(t *testing.T, k *sim.Kernel, ch *Channel, log logFn) {
 			total := 0.0
 			for i := 0; i < 5; i++ {
-				ch.Send(ClassData, 7, nil)
+				ch.Send(ClassData, 7, nil, nil)
 				total += 7
 			}
 			for i := 0; i < 5; i++ {
-				k.At(sim.Time(i)*6+3, func() { ch.Send(ClassReport, 2, nil) })
+				k.At(sim.Time(i)*6+3, func() { ch.Send(ClassReport, 2, nil, nil) })
 				total += 2
 			}
 			k.Run(sim.EndOfTime)

@@ -5,6 +5,7 @@ import (
 	"mobicache/internal/core"
 	"mobicache/internal/report"
 	"mobicache/internal/sim"
+	"mobicache/internal/trace"
 )
 
 // Handle is one client's facade over the population: it implements
@@ -33,6 +34,14 @@ func (h *Handle) Connected() bool {
 //mobicache:hot
 func (h *Handle) DeliverReport(r report.Report, now sim.Time) {
 	h.p.deliverReport(h.i, r, now)
+}
+
+// TxStart implements netsim.TxObserver for the client's fetch requests:
+// it traces the request's uplink transmission start (UplinkTxStart
+// encoding 0, a fetch).
+func (h *Handle) TxStart(t sim.Time) {
+	h.p.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.UplinkTxStart,
+		Client: h.p.states[h.i].ID, A: 0})
 }
 
 // DeliverValidity implements server.Receiver.

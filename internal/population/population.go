@@ -258,10 +258,6 @@ type Population struct {
 	// construction so the steady state allocates neither.
 	wakes       []func()
 	deadlineFns []func()
-	// fetchTx holds each client's fetch-request transmission observer,
-	// built on the client's first traced fetch (the slice itself on the
-	// population's first), so untraced runs never build them.
-	fetchTx []func(sim.Time)
 }
 
 // New builds the population: states, caches (carved from arena, which
@@ -694,13 +690,14 @@ func (p *Population) sendFetch(i int32, attempt int) bool {
 				ids = append(ids, id)
 			}
 		}
-		var onTx func(sim.Time)
+		// The client's Handle is its fetch requests' transmission observer.
+		var tx netsim.TxObserver
 		if p.cfg.Tracer.Enabled(trace.UplinkTxStart) {
-			onTx = p.fetchTxFn(i)
+			tx = &p.handles[i]
 		}
-		admitted = p.routes[p.cell[i]].up.SendObserved(netsim.ClassData, p.cfg.FetchRequestBits, onTx, func() {
+		admitted = p.routes[p.cell[i]].up.Send(netsim.ClassData, p.cfg.FetchRequestBits, tx, sim.Func(func() {
 			p.routes[p.cell[i]].server.OnFetch(p.states[i].ID, ids, p.k.Now())
-		})
+		}))
 		if admitted {
 			p.counts[i].FetchUplinkBits += p.cfg.FetchRequestBits
 			p.cfg.Tracer.Record(trace.Event{T: p.k.Now(), Kind: trace.FetchSent,
@@ -721,21 +718,6 @@ func (p *Population) sendFetch(i int32, attempt int) bool {
 		p.sendFetch(i, attempt+1)
 	})
 	return admitted
-}
-
-// fetchTxFn returns client i's fetch-request transmission observer,
-// building it on first use.
-func (p *Population) fetchTxFn(i int32) func(sim.Time) {
-	if p.fetchTx == nil {
-		p.fetchTx = make([]func(sim.Time), len(p.states))
-	}
-	if p.fetchTx[i] == nil {
-		p.fetchTx[i] = func(t sim.Time) {
-			p.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.UplinkTxStart,
-				Client: p.states[i].ID, A: 0})
-		}
-	}
-	return p.fetchTx[i]
 }
 
 // scheduleCtrlTimeout arms a give-up timer for the validation exchange
@@ -778,26 +760,17 @@ func (p *Population) handleOutcome(i int32, out core.Outcome, now sim.Time) {
 	if out.Send != nil {
 		bits := float64(out.Send.SizeBits(p.cfg.Params.Rep))
 		msg := out.Send
-		isFeedback := msg.Feedback != nil
 		kindArg := int64(0)
-		if isFeedback {
+		if msg.Feedback != nil {
 			kindArg = 1
 		}
-		var onTx func(sim.Time)
+		x := &controlSend{p: p, i: i, msg: msg}
+		var tx netsim.TxObserver
 		if p.cfg.Tracer.Enabled(trace.UplinkTxStart) {
-			exch := kindArg + 1 // UplinkTxStart encoding: 1 check, 2 feedback
-			onTx = func(t sim.Time) {
-				p.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.UplinkTxStart,
-					Client: p.states[i].ID, A: exch})
-			}
+			tx = x
 		}
 		st := &p.states[i]
-		admitted := p.routes[p.cell[i]].up.SendObserved(netsim.ClassControl, bits, onTx, func() {
-			if isFeedback {
-				st.FeedbackDeliveredAt = p.k.Now()
-			}
-			p.routes[p.cell[i]].server.OnControl(msg, p.k.Now())
-		})
+		admitted := p.routes[p.cell[i]].up.Send(netsim.ClassControl, bits, tx, x)
 		if admitted {
 			cnt.ValidationUplinkBits += bits
 			cnt.ValidationUplinkMsgs++
@@ -810,6 +783,37 @@ func (p *Population) handleOutcome(i int32, out core.Outcome, now sim.Time) {
 		p.ctrlTries[i] = 0
 		p.wakeIfParked(i, parkValidated)
 	}
+}
+
+// controlSend is one control message on client i's uplink: its own
+// completion, which hands the message to the client's server, and, while
+// UplinkTxStart is traced, its own transmission-start observer. It is
+// never recycled: the delivery adversary may fire it twice or never.
+type controlSend struct {
+	p   *Population
+	msg *core.ControlMsg
+	i   int32
+}
+
+// TxStart traces the transmission's start (UplinkTxStart encoding: 1
+// check, 2 feedback).
+func (x *controlSend) TxStart(t sim.Time) {
+	exch := int64(1)
+	if x.msg.Feedback != nil {
+		exch = 2
+	}
+	x.p.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.UplinkTxStart,
+		Client: x.p.states[x.i].ID, A: exch})
+}
+
+// Fire hands the message to the server of the client's cell at
+// completion time, stamping a feedback message's delivery first.
+func (x *controlSend) Fire() {
+	p, i := x.p, x.i
+	if x.msg.Feedback != nil {
+		p.states[i].FeedbackDeliveredAt = p.k.Now()
+	}
+	p.routes[p.cell[i]].server.OnControl(x.msg, p.k.Now())
 }
 
 // observeAoI records one answered item's age-of-information sample: the

@@ -86,35 +86,30 @@ type Config struct {
 // server crashes: a crash clears the table (in-memory state loss), and
 // completions from a previous epoch must not decrement the new count.
 // w0 is the requester of record, the admitting client; more holds the
-// waiters coalesced on later, in arrival order. complete is the record's
-// deliver method, bound once when the record is created; txStart is its
-// onTxStart method, bound the first time the record is admitted while
-// ItemTxStart is traced. A recycled record keeps both, so re-admitting it
-// builds no closures.
+// waiters coalesced on later, in arrival order. The record is its own
+// downlink completion (Fire) and, while ItemTxStart is traced, its own
+// transmission-start observer (TxStart), so a send binds nothing.
 type pendingFetch struct {
 	s     *Server
 	id    int32
 	epoch int32
 	w0    Receiver
 	more  []Receiver
-
-	txStart  func(sim.Time)
-	complete func()
 }
 
-// onTxStart traces the transmission's start, attributed to the requester
+// TxStart traces the transmission's start, attributed to the requester
 // of record (w0); waiters coalesced on later share the service phase and
 // get no transmission stamp of their own.
-func (p *pendingFetch) onTxStart(t sim.Time) {
+func (p *pendingFetch) TxStart(t sim.Time) {
 	p.s.traceItem(trace.ItemTxStart, t, p.w0.ID(), p.id)
 }
 
-// deliver is the transmission's completion: it tears down the table
-// entry and fans the item out to every coalesced waiter. The teardown is
+// Fire is the transmission's completion: it tears down the table entry
+// and fans the item out to every coalesced waiter. The teardown is
 // identity- and epoch-guarded: a later fetch of the same id (no
 // coalescing) or a crash may have replaced or cleared the entry, and
 // post-crash completions must not decrement the new epoch's population.
-func (p *pendingFetch) deliver() {
+func (p *pendingFetch) Fire() {
 	s := p.s
 	if s.pending[p.id] == p {
 		s.pending[p.id] = nil
@@ -122,18 +117,63 @@ func (p *pendingFetch) deliver() {
 	if p.epoch == s.epoch {
 		s.pendingN--
 	}
-	s.ItemsServed++
-	ts := s.db.LastUpdate(p.id)
-	if ts < 0 {
-		ts = 0 // never updated: the initial version, valid forever
-	}
-	ver := s.db.Version(p.id)
-	done := s.k.Now()
+	ver, ts, done := s.serveItem(p.id)
 	p.w0.DeliverItem(p.id, ver, ts, done)
 	for _, w := range p.more {
 		w.DeliverItem(p.id, ver, ts, done)
 	}
 }
+
+// itemSend is one item transmission of the plain fetch path (neither
+// PendingCap nor Coalesce): its own completion and, while ItemTxStart is
+// traced, its own transmission-start observer. Like pendingFetch it is
+// never recycled: the delivery adversary may fire it twice or never. It
+// is a type of its own because it needs no table fields: every paper
+// figure takes this path, and its record is half pendingFetch's size.
+type itemSend struct {
+	s  *Server
+	rc Receiver
+	id int32
+}
+
+// TxStart traces the transmission's start.
+func (x *itemSend) TxStart(t sim.Time) {
+	x.s.traceItem(trace.ItemTxStart, t, x.rc.ID(), x.id)
+}
+
+// Fire delivers the item to its requester.
+func (x *itemSend) Fire() {
+	ver, ts, done := x.s.serveItem(x.id)
+	x.rc.DeliverItem(x.id, ver, ts, done)
+}
+
+// serveItem counts one completed item transmission and returns the
+// version and last-update timestamp the item carries, stamped now.
+func (s *Server) serveItem(id int32) (ver int32, ts float64, now sim.Time) {
+	s.ItemsServed++
+	ts = s.db.LastUpdate(id)
+	if ts < 0 {
+		ts = 0 // never updated: the initial version, valid forever
+	}
+	return s.db.Version(id), ts, s.k.Now()
+}
+
+// validitySend is one validity reply on the downlink: its own completion
+// and, while ValidityTxStart is traced, its own transmission-start
+// observer.
+type validitySend struct {
+	s  *Server
+	rc Receiver
+	v  *report.ValidityReport
+}
+
+// TxStart traces the reply's transmission start.
+func (x *validitySend) TxStart(t sim.Time) {
+	x.s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ValidityTxStart, Client: x.v.Client})
+}
+
+// Fire delivers the reply to its client.
+func (x *validitySend) Fire() { x.rc.DeliverValidity(x.v, x.s.k.Now()) }
 
 // Server is the mobile support station.
 type Server struct {
@@ -478,14 +518,14 @@ func (s *Server) emitReport(t float64) {
 		Client: -1, A: int64(kind), B: int64(bits)})
 	s.lastIRDone = t + s.down.TxTime(bits)
 	//lint:allow errcheck-sim the report class is exempt from bounded-queue admission and is never shed
-	s.down.Send(netsim.ClassReport, bits, func() {
+	s.down.Send(netsim.ClassReport, bits, nil, sim.Func(func() {
 		now := s.k.Now()
 		for _, rc := range s.all {
 			if rc.Connected() {
 				rc.DeliverReport(r, now)
 			}
 		}
-	})
+	}))
 }
 
 // OnControl is the uplink endpoint for validation messages; the channel
@@ -525,16 +565,12 @@ func (s *Server) OnControl(msg *core.ControlMsg, now sim.Time) {
 	bits := float64(v.SizeBits(s.cfg.Params.Rep))
 	s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ValiditySent,
 		Client: v.Client, B: int64(bits)})
-	var onTx func(sim.Time)
+	x := &validitySend{s: s, rc: rc, v: v}
+	var tx netsim.TxObserver
 	if s.cfg.Tracer.Enabled(trace.ValidityTxStart) {
-		onTx = func(t sim.Time) {
-			s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ValidityTxStart,
-				Client: v.Client})
-		}
+		tx = x
 	}
-	if !s.down.SendObserved(netsim.ClassControl, bits, onTx, func() {
-		rc.DeliverValidity(v, s.k.Now())
-	}) {
+	if !s.down.Send(netsim.ClassControl, bits, tx, x) {
 		// Tail-dropped by a bounded downlink: the client's control timeout
 		// or query deadline abandons the exchange and the next broadcast
 		// report regenerates it.
@@ -570,20 +606,12 @@ func (s *Server) OnFetch(clientID int32, ids []int32, now sim.Time) {
 			s.admitFetch(rc, id, now)
 			continue
 		}
-		var onTx func(sim.Time)
+		x := &itemSend{s: s, rc: rc, id: id}
+		var tx netsim.TxObserver
 		if s.cfg.Tracer.Enabled(trace.ItemTxStart) {
-			onTx = func(t sim.Time) {
-				s.traceItem(trace.ItemTxStart, t, clientID, id)
-			}
+			tx = x
 		}
-		if !s.down.SendObserved(netsim.ClassData, s.cfg.ItemBits, onTx, func() {
-			s.ItemsServed++
-			ts := s.db.LastUpdate(id)
-			if ts < 0 {
-				ts = 0 // never updated: the initial version, valid forever
-			}
-			rc.DeliverItem(id, s.db.Version(id), ts, s.k.Now())
-		}) {
+		if !s.down.Send(netsim.ClassData, s.cfg.ItemBits, tx, x) {
 			// Tail-dropped by a bounded downlink; the client's backed-off
 			// re-request or query deadline recovers.
 			continue
@@ -601,7 +629,7 @@ func (s *Server) OnFetch(clientID int32, ids []int32, now sim.Time) {
 // hot path: once per requested item under admission control; a fetch the
 // bounded downlink sheds reuses a freelist record, touches no table and
 // allocates nothing (BenchmarkServerFetchShed); an admitted one allocates
-// its record and completion (BenchmarkServerFetchAdmit).
+// its record alone, traced or not (BenchmarkServerFetchAdmit).
 func (s *Server) admitFetch(rc Receiver, id int32, now sim.Time) {
 	if s.cfg.Coalesce {
 		if p := s.pending[id]; p != nil {
@@ -618,19 +646,15 @@ func (s *Server) admitFetch(rc Receiver, id int32, now sim.Time) {
 	}
 	p := s.freeFetch
 	if p == nil {
-		//lint:allow hotalloc freelist miss is the admitted path's record, its first waiter inline and its completion bound once (txStart only when traced); a shed send returns its record, so the shed path reuses one
+		//lint:allow hotalloc freelist miss is the admitted path's one allocation: the record, which holds its first waiter inline and is its own completion and observer; a shed send returns its record, so the shed path reuses one
 		p = &pendingFetch{s: s}
-		p.complete = p.deliver
 	}
 	p.id, p.epoch, p.w0 = id, s.epoch, rc
-	var onTx func(sim.Time)
+	var tx netsim.TxObserver
 	if s.cfg.Tracer.Enabled(trace.ItemTxStart) {
-		if p.txStart == nil {
-			p.txStart = p.onTxStart
-		}
-		onTx = p.txStart
+		tx = p
 	}
-	if !s.down.SendObserved(netsim.ClassData, s.cfg.ItemBits, onTx, p.complete) {
+	if !s.down.Send(netsim.ClassData, s.cfg.ItemBits, tx, p) {
 		// Tail-dropped by a bounded downlink: recycle the record. The
 		// requester's retry or deadline recovers.
 		p.w0 = nil
@@ -655,9 +679,9 @@ func (s *Server) busyReply(rc Receiver, id int32, now sim.Time) {
 	s.BusyReplies++
 	s.traceItem(trace.ServerBusy, now, rc.ID(), id)
 	bits := float64(s.cfg.Params.Rep.HeaderBits)
-	if !s.down.Send(netsim.ClassControl, bits, func() {
+	if !s.down.Send(netsim.ClassControl, bits, nil, sim.Func(func() {
 		rc.DeliverBusy(id, s.k.Now())
-	}) {
+	})) {
 		s.RepliesShed++
 	}
 }

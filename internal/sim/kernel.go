@@ -23,6 +23,21 @@ type Time = float64
 // EndOfTime is later than any event the kernel will execute.
 const EndOfTime Time = math.MaxFloat64
 
+// Event is something that happens at a simulated instant. Model code
+// hands one to a layer that runs it later (a channel delivery, a delivery
+// adversary), so a record that already exists can be its own completion
+// instead of binding a closure. The kernel's calendar still takes a
+// func(): calling a func value is cheaper than dispatching through an
+// interface on every event.
+type Event interface{ Fire() }
+
+// Func adapts a func() to Event. A func value is one pointer word, so
+// converting it to Event allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // event is a scheduled callback. Fired and cancelled events are recycled
 // through the kernel's freelist, so model code never holds a *event
 // directly; it gets a Handle, whose sequence number detects staleness.
