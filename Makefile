@@ -4,7 +4,7 @@
 GO ?= go
 MOBILINT := bin/mobilint
 
-.PHONY: all build test race lint lint-baseline fuzz-smoke adversary-smoke obs-smoke spans-smoke agg-smoke bench bench-smoke par-bench cover mobilint clean
+.PHONY: all build test race lint lint-baseline fuzz-smoke adversary-smoke obs-smoke spans-smoke agg-smoke bench bench-smoke par-bench cover loc mobilint clean
 
 all: build lint test
 
@@ -136,6 +136,14 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
+
+# Line count of the tracked Go sources outside testdata, non-test files
+# first, then _test.go files: the figures ROADMAP's size table records.
+# Only tracked files count, so build outputs and scratch files never do.
+loc:
+	@n=$$(git ls-files '*.go' | grep -v '/testdata/' | grep -v '_test\.go$$' | xargs cat | wc -l); \
+	t=$$(git ls-files '*_test.go' | grep -v '/testdata/' | xargs cat | wc -l); \
+	echo "non-test $$n test $$t"
 
 clean:
 	rm -rf bin

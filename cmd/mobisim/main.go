@@ -446,6 +446,13 @@ func printResults(out *os.File, r *engine.Results, verbose bool) {
 		fmt.Fprintf(out, "disconnections:          %d (mean %.0f s)\n", r.Disconnections, r.MeanDisconnectedFor)
 		fmt.Fprintf(out, "max response time:       %.1f s\n", r.MaxResponse)
 		fmt.Fprintf(out, "report overruns:         %d\n", r.IROverruns)
+		if r.Config.Faults.Enabled() {
+			fmt.Fprintf(out, "faults (IR lost/corrupt, up lost/corrupt): %d / %d, %d / %d\n",
+				r.ReportsLost, r.ReportsCorrupted, r.UplinkMsgsLost, r.UplinkMsgsCorrupted)
+			fmt.Fprintf(out, "retries / epoch drops:   %d (%.3f per query) / %d\n", r.Retries, r.RetriesPerQuery, r.EpochDegrades)
+			fmt.Fprintf(out, "server crashes:          %d (%.0f s down, mean recovery %.0f s)\n",
+				r.ServerCrashes, r.ServerDowntime, r.MeanRecoveryLatency)
+		}
 		if r.Config.Overload.Enabled() {
 			fmt.Fprintf(out, "queries issued/timeout/shed/open: %d / %d / %d / %d\n",
 				r.QueriesIssued, r.QueriesTimedOut, r.QueriesShed, r.QueriesInFlight)

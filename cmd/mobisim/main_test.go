@@ -94,11 +94,11 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunVerboseAndCheck(t *testing.T) {
-	out, err := runCapture(t, "-scheme", "ts-check", "-simtime", "2000", "-check", "-v")
+	out, err := runCapture(t, "-scheme", "ts-check", "-simtime", "2000", "-check", "-v", "-chaos", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"downlink utilization:", "consistency violations:  0"} {
+	for _, want := range []string{"downlink utilization:", "retries / epoch drops:", "consistency violations:  0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

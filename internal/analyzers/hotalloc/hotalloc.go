@@ -159,9 +159,14 @@ func inKnownSet(pkgPath, name string) bool {
 // — but it does descend into nested closures after flagging their
 // creation, since the closure body runs on the hot path too.
 func checkHotBody(pass *framework.Pass, name string, body ast.Node) {
+	// callee is the Fun of the call visited last. ast.Inspect visits a
+	// call's Fun right after the call itself, so a method selector equal
+	// to it is a direct call, not a method value.
+	var callee ast.Expr
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
+			callee = ast.Unparen(n.Fun)
 			return checkCall(pass, name, n)
 		case *ast.CompositeLit:
 			pass.Reportf(n.Pos(),
@@ -169,6 +174,11 @@ func checkHotBody(pass *framework.Pass, name string, body ast.Node) {
 		case *ast.FuncLit:
 			pass.Reportf(n.Pos(),
 				"hot path %s: closure creation allocates when captures escape; reuse a cached closure (see Population.wakes) or justify with //lint:allow hotalloc", name)
+		case *ast.SelectorExpr:
+			if sel := pass.TypesInfo.Selections[n]; sel != nil && sel.Kind() == types.MethodVal && n != callee {
+				pass.Reportf(n.Pos(),
+					"hot path %s: method value binds its receiver in a closure that allocates when it escapes; bind it once outside the hot path or justify with //lint:allow hotalloc", name)
+			}
 		}
 		return true
 	})

@@ -44,6 +44,18 @@ func closure(n int) func() int {
 	return func() int { return n } // want `closure creation allocates`
 }
 
+func (r *ring) size() int { return len(r.buf) }
+
+//mobicache:hot
+func methodValue(r *ring) func() int {
+	return r.size // want `method value binds its receiver`
+}
+
+//mobicache:hot
+func methodCall(r *ring) int {
+	return r.size() + (r.size)() // a direct call binds nothing
+}
+
 //mobicache:hot
 func convert(b []byte) string {
 	return string(b) // want `conversion copies its data`

@@ -282,7 +282,7 @@ func (l *Link) schedule(d float64, ev sim.Event) {
 	} else {
 		//lint:allow hotalloc pool miss is the cold fill path; a carrier and its bound fire method are made once and then recycled
 		c = &carrier{l: l}
-		c.fn = c.fire
+		c.fn = c.fire //lint:allow hotalloc the bound fire method is made once per carrier, here on the pool miss, and recycled with it
 	}
 	c.ev = ev
 	l.k.Schedule(d, c.fn)

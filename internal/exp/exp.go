@@ -237,8 +237,6 @@ type Options struct {
 	SimTime float64
 	// Seeds are the replication seeds; results are averaged. Default {1}.
 	Seeds []uint64
-	// Schemes overrides the evaluated method set.
-	Schemes []string
 	// Progress, if set, receives one line per completed run. Calls are
 	// serialized; with Workers > 1 the line order follows completion
 	// order, not grid order.
@@ -262,13 +260,6 @@ func (o Options) seeds() []uint64 {
 		return []uint64{1}
 	}
 	return o.Seeds
-}
-
-func (o Options) schemes() []string {
-	if len(o.Schemes) == 0 {
-		return EvaluatedSchemes
-	}
-	return o.Schemes
 }
 
 // Cell is one (x, scheme) aggregate of a completed sweep.
@@ -330,7 +321,7 @@ func (r *Runner) RunSweep(s *Sweep) (*SweepResult, error) {
 	}
 	schemes := s.Schemes
 	if len(schemes) == 0 {
-		schemes = r.Opts.schemes()
+		schemes = EvaluatedSchemes
 	}
 	seeds := r.Opts.seeds()
 	jobs := make([]cellJob, 0, len(s.Xs)*len(schemes)*len(seeds))
@@ -442,9 +433,6 @@ type FigureTable struct {
 	Schemes []string
 	Xs      []float64
 	Values  map[float64]map[string]float64
-	// YLabel, when non-empty, overrides the metric name as the plot's y
-	// axis label (timeline adapters plot columns, not sweep metrics).
-	YLabel string
 }
 
 // RunFigure executes (via the shared sweep) and extracts one figure.

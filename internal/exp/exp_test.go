@@ -44,23 +44,23 @@ func TestFigureByID(t *testing.T) {
 }
 
 func TestSweepSharingAndRendering(t *testing.T) {
-	// Tiny sweep: shrink to two points, one scheme pair, short horizon.
-	orig := Sweeps["uniform-dbsize"].Xs
-	Sweeps["uniform-dbsize"].Xs = []float64{1000, 5000}
-	defer func() { Sweeps["uniform-dbsize"].Xs = orig }()
+	// Tiny sweep: a two-point, two-scheme copy of fig5/fig6's family.
+	sw := *Sweeps["uniform-dbsize"]
+	sw.Xs, sw.Schemes = []float64{1000, 5000}, []string{"aaw", "bs"}
+	fig5, fig6 := Figures[0], Figures[1]
+	fig5.Sweep, fig6.Sweep = &sw, &sw
 
 	var progress []string
 	r := NewRunner(Options{
 		SimTime:  2000,
-		Schemes:  []string{"aaw", "bs"},
 		Progress: func(s string) { progress = append(progress, s) },
 	})
-	f5, err := r.RunFigure(Figures[0]) // fig5
+	f5, err := r.RunFigure(fig5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runsAfterFirst := len(progress)
-	f6, err := r.RunFigure(Figures[1]) // fig6 shares the sweep
+	f6, err := r.RunFigure(fig6) // shares the sweep
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestMultiSeedAveraging(t *testing.T) {
 	}
 	// Reuse the probdisc configurator at a fixed x (prob 0.1 ignored; the
 	// Xs value feeds ProbDisc, so keep it legal).
-	sw.Xs = []float64{0.2}
-	r := NewRunner(Options{SimTime: 2000, Seeds: []uint64{1, 2, 3}, Schemes: []string{"aaw"}})
+	sw.Xs, sw.Schemes = []float64{0.2}, []string{"aaw"}
+	r := NewRunner(Options{SimTime: 2000, Seeds: []uint64{1, 2, 3}})
 	res, err := r.RunSweep(sw)
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +192,10 @@ func TestExtensionSleeperRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := f.Sweep.Xs
-	f.Sweep.Xs = []float64{2000}
-	defer func() { ExtensionSweeps["ext-sleepers"].Xs = orig }()
-	r := NewRunner(Options{SimTime: 3000, Schemes: []string{"sig", "bs"}})
+	sw := *f.Sweep
+	sw.Xs, sw.Schemes = []float64{2000}, []string{"sig", "bs"}
+	f.Sweep = &sw
+	r := NewRunner(Options{SimTime: 3000})
 	table, err := r.RunFigure(f)
 	if err != nil {
 		t.Fatal(err)

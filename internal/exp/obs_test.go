@@ -136,38 +136,6 @@ func TestObservabilityAAWChaos(t *testing.T) {
 	}
 }
 
-// TestTimelineFigure exercises the registry-to-plot adapter on a real
-// sweep-style run.
-func TestTimelineFigure(t *testing.T) {
-	c := obsChaosConfig()
-	c.SimTime = 4000
-	reg := metrics.New()
-	c.Metrics = reg
-	if _, err := engine.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	tab, err := TimelineFigure("test", reg, "queries", "retries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Xs) != reg.Len() {
-		t.Fatalf("figure has %d points, registry %d samples", len(tab.Xs), reg.Len())
-	}
-	out := tab.Plot(40, 10)
-	if !bytes.Contains([]byte(out), []byte("Simulated Time")) {
-		t.Fatalf("plot missing x label:\n%s", out)
-	}
-	if !bytes.Contains([]byte(out), []byte("column value")) {
-		t.Fatalf("plot missing YLabel override:\n%s", out)
-	}
-	if _, err := TimelineFigure("test", reg, "no_such_column"); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-	if _, err := TimelineFigure("test", metrics.New()); err == nil {
-		t.Fatal("empty registry accepted")
-	}
-}
-
 // TestSweepTimelineDir checks that the harness writes one timeline CSV
 // per run when Options.TimelineDir is set.
 func TestSweepTimelineDir(t *testing.T) {

@@ -91,10 +91,11 @@ func TestParallelSweepProgressComplete(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
 		seen := map[string]int{}
+		s := detSweep()
+		s.Schemes = []string{"aaw", "bs"}
 		r := NewRunner(Options{
 			SimTime: 800,
 			Workers: workers,
-			Schemes: []string{"aaw", "bs"},
 			Progress: func(line string) {
 				mu.Lock()
 				key := strings.Join(strings.Fields(line)[:6], " ")
@@ -102,7 +103,7 @@ func TestParallelSweepProgressComplete(t *testing.T) {
 				mu.Unlock()
 			},
 		})
-		if _, err := r.RunSweep(detSweep()); err != nil {
+		if _, err := r.RunSweep(s); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if len(seen) != 4 { // 2 xs × 2 schemes × 1 seed

@@ -100,11 +100,7 @@ func (t *FigureTable) Plot(width, height int) string {
 	}
 	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", margin), strings.Repeat("-", width))
 	fmt.Fprintf(&b, "%s  %-*g%*g\n", strings.Repeat(" ", margin), width/2, xMin, width-width/2, xMax)
-	yLabel := t.YLabel
-	if yLabel == "" {
-		yLabel = t.Figure.Metric.String()
-	}
-	fmt.Fprintf(&b, "%s  x: %s, y: %s\n", strings.Repeat(" ", margin), t.Figure.Sweep.XLabel, yLabel)
+	fmt.Fprintf(&b, "%s  x: %s, y: %s\n", strings.Repeat(" ", margin), t.Figure.Sweep.XLabel, t.Figure.Metric)
 	legend := make([]string, 0, len(t.Schemes))
 	for si, s := range t.Schemes {
 		legend = append(legend, fmt.Sprintf("%c %s", plotGlyphs[si%len(plotGlyphs)], s))

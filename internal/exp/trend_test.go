@@ -32,7 +32,6 @@ func TestPaperTrendLongDisconnection(t *testing.T) {
 	r := NewRunner(Options{
 		SimTime: 8000,
 		Seeds:   []uint64{1, 2, 3},
-		Schemes: []string{"aaw", "afw", "ts-check", "bs"},
 	})
 	sw, err := r.RunSweep(s)
 	if err != nil {

@@ -30,7 +30,6 @@ import (
 	"mobicache/internal/core"
 	"mobicache/internal/delivery"
 	"mobicache/internal/engine"
-	"mobicache/internal/exp"
 	"mobicache/internal/faults"
 	"mobicache/internal/metrics"
 	"mobicache/internal/overload"
@@ -137,8 +136,7 @@ func ChurnSeverity(level float64) ChurnConfig { return churn.Severity(level) }
 type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry creates an empty timeline registry; assign it to
-// Config.Metrics before Run and render it with WriteCSV or PlotTimeline
-// afterwards.
+// Config.Metrics before Run and render it with WriteCSV afterwards.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 
 // Tracer is the bounded protocol-event ring (Config.Trace).
@@ -182,13 +180,3 @@ func NewManifest(r *Results) *Manifest { return engine.NewManifest(r) }
 
 // ReadManifest parses a manifest previously written with WriteJSON.
 func ReadManifest(r io.Reader) (*Manifest, error) { return engine.ReadManifest(r) }
-
-// PlotTimeline renders the named numeric columns of a sampled registry
-// as an ASCII chart: simulated time on the x axis, one glyph per column.
-func PlotTimeline(title string, reg *MetricsRegistry, width, height int, cols ...string) (string, error) {
-	t, err := exp.TimelineFigure(title, reg, cols...)
-	if err != nil {
-		return "", err
-	}
-	return t.Plot(width, height), nil
-}
