@@ -4,7 +4,7 @@
 GO ?= go
 MOBILINT := bin/mobilint
 
-.PHONY: all build test race lint lint-baseline fuzz-smoke adversary-smoke obs-smoke spans-smoke agg-smoke bench bench-smoke par-bench cover loc mobilint clean
+.PHONY: all build test race lint lint-baseline fuzz-smoke adversary-smoke figures obs-smoke spans-smoke agg-smoke bench bench-smoke par-bench cover loc mobilint clean
 
 all: build lint test
 
@@ -59,6 +59,18 @@ adversary-smoke:
 	$(GO) run ./cmd/experiments -figure ext-delivery-thr -simtime 4000 -out results-adversary
 	$(GO) run ./cmd/experiments -figure ext-churn-thr -simtime 4000 -out results-adversary
 
+# Figure regeneration: the 18 committed results/*.csv rebuilt with their
+# documented flags — the twelve paper figures at -seeds 2 over the full
+# horizon, the six ext-* sweeps at -quick -extensions — and each compared
+# byte for byte with the committed file. The quick pass writes fig*.csv
+# too, so each pass gets its own directory.
+figures:
+	rm -rf results-figures && mkdir -p results-figures/paper results-figures/quick
+	$(GO) run ./cmd/experiments -seeds 2 -out results-figures/paper
+	$(GO) run ./cmd/experiments -quick -extensions -out results-figures/quick
+	for f in results/fig*.csv; do cmp $$f results-figures/paper/$${f#results/} || exit 1; done
+	for f in results/ext-*.csv; do cmp $$f results-figures/quick/$${f#results/} || exit 1; done
+
 # Observability smoke: one instrumented ts-check run under chaos level 4
 # emitting all three artifacts (metrics timeline, lossless JSONL event
 # stream, run manifest), each validated, then the manifest fed back to
@@ -93,7 +105,7 @@ spans-smoke:
 	$(GO) run ./cmd/experiments -figure ext-aoi -simtime 4000 -out results-spans
 
 # Population pass: the digest oracle (all seven schemes × every
-# adversarial layer, plus warmup, per-interval and spans cells, and the
+# adversarial layer, plus per-interval and spans cells, and the
 # multi-cell table, each checked against the digests recorded from the
 # retired process path), then a 100k-client scale run with its per-interval timeline CSV
 # in results-agg/.

@@ -49,8 +49,7 @@ func decodeOne(t *testing.T, out string, v any) {
 }
 
 // checkRecord requires a -json record's digest to be engine.Digest of the
-// Results it carries, and its measured time to be the whole horizon (no
-// test run has a warmup).
+// Results it carries, and its measured time to be the whole horizon.
 func checkRecord(t *testing.T, rec jsonRun) {
 	t.Helper()
 	if rec.Manifest == nil || rec.Results == nil {
@@ -60,7 +59,7 @@ func checkRecord(t *testing.T, rec jsonRun) {
 		t.Fatalf("Digest(results) = %s (%v), record says %s", d, err, rec.Digest)
 	}
 	if rec.Results.MeasuredTime != rec.SimTime {
-		t.Fatalf("measured %v != simtime %v with no warmup", rec.Results.MeasuredTime, rec.SimTime)
+		t.Fatalf("measured %v != simtime %v", rec.Results.MeasuredTime, rec.SimTime)
 	}
 }
 

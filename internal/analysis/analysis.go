@@ -139,6 +139,6 @@ func Predict(c engine.Config) (Prediction, error) {
 		qps = p.DemandQPS
 		p.Regime = "demand"
 	}
-	p.Throughput = qps * (c.SimTime - c.Warmup)
+	p.Throughput = qps * c.SimTime
 	return p, nil
 }

@@ -396,7 +396,3 @@ func (c *Cache) Reload(entries []Entry) {
 		c.pushFront(s)
 	}
 }
-
-// ResetStats zeroes the hit and miss counters (measurement warmup); cache
-// contents are untouched.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }

@@ -188,8 +188,6 @@ func (c *lru) Reload(entries []Entry) {
 	}
 }
 
-func (c *lru) ResetStats() { c.hits, c.misses = 0, 0 }
-
 // pair drives the shipped cache and the reference in lockstep and asserts
 // every observable agrees after each operation.
 type pair struct {
@@ -490,24 +488,6 @@ func TestBitmapReloadMirrorsCache(t *testing.T) {
 				reload(bad)
 			}()
 		}
-	}
-}
-
-// TestBitmapResetStats pins ResetStats: both counters zero, contents
-// untouched.
-func TestBitmapResetStats(t *testing.T) {
-	p := newPair(t, 2, 64)
-	for id := int32(0); id < 5; id++ {
-		p.put(id, 1, 1)
-	}
-	p.lookup(4)
-	p.lookup(60)
-	p.invalidate(4)
-	p.ref.ResetStats()
-	p.c.ResetStats()
-	p.check()
-	if p.c.Hits() != 0 || p.c.Misses() != 0 || p.c.Len() != 1 {
-		t.Fatalf("ResetStats left hits=%d misses=%d len=%d", p.c.Hits(), p.c.Misses(), p.c.Len())
 	}
 }
 

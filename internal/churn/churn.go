@@ -463,14 +463,3 @@ func (a *Adversary) restart(i int) {
 	}
 	a.k.Schedule(hr.Exp(a.cfg.CrashMTBF), a.crashFns[i])
 }
-
-// ResetStats zeroes the adversary's counters (warmup). Schedules,
-// snapshot slots and randomness are untouched — only the tallies
-// restart.
-func (a *Adversary) ResetStats() {
-	if a == nil {
-		return
-	}
-	a.Storms = 0
-	a.PacedResumes = 0
-}

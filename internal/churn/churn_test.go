@@ -146,8 +146,6 @@ func TestNewNilWhenDisabled(t *testing.T) {
 	if a := New(k, Config{}, rng.New(1), nil); a != nil {
 		t.Fatal("New built an adversary from the zero config")
 	}
-	var a *Adversary
-	a.ResetStats() // nil-safe
 }
 
 func TestStormsForceCohortAndHeal(t *testing.T) {
@@ -281,19 +279,6 @@ func TestStaleSnapshotAlwaysRejected(t *testing.T) {
 		if h.warm > 0 {
 			t.Fatalf("host %d restarted warm from a stale snapshot", i)
 		}
-	}
-}
-
-func TestResetStatsZeroesCounters(t *testing.T) {
-	cfg := Config{StormMTBF: 500, StormMTTR: 50, StormFrac: 1, ResyncSpread: 30}
-	k, a, _, _ := build(t, cfg, 4, 16, 7)
-	k.Run(5000)
-	if a.Storms == 0 || a.PacedResumes == 0 {
-		t.Fatal("nothing to reset")
-	}
-	a.ResetStats()
-	if a.Storms != 0 || a.PacedResumes != 0 {
-		t.Fatalf("ResetStats left Storms=%d PacedResumes=%d", a.Storms, a.PacedResumes)
 	}
 }
 

@@ -324,14 +324,6 @@ func (l *Link) Deliver(ev sim.Event) {
 	}
 }
 
-// ResetStats zeroes the link's counters (warmup).
-func (l *Link) ResetStats() {
-	if l == nil {
-		return
-	}
-	l.Delayed, l.Reordered, l.Dups, l.PartitionDrops = 0, 0, 0, 0
-}
-
 // Adversary owns one run's delivery chaos: the two link adversaries, the
 // partition schedule, and the per-client clock-error draws. Randomness
 // splits off the source the engine hands it (streams 0 = downlink,
@@ -459,15 +451,4 @@ func (l *Link) partitionDrops() int64 {
 		return 0
 	}
 	return l.PartitionDrops
-}
-
-// ResetStats zeroes the adversary's counters (warmup). Schedules and
-// randomness are untouched — only the tallies restart.
-func (a *Adversary) ResetStats() {
-	if a == nil {
-		return
-	}
-	a.Partitions = 0
-	a.Down.ResetStats()
-	a.Up.ResetStats()
 }

@@ -176,7 +176,6 @@ func TestChurnTraceEvents(t *testing.T) {
 	c.Scheme = "ts"
 	c.Churn = churn.Severity(3)
 	c.Faults.Retry = chaosRetry()
-	c.Warmup = 0
 	c.Trace = trace.New(1 << 18)
 	r := mustRun(t, c)
 	var starts, ends, crashes, warms, colds, rejects int64
@@ -208,19 +207,6 @@ func TestChurnTraceEvents(t *testing.T) {
 			crashes, warms, colds, rejects,
 			r.ClientCrashes, r.RestartsWarm, r.RestartsCold, r.SnapshotRejects)
 	}
-}
-
-// TestChurnWarmupReconciliation runs with a warmup long enough to reset
-// mid-churn: the carried-over crash state must keep both identities
-// intact over the measured interval.
-func TestChurnWarmupReconciliation(t *testing.T) {
-	c := short()
-	c.Scheme = "aaw"
-	c.Churn = churn.Severity(4)
-	c.Faults.Retry = chaosRetry()
-	c.Warmup = 2000
-	r := mustRun(t, c)
-	checkAccounting(t, "aaw", r)
 }
 
 func TestManifestCarriesChurn(t *testing.T) {

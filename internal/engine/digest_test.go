@@ -101,24 +101,6 @@ func TestAggregateEquivalence(t *testing.T) {
 	}
 }
 
-// TestAggregateEquivalenceWarmup pins the warmup-reset path: the counters
-// zeroed at the boundary, in-flight queries and straddling crashes
-// carried over.
-func TestAggregateEquivalenceWarmup(t *testing.T) {
-	for _, layer := range equivLayers {
-		if layer.name != "none" && layer.name != "chaos" && layer.name != "churn" {
-			continue
-		}
-		t.Run(layer.name, func(t *testing.T) {
-			c := equivBase(9)
-			c.Scheme = "aaw"
-			c.Warmup = 1000
-			layer.apply(&c)
-			runCell(t, c)
-		})
-	}
-}
-
 // TestAggregateEquivalencePerInterval pins the per-broadcast-boundary
 // disconnection ablation, whose think loop suspends differently.
 func TestAggregateEquivalencePerInterval(t *testing.T) {

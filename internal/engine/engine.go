@@ -86,10 +86,6 @@ type Config struct {
 	DiscPerInterval bool `json:"disc_per_interval"`
 	// SimTime is the simulated horizon in seconds.
 	SimTime float64 `json:"sim_time"`
-	// Warmup discards all statistics gathered before this simulated time,
-	// so measurements cover only the steady state (0 = measure the whole
-	// run, like the paper).
-	Warmup float64 `json:"warmup"`
 	// Seed feeds every random stream; identical configs with identical
 	// seeds produce identical results.
 	Seed uint64 `json:"seed"`
@@ -228,8 +224,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: invalid bandwidth")
 	case c.SimTime <= c.Period:
 		return fmt.Errorf("engine: horizon shorter than one broadcast period")
-	case c.Warmup < 0 || c.Warmup >= c.SimTime:
-		return fmt.Errorf("engine: warmup %v outside [0, SimTime)", c.Warmup)
 	case c.MeanThink <= 0 || c.MeanUpdate <= 0 || c.MeanDisc <= 0:
 		return fmt.Errorf("engine: invalid time constants")
 	case c.ProbDisc < 0 || c.ProbDisc > 1:
@@ -326,7 +320,7 @@ type Results struct {
 	UplinkBitsPerQuery   float64
 	ValidationUplinkMsgs int64
 	// ThroughputCI95 is the batch-means 95% half-width on the
-	// per-interval completion rate, scaled to the whole measured span —
+	// per-interval completion rate, scaled to the whole horizon —
 	// a within-run error bar on QueriesAnswered.
 	ThroughputCI95 float64
 
@@ -422,7 +416,8 @@ type Results struct {
 	ItemsFetched              int64
 	StaleValidityDropped      int64
 
-	// MeasuredTime is the span statistics cover (SimTime - Warmup).
+	// MeasuredTime is the span statistics cover: the whole horizon,
+	// SimTime, as in the paper.
 	MeasuredTime float64
 
 	// Multi-cell (zero and nil with one cell, so single-cell digests are
@@ -514,7 +509,6 @@ func (s *Scratch) Run(c Config) (*Results, error) {
 		asm = span.New(span.Options{
 			Clients: c.Clients,
 			Horizon: c.SimTime,
-			Warmup:  c.Warmup,
 			Keep:    c.Spans.Keep,
 		})
 		if c.Trace == nil {
@@ -740,32 +734,8 @@ func (s *Scratch) Run(c Config) (*Results, error) {
 	}
 	k.At(c.Period, sampleTick)
 
-	if c.Warmup > 0 {
-		k.At(c.Warmup, func() {
-			pop.ResetStats()
-			for _, ce := range cells {
-				ce.srv.ResetStats()
-				ce.down.ResetStats()
-				ce.up.ResetStats()
-			}
-			adv.ResetStats()
-			churnAdv.ResetStats()
-			respHist.Reset()
-			if aoiHist != nil {
-				aoiHist.Reset()
-			}
-			res.UplinkMsgsLost = 0
-			res.UplinkMsgsCorrupted = 0
-			res.Handoffs = 0
-			// Restart the batch-means sampler from the warmed-up state.
-			prevCompleted = 0
-			batch = stats.NewBatchMeans(50)
-		})
-	}
-
 	k.Run(c.SimTime)
-	measured := c.SimTime - c.Warmup
-	res.MeasuredTime = measured
+	res.MeasuredTime = c.SimTime
 
 	// Collect, walking clients in index order so every float64 sum
 	// happens in one fixed order.
@@ -859,11 +829,11 @@ func (s *Scratch) Run(c Config) (*Results, error) {
 		res.DownDataBits += ce.down.Bits(netsim.ClassData)
 		res.UpControlBits += ce.up.Bits(netsim.ClassControl)
 		res.UpDataBits += ce.up.Bits(netsim.ClassData)
-		res.DownUtilization += ce.down.Utilization(measured)
-		res.UpUtilization += ce.up.Utilization(measured)
+		res.DownUtilization += ce.down.Utilization(c.SimTime)
+		res.UpUtilization += ce.up.Utilization(c.SimTime)
 		if res.PerCell != nil {
 			cs := &res.PerCell[i]
-			cs.DownUtilization = ce.down.Utilization(measured)
+			cs.DownUtilization = ce.down.Utilization(c.SimTime)
 			cs.ReportsSent = make(map[string]int64)
 			for kind, n := range ce.srv.ReportsSent {
 				cs.ReportsSent[kind.String()] = n
@@ -891,7 +861,7 @@ func (s *Scratch) Run(c Config) (*Results, error) {
 		res.RetriesPerQuery = float64(res.Retries) / float64(res.QueriesAnswered)
 	}
 	if batch.Batches() >= 2 {
-		intervals := measured / c.Period
+		intervals := c.SimTime / c.Period
 		res.ThroughputCI95 = batch.CI95() * intervals
 	}
 	res.RespP50 = respHist.Quantile(0.50)

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"mobicache/internal/faults"
+	"mobicache/internal/metrics"
 	"mobicache/internal/trace"
 	"mobicache/internal/workload"
 )
@@ -362,44 +365,47 @@ func TestSIGSchemeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestWarmupDiscardsTransient(t *testing.T) {
-	// With a warmup boundary, the measured query count covers only the
-	// steady-state window; the full-run count must exceed it.
-	full := short()
-	full.ConsistencyCheck = false
-	warm := full
-	warm.Warmup = 3000
-	rf := mustRun(t, full)
-	rw := mustRun(t, warm)
-	if rw.QueriesAnswered >= rf.QueriesAnswered {
-		t.Fatalf("warmup run counted %d >= full run %d", rw.QueriesAnswered, rf.QueriesAnswered)
+// TestRunIsPrefixOfLongerRun: a run stopped at T is the opening of the
+// same seed's longer run, so its metrics timeline is exactly the longer
+// timeline's rows up to T, byte for byte. Runs measure their whole
+// horizon; a steady-state count is the difference of two such runs. The
+// span layer stays off: its AoI histogram range depends on SimTime.
+func TestRunIsPrefixOfLongerRun(t *testing.T) {
+	const stop, horizon = 4000.0, 12000.0
+	timeline := func(t *testing.T, c Config, simTime float64) string {
+		c.SimTime = simTime
+		c.Metrics = metrics.New()
+		mustRun(t, c)
+		var b strings.Builder
+		if err := c.Metrics.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	if rw.QueriesAnswered == 0 {
-		t.Fatal("nothing measured after warmup")
-	}
-	if rw.MeasuredTime != 3000 {
-		t.Fatalf("measured time = %v", rw.MeasuredTime)
-	}
-	// Utilization is still a fraction over the measured window.
-	if rw.DownUtilization < 0.5 || rw.DownUtilization > 1.0001 {
-		t.Fatalf("warmup utilization = %v", rw.DownUtilization)
-	}
-	// The steady-state window (half the horizon) should answer a sizeable
-	// share of the full run's queries.
-	if rw.QueriesAnswered*3 < rf.QueriesAnswered {
-		t.Fatalf("warmup window answered %d, suspiciously few vs %d", rw.QueriesAnswered, rf.QueriesAnswered)
-	}
-}
-
-func TestWarmupValidation(t *testing.T) {
-	c := Default()
-	c.Warmup = -1
-	if err := c.Validate(); err == nil {
-		t.Fatal("negative warmup accepted")
-	}
-	c.Warmup = c.SimTime
-	if err := c.Validate(); err == nil {
-		t.Fatal("warmup >= horizon accepted")
+	for _, layer := range equivLayers {
+		if layer.name != "none" && layer.name != "chaos" && layer.name != "churn" {
+			continue
+		}
+		t.Run(layer.name, func(t *testing.T) {
+			for _, scheme := range allSchemes {
+				t.Run(scheme, func(t *testing.T) {
+					c := equivBase(9)
+					c.Scheme = scheme
+					layer.apply(&c)
+					head := timeline(t, c, stop)
+					full := timeline(t, c, horizon)
+					if rows := strings.Count(head, "\n"); rows < 2 {
+						t.Fatalf("short timeline has %d lines", rows)
+					}
+					if !strings.HasPrefix(full, head) {
+						t.Fatalf("the %v s timeline is not the opening of the %v s one", stop, horizon)
+					}
+					if next := full[len(head):]; !strings.HasPrefix(next, strconv.FormatFloat(stop+c.Period, 'g', -1, 64)+",") {
+						t.Fatalf("the %v s timeline stops early or late; the longer one goes on %.40q", stop, next)
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -31,6 +31,9 @@ import (
 // and move_prob (a file without them is a single-cell run and replays as
 // one); 8 = embeds Config, whose json tags are the keys every earlier
 // schema wrote (so v1-v7 files decode unchanged), and adds the digest.
+// The warmup key left Config when every run came to measure its whole
+// horizon; it is still read without a version bump, a file that records
+// 0 replays as before, and a nonzero one is refused.
 const ManifestSchemaVersion = 8
 
 // Manifest is the reproducibility record of one run: the Config that ran
@@ -57,6 +60,9 @@ type Manifest struct {
 	// read from files that carry it: replay maps it onto Faults.DownLoss
 	// = faults.Bernoulli(p), the degenerate chain it always ran as.
 	ReportLossProb float64 `json:"report_loss_prob,omitempty"`
+	// Warmup is the retired measurement-warmup key. Every run measures
+	// its whole horizon, so only a file that records 0 can replay.
+	Warmup float64 `json:"warmup,omitempty"`
 
 	// Digest is Digest(Results) of the recorded run (schema 8 on). A
 	// replay verifies by it, so a divergence in any Results field is
@@ -141,6 +147,9 @@ func (m *Manifest) EngineConfig() (Config, error) {
 	if m.SchemaVersion < 1 || m.SchemaVersion > ManifestSchemaVersion {
 		return Config{}, fmt.Errorf("engine: manifest schema %d, want 1..%d",
 			m.SchemaVersion, ManifestSchemaVersion)
+	}
+	if m.Warmup != 0 {
+		return Config{}, fmt.Errorf("engine: manifest sets warmup %v; runs measure the whole horizon, so only 0 replays", m.Warmup)
 	}
 	c := m.Config
 	var err error

@@ -215,6 +215,38 @@ func TestManifestV7Replays(t *testing.T) {
 	}
 }
 
+// TestManifestWarmupKey: the retired warmup key still decodes. A file
+// that records 0 replays by its digest as before; any other value is
+// refused with an error naming the key, since every run measures its
+// whole horizon.
+func TestManifestWarmupKey(t *testing.T) {
+	r := mustRun(t, manifestConfig())
+	var buf bytes.Buffer
+	if err := NewManifest(r).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, warmup := range []string{"0", "1000"} {
+		file := strings.Replace(buf.String(), `"sim_time":`, `"warmup": `+warmup+`, "sim_time":`, 1)
+		m, err := ReadManifest(strings.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := m.EngineConfig()
+		if warmup != "0" {
+			if err == nil || !strings.Contains(err.Error(), "warmup") {
+				t.Fatalf("warmup %s accepted: %v", warmup, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.VerifyReplay(mustRun(t, c)); err != nil {
+			t.Fatalf("warmup 0 did not replay: %v", err)
+		}
+	}
+}
+
 // TestManifestVerifiesEveryField: a schema-8 manifest verifies the whole
 // digest, so a replay that differs only in a counter the headline
 // numbers do not cover is rejected.

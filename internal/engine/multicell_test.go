@@ -281,22 +281,21 @@ func TestMulticellMobilityCostsAdaptivesLittle(t *testing.T) {
 }
 
 // TestMulticellClientSettings: the client-side settings apply in every
-// cell. Report loss, the uplink retry policy, warmup and spans all take
-// effect in a three-cell run with handoffs, and the run passes its audit.
+// cell. Report loss, the uplink retry policy and spans all take effect
+// in a three-cell run with handoffs, and the run passes its audit.
 func TestMulticellClientSettings(t *testing.T) {
 	c := multicellConfig()
 	c.Cells = 3
 	c.MoveProb = 0.5
 	c.Faults.DownLoss = faults.Bernoulli(0.1)
 	c.Faults.Retry = chaosRetry()
-	c.Warmup = 1000
 	c.Spans = &SpanOptions{}
 	r := mustRun(t, c)
 	if r.ConsistencyViolations != 0 || r.Handoffs == 0 || r.ReportsLost == 0 {
 		t.Fatalf("stale reads %d, handoffs %d, reports lost %d",
 			r.ConsistencyViolations, r.Handoffs, r.ReportsLost)
 	}
-	if r.MeasuredTime != c.SimTime-c.Warmup || r.Spans == nil || r.Spans.Terminal() == 0 {
-		t.Fatalf("warmup or spans not applied: measured %v, spans %+v", r.MeasuredTime, r.Spans)
+	if r.Spans == nil || r.Spans.Terminal() == 0 {
+		t.Fatalf("spans not applied: %+v", r.Spans)
 	}
 }

@@ -22,10 +22,8 @@ import (
 //
 // Every client counter column is the per-interval delta of a field of
 // tot, which the sample tick refolds from the population just before
-// sampling. Those fields are the counters Results is built from, so
-// with no warmup a column sums to its Results field; a warmup reset
-// clamps the interval that spans it to zero, as for the server and
-// channel columns.
+// sampling. Those fields are the counters Results is built from, so a
+// column sums to its Results field.
 func wireMetrics(c Config, k *sim.Kernel, srv *server.Server,
 	down, up *netsim.Channel, tot *population.Totals) (resp, aoi *metrics.Histogram) {
 	reg := c.Metrics
@@ -63,13 +61,13 @@ func wireMetrics(c Config, k *sim.Kernel, srv *server.Server,
 		delta(col.name, col.v)
 	}
 	// Per-interval hit ratio: delta of summed hits over delta of summed
-	// accesses, clamped across warmup resets. Empty intervals report 0.
+	// accesses. Empty intervals report 0.
 	var prevHits, prevAccesses int64
 	reg.GaugeFunc("hit_ratio", func() float64 {
 		hits, accesses := tot.CacheHits, tot.CacheHits+tot.CacheMisses
 		dh, da := hits-prevHits, accesses-prevAccesses
 		prevHits, prevAccesses = hits, accesses
-		if da <= 0 || dh < 0 {
+		if da <= 0 {
 			return 0
 		}
 		return float64(dh) / float64(da)

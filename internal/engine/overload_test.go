@@ -261,19 +261,3 @@ func TestChaosOverloadProperty(t *testing.T) {
 		checkAccounting(t, scheme, r)
 	}
 }
-
-func TestOverloadWarmupIdentity(t *testing.T) {
-	// The warmup reset must not break the books: a query straddling the
-	// boundary stays issued (as in-flight), everything else restarts from
-	// zero, and the measured interval balances on its own.
-	c := short()
-	c.Scheme = "ts-check"
-	saturate(&c)
-	guardrails(&c)
-	c.Warmup = 2000
-	r := mustRun(t, c)
-	if r.QueriesIssued == 0 {
-		t.Fatal("warmup run issued nothing in the measured interval")
-	}
-	checkAccounting(t, "ts-check-warmup", r)
-}

@@ -182,13 +182,9 @@ var adversarySweeps = []struct {
 			c.Churn = churn.Severity(x)
 		}},
 	// Observability: the span/AoI layer armed across the chaos ladder,
-	// with both span accounting identities enforced by the audit. Warmup
-	// is zero so the span ledger and the client counters describe the
-	// same population (a query terminating exactly at a warmup boundary
-	// could otherwise land on different sides of the two resets).
+	// with both span accounting identities enforced by the audit.
 	{"ext-aoi", "Chaos Level (burst loss x crash rate)", []float64{0, 1, 2, 3},
 		func(c *engine.Config, x float64) {
-			c.Warmup = 0
 			c.Faults = ChaosFaults(x)
 			c.Spans = &engine.SpanOptions{}
 		}},

@@ -168,8 +168,8 @@ func TestSweepTimelineDir(t *testing.T) {
 }
 
 // TestAoISweepArmsSpans: every ext-aoi level arms the span layer and the
-// stale-read checker with no warmup, so the sweep's audit checks the span
-// identity on every run.
+// stale-read checker, so the sweep's audit checks the span identity on
+// every run.
 func TestAoISweepArmsSpans(t *testing.T) {
 	sw := ExtensionSweeps["ext-aoi"]
 	for _, x := range sw.Xs {
@@ -177,8 +177,8 @@ func TestAoISweepArmsSpans(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("level %v: %v", x, err)
 		}
-		if c.Spans == nil || !c.ConsistencyCheck || c.Warmup != 0 {
-			t.Fatalf("level %v: spans %v, checker %v, warmup %v", x, c.Spans, c.ConsistencyCheck, c.Warmup)
+		if c.Spans == nil || !c.ConsistencyCheck {
+			t.Fatalf("level %v: spans %v, checker %v", x, c.Spans, c.ConsistencyCheck)
 		}
 	}
 }
@@ -200,21 +200,20 @@ var agreementMixes = []struct {
 	}},
 }
 
-// agreementConfig is one scheme under one agreement mix, with no warmup
-// so every tally covers the whole run.
+// agreementConfig is one scheme under one agreement mix. Every tally
+// covers the whole run.
 func agreementConfig(scheme string, set func(*engine.Config)) engine.Config {
 	c := engine.Default()
 	c.Scheme = scheme
 	c.SimTime = 20000
 	c.MeanDisc = 400
-	c.Warmup = 0
 	set(&c)
 	return c
 }
 
 // TestTimelineAgreesWithResults: every client counter column of the
-// timeline polls a tally Results is built from, so with no warmup each
-// column sums to its Results field exactly. It covers all seven schemes
+// timeline polls a tally Results is built from, so each column sums to
+// its Results field exactly. It covers all seven schemes
 // under both agreement mixes, and requires each column to be non-zero
 // somewhere so no comparison passes vacuously. queries_shed is the
 // exception: a query is shed only when no retry policy is armed, and
@@ -267,8 +266,8 @@ func TestTimelineAgreesWithResults(t *testing.T) {
 	}
 }
 
-// traceRelations are the trace ↔ Results relations: over a run with no
-// warmup each listed kind's Tracer.Count sums to the field. The
+// traceRelations are the trace ↔ Results relations: over a run each
+// listed kind's Tracer.Count sums to the field. The
 // whole-cache verdicts are read off the counters Results is built from,
 // so every drop is a CacheDrop (a scheme call emptied the cache) or a
 // cold churn restart, and every salvage a CacheSalvage or a warm restart.

@@ -54,8 +54,8 @@ type column struct {
 	poll  func() float64
 	label func() string
 	// delta samples the source as the change since the previous sample,
-	// clamped at zero (stat resets, e.g. at a warmup boundary, must not
-	// produce negative rates).
+	// clamped at zero (a source that was reset must not produce a
+	// negative rate).
 	delta bool
 	prev  float64
 }

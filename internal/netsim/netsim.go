@@ -346,24 +346,6 @@ func (c *Channel) complete() {
 	c.dispatch()
 }
 
-// ResetStats zeroes the per-class accounting and the service statistics
-// (measurement warmup). Queued messages remain queued, so the queue
-// high-water marks restart from the current backlog, and a message on the
-// air only counts its remaining service toward the new window.
-func (c *Channel) ResetStats() {
-	c.bits = [numClasses]float64{}
-	c.lost = [numClasses]int64{}
-	c.shed = [numClasses]int64{}
-	c.maxLowWait = c.lowWait
-	c.busy = 0
-	c.served = 0
-	c.preempted = 0
-	c.maxQueue = c.QueueLen()
-	if c.cur != idle {
-		c.curStart = c.k.Now()
-	}
-}
-
 // Shed reports messages tail-dropped at admission in a class.
 func (c *Channel) Shed(class Class) int64 { return c.shed[class] }
 
@@ -377,8 +359,8 @@ func (c *Channel) TotalShed() int64 {
 }
 
 // MaxQueuedLow reports the high-water mark of the admitted-and-waiting
-// data/control population the queue cap governs since the last
-// ResetStats; on a bounded channel it never exceeds the configured cap.
+// data/control population the queue cap governs over the run; on a
+// bounded channel it never exceeds the configured cap.
 // It is always 0 while no cap is set (the accounting only runs on bounded
 // channels).
 func (c *Channel) MaxQueuedLow() int { return c.maxLowWait }
@@ -420,9 +402,6 @@ func (c *Channel) RegisterMetrics(reg *metrics.Registry, prefix string, interval
 		b := c.BusyTime()
 		d := b - prevBusy
 		prevBusy = b
-		if d < 0 { // stat reset (warmup boundary)
-			d = 0
-		}
 		return d / interval
 	})
 	reg.DeltaFunc(prefix+"_bits", c.TotalBits)

@@ -284,30 +284,6 @@ func TestBoundedChannelPreemptionKeepsBound(t *testing.T) {
 	}
 }
 
-// Regression (satellite): every channel statistic, including the two
-// queue high-water marks, must reset at the measurement warmup boundary.
-func TestResetStatsClearsHighWaterMarks(t *testing.T) {
-	k := sim.New()
-	ch := NewChannel(k, "up", 1000)
-	ch.SetQueueCap(8)
-	for i := 0; i < 6; i++ {
-		ch.Send(ClassData, 1000, nil, nil)
-	}
-	k.Run(2.5) // two delivered, one in flight, three waiting
-	if ch.MaxQueueLen() != 5 || ch.MaxQueuedLow() != 5 {
-		t.Fatalf("pre-reset high-water marks %d/%d, want 5/5",
-			ch.MaxQueueLen(), ch.MaxQueuedLow())
-	}
-	ch.ResetStats()
-	if ch.MaxQueueLen() != 3 || ch.MaxQueuedLow() != 3 {
-		t.Fatalf("post-reset high-water marks %d/%d, want the current backlog 3/3",
-			ch.MaxQueueLen(), ch.MaxQueuedLow())
-	}
-	if ch.TotalShed() != 0 || ch.TotalBits() != 0 {
-		t.Fatalf("reset left shed=%d bits=%v", ch.TotalShed(), ch.TotalBits())
-	}
-}
-
 // The rejection path is pure bookkeeping: no allocation, no event, no
 // randomness — safe to hit millions of times in a saturated run.
 func TestShedPathAllocFree(t *testing.T) {

@@ -390,37 +390,6 @@ func TestRestartWithoutCrashPanics(t *testing.T) {
 	r.h.Restart(nil, false)
 }
 
-// TestResetStatsZeroesEveryCounter reflect-guards the warmup reset through
-// a single client's Counters: every statistics field must return to zero
-// on an idle client, so a counter that ResetStats misses cannot leak
-// warmup traffic into the measured interval.
-func TestResetStatsZeroesEveryCounter(t *testing.T) {
-	r := newRig(t, "ts", nil)
-	pokeEveryCounter(t, r.cnt)
-	r.p.ResetStats()
-	assertCountersZero(t, 0, r.cnt)
-}
-
-// TestCrashCarriesOverResetStats pins the warmup carry: a client crashed
-// across the warmup boundary keeps one counted crash so the identity
-// Crashes == RestartsWarm + RestartsCold + CrashedDown holds over the
-// measured interval.
-func TestCrashCarriesOverResetStats(t *testing.T) {
-	r := newRig(t, "ts", nil)
-	r.p.StartClient(0)
-	r.k.Run(1)
-	r.h.CrashDown()
-	r.p.ResetStats()
-	if r.cnt.Crashes != 1 {
-		t.Fatalf("warmup reset forgot the in-progress crash: Crashes=%d, want 1", r.cnt.Crashes)
-	}
-	r.h.Restart(nil, false)
-	if r.cnt.Crashes != r.cnt.RestartsWarm+r.cnt.RestartsCold {
-		t.Fatalf("post-restart identity broken: crashes=%d warm=%d cold=%d",
-			r.cnt.Crashes, r.cnt.RestartsWarm, r.cnt.RestartsCold)
-	}
-}
-
 // TestReattachRoutesUplink moves a disconnected client to a second cell:
 // its next uplink message reaches the new server, and the route table
 // shares one entry per cell.

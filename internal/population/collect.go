@@ -2,7 +2,6 @@ package population
 
 import (
 	"mobicache/internal/core"
-	"mobicache/internal/stats"
 )
 
 // Result-collection accessors. The engine's collection loop walks
@@ -83,23 +82,4 @@ func (p *Population) Totals(timeline bool) Totals {
 		t.CacheMisses += p.caches[i].Misses()
 	}
 	return t
-}
-
-// ResetStats zeroes every client's measurement counters at the warmup
-// boundary, in index order; protocol and cache state are untouched.
-func (p *Population) ResetStats() {
-	for i := range p.counts {
-		cnt := &p.counts[i]
-		// A query straddling the warmup boundary stays issued so the
-		// accounting identity holds over the measured interval; a crash
-		// straddling it stays counted so the restart identity closes.
-		*cnt = Counters{QueriesIssued: p.InFlight(i)}
-		if p.offlineCrash[i] {
-			cnt.Crashes = 1
-		}
-		cnt.RespTime = stats.Tally{}
-		p.states[i].Cache.ResetStats()
-		p.states[i].Drops = 0
-		p.states[i].Salvages = 0
-	}
 }

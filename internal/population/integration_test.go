@@ -106,7 +106,6 @@ func TestAggregateUnderChurn(t *testing.T) {
 	c.Churn = churn.Severity(3)
 	c.Faults.Retry = retry()
 	c.Metrics = metrics.New()
-	c.Warmup = 500
 	r := run(t, c)
 	if r.Storms == 0 || r.ClientCrashes == 0 {
 		t.Fatal("churn adversary idle at severity 3")

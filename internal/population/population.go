@@ -154,9 +154,7 @@ const (
 )
 
 // Counters are one client's measurement tallies, one struct per client
-// in a flat slice. TestPopulationResetStatsZeroesEveryCounter walks this
-// struct by reflection so a counter added here without warmup-reset
-// handling fails the build's test tier.
+// in a flat slice.
 type Counters struct {
 	QueriesIssued        int64
 	QueriesAnswered      int64

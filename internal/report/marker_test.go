@@ -42,7 +42,7 @@ func TestMarkerOfUnmarkedIsNil(t *testing.T) {
 	if MarkerOf(&TSReport{T: 1}) != nil || MarkerOf(&ATReport{T: 1}) != nil {
 		t.Fatal("phantom marker")
 	}
-	if MarkerOf(fakeReport{}) != nil {
+	if MarkerOf(&fakeReport{}) != nil {
 		t.Fatal("marker on unknown report type")
 	}
 }

@@ -130,7 +130,29 @@ type RecoveryMarker struct {
 // a 32-bit epoch plus one timestamp.
 func MarkerBits(p Params) int { return 32 + p.TSBits }
 
-// Report is a broadcast invalidation report.
+// Frame is the header every invalidation report carries ahead of its
+// body, whatever its kind.
+type Frame struct {
+	// Seq is the broadcast sequence number (see SeqOf).
+	Seq uint32
+	// Marker, when non-nil, is a restarted server's recovery-epoch
+	// announcement (see RecoveryMarker).
+	Marker *RecoveryMarker
+}
+
+func (f *Frame) frame() *Frame { return f }
+
+// markerBits is the analytic cost of the attached marker, 0 without one.
+// The sequence number is framing and costs nothing in the size model.
+func (f *Frame) markerBits(p Params) int {
+	if f.Marker == nil {
+		return 0
+	}
+	return MarkerBits(p)
+}
+
+// Report is a broadcast invalidation report. Every implementation
+// embeds a Frame, so the interface is closed to this package.
 type Report interface {
 	// Kind identifies the representation.
 	Kind() Kind
@@ -138,6 +160,7 @@ type Report interface {
 	Time() float64
 	// SizeBits is the analytic size under the paper's formulas.
 	SizeBits(p Params) int
+	frame() *Frame
 }
 
 // TSReport is the timestamp-window report: the broadcast time plus one
@@ -150,11 +173,7 @@ type TSReport struct {
 	WindowStart float64
 	Entries     []db.UpdateEntry
 	Dummy       *DummyRecord
-	// Marker, when non-nil, is the recovery-epoch announcement of a
-	// restarted server (see RecoveryMarker).
-	Marker *RecoveryMarker
-	// Seq is the broadcast sequence number (frame header; see SeqOf).
-	Seq uint32
+	Frame
 }
 
 // DummyRecord is AAW's in-band window-enlargement marker: a reserved id
@@ -183,21 +202,14 @@ func (r *TSReport) SizeBits(p Params) int {
 	if r.Dummy != nil {
 		size += per
 	}
-	if r.Marker != nil {
-		size += MarkerBits(p)
-	}
-	return size
+	return size + r.markerBits(p)
 }
 
 // BSReport wraps a bit-sequences structure.
 type BSReport struct {
 	T float64
 	S *bitseq.Structure
-	// Marker, when non-nil, is a restarted server's recovery-epoch
-	// announcement.
-	Marker *RecoveryMarker
-	// Seq is the broadcast sequence number (frame header; see SeqOf).
-	Seq uint32
+	Frame
 }
 
 // Kind implements Report.
@@ -209,11 +221,7 @@ func (r *BSReport) Time() float64 { return r.T }
 // SizeBits implements Report: bT for the broadcast timestamp plus the
 // structure (≈ 2N bits + bT log2 N).
 func (r *BSReport) SizeBits(p Params) int {
-	size := p.TSBits + r.S.SizeBits(p.TSBits)
-	if r.Marker != nil {
-		size += MarkerBits(p)
-	}
-	return size
+	return p.TSBits + r.S.SizeBits(p.TSBits) + r.markerBits(p)
 }
 
 // ATReport is the amnesic-terminals report: only the ids updated during
@@ -221,11 +229,7 @@ func (r *BSReport) SizeBits(p Params) int {
 type ATReport struct {
 	T   float64
 	IDs []int32
-	// Marker, when non-nil, is a restarted server's recovery-epoch
-	// announcement.
-	Marker *RecoveryMarker
-	// Seq is the broadcast sequence number (frame header; see SeqOf).
-	Seq uint32
+	Frame
 }
 
 // Kind implements Report.
@@ -236,11 +240,7 @@ func (r *ATReport) Time() float64 { return r.T }
 
 // SizeBits implements Report.
 func (r *ATReport) SizeBits(p Params) int {
-	size := p.TSBits + len(r.IDs)*p.IDBits()
-	if r.Marker != nil {
-		size += MarkerBits(p)
-	}
-	return size
+	return p.TSBits + len(r.IDs)*p.IDBits() + r.markerBits(p)
 }
 
 // CheckRequest is the uplink message of the simple-checking scheme: the
@@ -290,20 +290,7 @@ func (m *ValidityReport) SizeBits(p Params) int {
 var ErrBadMessage = errors.New("report: malformed message")
 
 // MarkerOf returns the recovery marker attached to r, or nil.
-func MarkerOf(r Report) *RecoveryMarker {
-	switch m := r.(type) {
-	case *TSReport:
-		return m.Marker
-	case *BSReport:
-		return m.Marker
-	case *ATReport:
-		return m.Marker
-	case *SIGReport:
-		return m.Marker
-	default:
-		return nil
-	}
-}
+func MarkerOf(r Report) *RecoveryMarker { return r.frame().Marker }
 
 // ApplyRecovery attaches marker m to r and censors history the restarted
 // server cannot vouch for: TS entries at or before the trust floor are
@@ -312,35 +299,24 @@ func MarkerOf(r Report) *RecoveryMarker {
 // are rebuilt from durable metadata, so only the marker is attached; the
 // client-side epoch gate supplies the conservative degradation.
 func ApplyRecovery(r Report, m RecoveryMarker) {
-	switch rep := r.(type) {
-	case *TSReport:
-		mk := m
-		rep.Marker = &mk
-		// Entries are most-recent-first; cut at the first entry the
-		// restarted server no longer remembers.
-		for i, e := range rep.Entries {
-			if e.TS <= m.TrustFloor {
-				rep.Entries = rep.Entries[:i]
-				break
-			}
+	r.frame().Marker = &m
+	rep, ok := r.(*TSReport)
+	if !ok {
+		return
+	}
+	// Entries are most-recent-first; cut at the first entry the restarted
+	// server no longer remembers.
+	for i, e := range rep.Entries {
+		if e.TS <= m.TrustFloor {
+			rep.Entries = rep.Entries[:i]
+			break
 		}
-		if rep.WindowStart < m.TrustFloor {
-			rep.WindowStart = m.TrustFloor
-		}
-		if rep.Dummy != nil && rep.Dummy.Tlb < m.TrustFloor {
-			rep.Dummy = nil
-		}
-	case *BSReport:
-		mk := m
-		rep.Marker = &mk
-	case *ATReport:
-		mk := m
-		rep.Marker = &mk
-	case *SIGReport:
-		mk := m
-		rep.Marker = &mk
-	default:
-		panic(fmt.Sprintf("report: cannot apply recovery to %T", r))
+	}
+	if rep.WindowStart < m.TrustFloor {
+		rep.WindowStart = m.TrustFloor
+	}
+	if rep.Dummy != nil && rep.Dummy.Tlb < m.TrustFloor {
+		rep.Dummy = nil
 	}
 }
 
@@ -374,36 +350,10 @@ func FramingBits(k Kind) int {
 // header. Every invalidation-report kind carries one; the server assigns
 // them monotonically per broadcast so clients can fence against
 // duplicated, reordered, and gapped deliveries (see SeqDelta).
-func SeqOf(r Report) uint32 {
-	switch m := r.(type) {
-	case *TSReport:
-		return m.Seq
-	case *BSReport:
-		return m.Seq
-	case *ATReport:
-		return m.Seq
-	case *SIGReport:
-		return m.Seq
-	default:
-		panic(fmt.Sprintf("report: no sequence number on %T", r))
-	}
-}
+func SeqOf(r Report) uint32 { return r.frame().Seq }
 
 // SetSeq stamps the broadcast sequence number into r's frame header.
-func SetSeq(r Report, seq uint32) {
-	switch m := r.(type) {
-	case *TSReport:
-		m.Seq = seq
-	case *BSReport:
-		m.Seq = seq
-	case *ATReport:
-		m.Seq = seq
-	case *SIGReport:
-		m.Seq = seq
-	default:
-		panic(fmt.Sprintf("report: no sequence number on %T", r))
-	}
-}
+func SetSeq(r Report, seq uint32) { r.frame().Seq = seq }
 
 // SeqDelta returns how far sequence number a is ahead of b under
 // serial-number arithmetic (RFC 1982 style): the fixed-width field wraps,

@@ -198,10 +198,11 @@ func TestEncodeUnknownPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Encode(fakeReport{}, params(), bitio.NewWriter())
+	Encode(&fakeReport{}, params(), bitio.NewWriter())
 }
 
-type fakeReport struct{}
+// fakeReport is a report kind the codec does not know.
+type fakeReport struct{ Frame }
 
 func (fakeReport) Kind() Kind          { return Kind(42) }
 func (fakeReport) Time() float64       { return 0 }

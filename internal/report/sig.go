@@ -15,11 +15,7 @@ type SIGReport struct {
 	Sigs []uint64
 	// SigBits is the signature width in bits.
 	SigBits int
-	// Marker, when non-nil, is a restarted server's recovery-epoch
-	// announcement.
-	Marker *RecoveryMarker
-	// Seq is the broadcast sequence number (frame header; see SeqOf).
-	Seq uint32
+	Frame
 }
 
 // Kind implements Report.
@@ -30,11 +26,7 @@ func (r *SIGReport) Time() float64 { return r.T }
 
 // SizeBits implements Report: bT plus K signatures of SigBits each.
 func (r *SIGReport) SizeBits(p Params) int {
-	size := p.TSBits + len(r.Sigs)*r.SigBits
-	if r.Marker != nil {
-		size += MarkerBits(p)
-	}
-	return size
+	return p.TSBits + len(r.Sigs)*r.SigBits + r.markerBits(p)
 }
 
 // encodeSIG serializes a SIG report body after the common frame header

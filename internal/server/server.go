@@ -317,23 +317,6 @@ func (s *Server) Detach(id int32) {
 // reads it).
 func (s *Server) Database() *db.Database { return s.db }
 
-// ResetStats zeroes the server's measurement counters (warmup boundary).
-func (s *Server) ResetStats() {
-	s.ReportsSent = make(map[report.Kind]int64)
-	s.ReportBits = make(map[report.Kind]float64)
-	s.IROverruns = 0
-	s.ChecksServed = 0
-	s.FeedbacksSeen = 0
-	s.ItemsServed = 0
-	s.Crashes = 0
-	s.Downtime = 0
-	s.RecoveryLatency = stats.Tally{}
-	s.DroppedWhileDown = 0
-	s.CoalescedFetches = 0
-	s.BusyReplies = 0
-	s.RepliesShed = 0
-}
-
 // Start launches the update and broadcast loops, plus the crash/restart
 // loop when fault injection is configured. Each loop begins with one
 // zero-delay event that draws or schedules its first step.

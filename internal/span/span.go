@@ -142,11 +142,6 @@ type Options struct {
 	// and total-latency histograms, and the close time Finalize uses for
 	// spans still open. Must be positive.
 	Horizon float64
-	// Warmup excludes measurement-warmup spans: a span whose terminal
-	// event lands before Warmup is assembled (the state machine needs
-	// it) but not counted in the summary statistics, mirroring the
-	// engine's warmup reset of the query counters.
-	Warmup float64
 	// Keep retains every assembled span and its phase segments for
 	// trace-event export. Off, the assembler holds only fixed-size
 	// per-client state and histograms.
@@ -368,16 +363,14 @@ func (a *Assembler) terminal(cs *clientState, t float64, o Outcome) {
 }
 
 // close finalizes the open span at t: the remainder accrues to the
-// current phase, and — unless the span ended inside measurement warmup
-// — it is counted and observed into the latency histograms.
+// current phase, and it is counted and observed into the latency
+// histograms.
 func (a *Assembler) close(cs *clientState, t float64, o Outcome) {
 	a.advance(cs, t, cs.phase) // accrue the tail; phase value is now moot
 	cs.cur.End = t
 	cs.cur.Outcome = o
 	cs.open = false
-	if t >= a.opt.Warmup {
-		a.count(&cs.cur)
-	}
+	a.count(&cs.cur)
 	if a.opt.Keep {
 		a.spans = append(a.spans, cs.cur)
 	}
@@ -470,13 +463,12 @@ func phaseMean(h *stats.Histogram) float64 {
 }
 
 // Summary is the assembled run's span-level digest: terminal-outcome
-// counts over the measured interval, the phase-decomposition
+// counts over the run, the phase-decomposition
 // percentiles, and (in Keep mode) the raw spans and segments for
 // trace-event export.
 type Summary struct {
-	// Terminal spans by outcome, counting only spans ending at or past
-	// the warmup boundary (mirroring the engine's counter reset). Open
-	// counts spans force-closed at the horizon.
+	// Terminal spans by outcome. Open counts spans force-closed at the
+	// horizon.
 	Answered int64 `json:"answered"`
 	TimedOut int64 `json:"timed_out"`
 	Shed     int64 `json:"shed"`
@@ -509,8 +501,8 @@ func (s *Summary) Terminal() int64 {
 }
 
 // Identity checks the span accounting identity against the engine's
-// independently maintained query counters over the measured interval:
-// every issued query yields exactly one terminal span, per outcome, and
+// independently maintained query counters over the run: every issued
+// query yields exactly one terminal span, per outcome, and
 // the in-flight remainder matches the spans still open at the horizon.
 // It also requires an anomaly-free fold — the identity is only
 // meaningful on a complete stream.

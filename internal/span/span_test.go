@@ -228,22 +228,6 @@ func TestDuplicateAndReorderedEventsIgnored(t *testing.T) {
 	})
 }
 
-func TestWarmupTruncation(t *testing.T) {
-	// A span terminating before the warmup boundary is assembled (the
-	// state machine needs the transition) but not counted; one ending at
-	// or past the boundary is counted even if it began inside warmup.
-	a := New(Options{Clients: 1, Horizon: 1000, Warmup: 100, Keep: true})
-	feed(t, a, missQuery(0, 0))  // ends at 20 < 100: not counted
-	feed(t, a, missQuery(0, 90)) // ends at 110 >= 100: counted
-	s := a.Finalize(1000)
-	if s.Answered != 1 || s.Terminal() != 1 {
-		t.Fatalf("warmup truncation: %+v", s)
-	}
-	if len(s.Spans) != 2 {
-		t.Fatalf("Keep mode retained %d spans, want both", len(s.Spans))
-	}
-}
-
 func TestAnomaliesCounted(t *testing.T) {
 	a := New(Options{Clients: 1, Horizon: 100})
 	// Terminal with nothing open.
